@@ -23,16 +23,6 @@ MemoryHierarchy::prefetchLifecycle(PrefetchSource source) const
     return sum;
 }
 
-PrefetchIssueCounts
-MemoryHierarchy::prefetchIssuedBySource() const
-{
-    PrefetchIssueCounts counts = lifecycleInstr_.issuedCounts();
-    const PrefetchIssueCounts data = lifecycleData_.issuedCounts();
-    for (unsigned s = 0; s < numPrefetchSources; ++s)
-        counts[s] += data[s];
-    return counts;
-}
-
 void
 MemoryHierarchy::finalizePrefetchLifecycles()
 {

@@ -161,9 +161,6 @@ class MemoryHierarchy
     /** Per-source lifecycle stats, instruction + data side summed. */
     PrefetchSourceStats prefetchLifecycle(PrefetchSource source) const;
 
-    /** Issued-prefetch totals by source (both sides summed). */
-    PrefetchIssueCounts prefetchIssuedBySource() const;
-
     /** End of run: score still-unused prefetched blocks as useless.
      *  Call once, before snapshotting the registry. */
     void finalizePrefetchLifecycles();

@@ -262,9 +262,9 @@ intervalClosureMismatch(const FuzzCase &c, const Workload &workload)
     Rng rng(c.caseSeed ^ 0x1257a15a3713ULL);
     RunInstrumentation inst;
     if (rng.chance(0.5))
-        inst.interval.sampleCycles = 500 + rng.below(30'000);
-    if (inst.interval.sampleCycles == 0 || rng.chance(0.5))
-        inst.interval.sampleEvents = 1 + rng.below(8);
+        inst.interval.cycles = 500 + rng.below(30'000);
+    if (inst.interval.cycles == 0 || rng.chance(0.5))
+        inst.interval.events = 1 + rng.below(8);
     IntervalSeries series;
     inst.intervalSeries = &series;
     (void)Simulator(c.config).run(workload, inst);
@@ -296,9 +296,9 @@ intervalClosureMismatch(const FuzzCase &c, const Workload &workload)
                           series.names[i].c_str(), acc[i],
                           series.finalValues[i],
                           static_cast<ULL>(
-                              inst.interval.sampleCycles),
+                              inst.interval.cycles),
                           static_cast<ULL>(
-                              inst.interval.sampleEvents));
+                              inst.interval.events));
             return buf;
         }
     }

@@ -4,9 +4,8 @@
 
 #include "common/logging.hh"
 #include "cpu/pacer.hh"
-#include "report/interval.hh"
 #include "report/spans.hh"
-#include "report/telemetry.hh"
+#include "report/timeline.hh"
 
 namespace espsim
 {
@@ -374,13 +373,11 @@ OoOCore::run(const Workload &workload)
     std::array<PrefetchSourceStats, numPrefetchSources> pf_life_start{};
     for (std::size_t idx = 0; idx < workload.numEvents(); ++idx) {
         const CycleBucketArray buckets_at_start = stats_.bucketCycles;
-        const PrefetchIssueCounts pf_at_start =
-            mem_.prefetchIssuedBySource();
         // Span window opens before any idle charge: the span's bucket
         // deltas cover every cycle the clock advances until retire,
         // so Σ span buckets == retire - span_start by construction.
         const Cycle span_start = fetchCycle_;
-        if (spanSink_) {
+        if (!sinks_.empty()) {
             for (unsigned s = 0; s < numPrefetchSources; ++s) {
                 pf_life_start[s] = mem_.prefetchLifecycle(
                     static_cast<PrefetchSource>(s));
@@ -398,15 +395,11 @@ OoOCore::run(const Workload &workload)
                 slotInCycle_ = 0;
             }
         }
-        if (timeline_)
-            timeline_->eventQueued(idx, queued_at);
         // The hook fires before the looper-gap instructions so the ESP
         // list prefetcher gets its ~70-instruction head start (§3.6).
         hooks_.onEventStart(idx, fetchCycle_);
         executeLooperOverhead();
         const Cycle dispatched_at = fetchCycle_;
-        if (timeline_)
-            timeline_->eventDispatched(idx, dispatched_at);
         if (pacer_)
             pacer_->eventDispatched(idx, dispatched_at);
         const InstCount instr_at_dispatch = stats_.instructions;
@@ -449,28 +442,9 @@ OoOCore::run(const Workload &workload)
         for (unsigned b = 0; b < numCycleBuckets; ++b)
             acct.buckets[b] += delta[b];
 
-        if (timeline_) {
-            timeline_->eventRetired(idx, fetchCycle_,
-                                    stats_.instructions -
-                                        instr_at_dispatch);
-            std::vector<std::pair<std::string, Cycle>> bucket_args;
-            for (unsigned b = 0; b < numCycleBuckets; ++b) {
-                bucket_args.emplace_back(
-                    cycleBucketName(static_cast<CycleBucket>(b)),
-                    delta[b]);
-            }
-            timeline_->eventCycleBuckets(idx, std::move(bucket_args));
-            const PrefetchIssueCounts pf_now =
-                mem_.prefetchIssuedBySource();
-            std::vector<std::pair<std::string, std::uint64_t>> pf_args;
-            for (unsigned s = 0; s < numPrefetchSources; ++s) {
-                pf_args.emplace_back(
-                    prefetchSourceName(static_cast<PrefetchSource>(s)),
-                    pf_now[s] - pf_at_start[s]);
-            }
-            timeline_->eventPrefetchTallies(idx, std::move(pf_args));
-        }
-        if (spanSink_) {
+        if (pacer_)
+            pacer_->eventRetired(idx, fetchCycle_);
+        if (!sinks_.empty()) {
             RequestSpan span;
             span.index = idx;
             span.handlerType = event.handlerType;
@@ -489,14 +463,9 @@ OoOCore::run(const Workload &workload)
                     end.late - pf_life_start[s].late,
                     end.harmful - pf_life_start[s].harmful};
             }
-            spanSink_->onSpan(span);
+            for (SpanSink *sink : sinks_)
+                sink->onSpan(span);
         }
-        if (pacer_)
-            pacer_->eventRetired(idx, fetchCycle_);
-        if (sampler_)
-            sampler_->onEventRetired(stats_.events, fetchCycle_);
-        if (telemetry_)
-            telemetry_->onEventRetired(stats_.events, fetchCycle_);
     }
     stats_.cycles = fetchCycle_;
     if (stats_.bucketSum() != stats_.cycles) {

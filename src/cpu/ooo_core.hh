@@ -33,16 +33,14 @@
 #include "prefetch/next_line.hh"
 #include "prefetch/stride.hh"
 #include "report/stat_registry.hh"
-#include "report/timeline.hh"
 #include "trace/workload.hh"
 
 namespace espsim
 {
 
-class IntervalSampler;
 class EventPacer;
+class EventTimeline;
 class SpanSink;
-class TelemetrySnapshotter;
 
 /** Core pipeline parameters (defaults = paper Figure 7). */
 struct CoreConfig
@@ -248,15 +246,12 @@ class OoOCore
     void registerStats(StatRegistry &reg,
                        const std::string &prefix) const;
 
-    /** Attach an opt-in per-event timeline sink (nullptr detaches). */
-    void setTimeline(EventTimeline *timeline) { timeline_ = timeline; }
-
     /**
-     * Attach an opt-in interval sampler (nullptr detaches); it is
-     * invoked at every event-retire boundary — the only points where
-     * the registered stat surface is consistent mid-run.
+     * Attach an opt-in timeline for the intra-event stall slices
+     * (nullptr detaches). Its per-event slices arrive as spans: add
+     * the timeline as a span sink too.
      */
-    void setSampler(IntervalSampler *sampler) { sampler_ = sampler; }
+    void setTimeline(EventTimeline *timeline) { timeline_ = timeline; }
 
     /**
      * Attach an opt-in event pacer (nullptr detaches): arrivals gate
@@ -267,26 +262,17 @@ class OoOCore
     void setPacer(EventPacer *pacer) { pacer_ = pacer; }
 
     /**
-     * Attach an opt-in per-request span sink (nullptr detaches): each
-     * retired event delivers one RequestSpan carrying its cycle-bucket
-     * deltas and per-source prefetch lifecycle deltas, closing exactly
-     * against the accounting invariant (Σ span buckets == the cycles
-     * the clock advanced while the span was current). See
+     * Add a per-event observer. Each retired event delivers one
+     * RequestSpan, after the pacer saw the retire, to every sink in
+     * the order added. The span carries the event's cycle-bucket and
+     * per-source prefetch lifecycle deltas and closes exactly against
+     * the accounting invariant (Σ span buckets == the cycles the clock
+     * advanced while the span was current). Event-retire boundaries
+     * are the only points where the registered stat surface is
+     * consistent mid-run, so counter samplers are sinks too. See
      * report/spans.hh.
      */
-    void setSpanSink(SpanSink *sink) { spanSink_ = sink; }
-
-    /**
-     * Attach an opt-in live-telemetry snapshotter (nullptr detaches);
-     * like the interval sampler it observes only event-retire
-     * boundaries, publishing absolute counter snapshots into the
-     * telemetry plane. See report/telemetry.hh.
-     */
-    void
-    setTelemetry(TelemetrySnapshotter *telemetry)
-    {
-        telemetry_ = telemetry;
-    }
+    void addSpanSink(SpanSink *sink) { sinks_.push_back(sink); }
 
     /** Current-fetch-cycle accessor for hooks/tests. */
     Cycle now() const { return fetchCycle_; }
@@ -311,10 +297,8 @@ class OoOCore
 
     CoreStats stats_;
     EventTimeline *timeline_ = nullptr;
-    IntervalSampler *sampler_ = nullptr;
     EventPacer *pacer_ = nullptr;
-    SpanSink *spanSink_ = nullptr;
-    TelemetrySnapshotter *telemetry_ = nullptr;
+    std::vector<SpanSink *> sinks_;
 
     // Pipeline state.
     Cycle fetchCycle_ = 0;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "report/timeline.hh"
 
 namespace espsim
 {

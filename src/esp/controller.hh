@@ -33,11 +33,12 @@
 #include "esp/event_queue.hh"
 #include "esp/lists.hh"
 #include "report/stat_registry.hh"
-#include "report/timeline.hh"
 #include "trace/workload.hh"
 
 namespace espsim
 {
+
+class EventTimeline;
 
 /** Counters the controller accumulates over a run. */
 struct EspStats

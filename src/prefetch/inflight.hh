@@ -45,9 +45,6 @@ constexpr unsigned numPrefetchSources = 6;
 /** Stable snake_case stat-name token for @p source. */
 const char *prefetchSourceName(PrefetchSource source);
 
-/** Issued-prefetch totals indexed by PrefetchSource. */
-using PrefetchIssueCounts = std::array<std::uint64_t, numPrefetchSources>;
-
 /**
  * Lifecycle outcome counters for one prefetch source.
  *
@@ -154,8 +151,6 @@ class PrefetchLifecycleTracker
     {
         return stats_[static_cast<std::size_t>(source)];
     }
-
-    PrefetchIssueCounts issuedCounts() const;
 
     void clear();
 

@@ -1,8 +1,5 @@
 #include "report/flight_recorder.hh"
 
-#include <utility>
-#include <vector>
-
 #include "report/timeline.hh"
 
 namespace espsim
@@ -11,33 +8,16 @@ namespace espsim
 namespace
 {
 
+/** The ring replayed through a flight-recorder-stamped timeline. */
 void
-replayRing(const SpanCollector &collector, EventTimeline &timeline)
+replayRing(const SpanCollector &collector, const std::string &configName,
+           const std::string &workloadName, EventTimeline &timeline)
 {
+    timeline.setRunInfo(configName, workloadName);
+    timeline.setTraceKind("flight-recorder");
     const FixedRing<RequestSpan> &ring = collector.ring();
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-        const RequestSpan &span = ring.at(i);
-        timeline.eventQueued(span.index, span.arrival);
-        timeline.eventDispatched(span.index, span.dispatch);
-        timeline.eventRetired(span.index, span.retire,
-                              span.instructions);
-        std::vector<std::pair<std::string, Cycle>> buckets;
-        buckets.reserve(numCycleBuckets);
-        for (unsigned b = 0; b < numCycleBuckets; ++b) {
-            buckets.emplace_back(
-                cycleBucketName(static_cast<CycleBucket>(b)),
-                span.buckets[b]);
-        }
-        timeline.eventCycleBuckets(span.index, std::move(buckets));
-        std::vector<std::pair<std::string, std::uint64_t>> tallies;
-        tallies.reserve(numPrefetchSources);
-        for (unsigned s = 0; s < numPrefetchSources; ++s) {
-            tallies.emplace_back(
-                prefetchSourceName(static_cast<PrefetchSource>(s)),
-                span.prefetch[s].issued);
-        }
-        timeline.eventPrefetchTallies(span.index, std::move(tallies));
-    }
+    for (std::size_t i = 0; i < ring.size(); ++i)
+        timeline.onSpan(ring.at(i));
 }
 
 } // namespace
@@ -48,9 +28,7 @@ renderFlightRecorderTrace(const SpanCollector &collector,
                           const std::string &workloadName)
 {
     EventTimeline timeline;
-    timeline.setRunInfo(configName, workloadName);
-    timeline.setTraceKind("flight-recorder");
-    replayRing(collector, timeline);
+    replayRing(collector, configName, workloadName, timeline);
     return timeline.renderChromeTrace();
 }
 
@@ -61,9 +39,7 @@ writeFlightRecorderTrace(const SpanCollector &collector,
                          const std::string &path)
 {
     EventTimeline timeline;
-    timeline.setRunInfo(configName, workloadName);
-    timeline.setTraceKind("flight-recorder");
-    replayRing(collector, timeline);
+    replayRing(collector, configName, workloadName, timeline);
     return timeline.writeChromeTrace(path);
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/logging.hh"
 #include "common/version.hh"
 #include "report/artifact.hh"
 #include "report/json_writer.hh"
@@ -30,144 +29,77 @@ indexOf(const std::vector<std::string> &names, const std::string &name)
 
 } // namespace
 
-IntervalSampler::IntervalSampler(const StatRegistry &reg,
-                                 IntervalConfig period)
-    : reg_(reg)
+IntervalSeries
+intervalSeries(const CounterSampler &sampler)
 {
-    series_.period = period;
-    // Freeze the counter name set now: stats registered later (the
-    // post-run handler breakdown, derived metrics) never appear, so
-    // every sample sees the same names and deltas stay well-defined.
-    // Interning the getters here makes each sample a plain walk over
-    // them — no per-sample string maps.
-    getters_.reserve(reg_.size());
-    for (StatRegistry::CounterHandle &h : reg_.counterHandles()) {
-        series_.names.push_back(std::move(h.name));
-        getters_.push_back(std::move(h.getter));
-    }
-    series_.baseline.reserve(getters_.size());
-    for (const StatRegistry::Getter &getter : getters_)
-        series_.baseline.push_back(getter());
-    prev_ = series_.baseline;
-    nextCycle_ = period.sampleCycles;
-    nextEvents_ = period.sampleEvents;
-
-    idxCycles_ = indexOf(series_.names, "core.cycles");
-    idxInstructions_ = indexOf(series_.names, "core.instructions");
-    idxL1iMisses_ = indexOf(series_.names, "mem.l1i.misses");
-    idxL1dAccesses_ = indexOf(series_.names, "mem.l1d.accesses");
-    idxL1dMisses_ = indexOf(series_.names, "mem.l1d.misses");
-    idxEspPreExec_ =
-        indexOf(series_.names, "core.cycle_bucket.esp_pre_exec");
-}
-
-std::vector<double>
-IntervalSampler::currentValues() const
-{
-    std::vector<double> values;
-    values.reserve(getters_.size());
-    for (const StatRegistry::Getter &getter : getters_)
-        values.push_back(getter());
-    return values;
-}
-
-void
-IntervalSampler::onEventRetired(std::uint64_t events_retired, Cycle now)
-{
-    if (finalized_)
-        return;
-    const bool cycles_due =
-        series_.period.sampleCycles > 0 && now >= nextCycle_;
-    const bool events_due = series_.period.sampleEvents > 0 &&
-        events_retired >= nextEvents_;
-    if (!cycles_due && !events_due)
-        return;
-    sample(now, events_retired);
-    // Advance past every grid point the run has already crossed: an
-    // event spanning several periods yields one (larger) interval,
-    // since the registry is only consistent at retire boundaries.
-    if (series_.period.sampleCycles > 0) {
-        while (nextCycle_ <= now)
-            nextCycle_ += series_.period.sampleCycles;
-    }
-    if (series_.period.sampleEvents > 0) {
-        while (nextEvents_ <= events_retired)
-            nextEvents_ += series_.period.sampleEvents;
-    }
-}
-
-void
-IntervalSampler::sample(Cycle now, std::uint64_t events_retired)
-{
-    std::vector<double> values = currentValues();
-    IntervalPoint point;
-    point.endCycle = now;
-    point.endEvents = events_retired;
-    point.deltas.resize(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i)
-        point.deltas[i] = values[i] - prev_[i];
-    prev_ = std::move(values);
-    emitTimelineCounters(point);
-    series_.intervals.push_back(std::move(point));
-}
-
-void
-IntervalSampler::emitTimelineCounters(const IntervalPoint &point)
-{
-    if (!timeline_)
-        return;
-    const auto delta = [&point](std::size_t idx) {
-        return idx == npos ? 0.0 : point.deltas[idx];
-    };
-    const double cycles = delta(idxCycles_);
-    const double instrs = delta(idxInstructions_);
-    std::vector<std::pair<std::string, double>> metrics;
-    if (cycles > 0) {
-        metrics.emplace_back("interval.ipc", instrs / cycles);
-        if (idxEspPreExec_ != npos) {
-            metrics.emplace_back("interval.esp_occupancy",
-                                 delta(idxEspPreExec_) / cycles);
+    IntervalSeries series;
+    series.period = sampler.period();
+    series.names = sampler.names();
+    series.baseline = sampler.baseline();
+    const std::vector<double> *prev = &series.baseline;
+    for (const TelemetrySnapshot &snap : sampler.snapshots()) {
+        if (snap.isFinal) {
+            series.finalCycle = snap.cycle;
+            series.finalEvents = snap.events;
+            series.finalValues = snap.values;
+            // The trailing partial interval closes the series only if
+            // a counter moved since the last grid snapshot.
+            if (snap.values == *prev)
+                break;
         }
+        IntervalPoint point;
+        point.endCycle = snap.cycle;
+        point.endEvents = snap.events;
+        point.deltas.resize(snap.values.size());
+        for (std::size_t i = 0; i < snap.values.size(); ++i)
+            point.deltas[i] = snap.values[i] - (*prev)[i];
+        series.intervals.push_back(std::move(point));
+        prev = &snap.values;
     }
-    if (instrs > 0 && idxL1iMisses_ != npos) {
-        metrics.emplace_back("interval.l1i_mpki",
-                             delta(idxL1iMisses_) /
-                                 (instrs / 1000.0));
-    }
-    const double l1d_accesses = delta(idxL1dAccesses_);
-    if (l1d_accesses > 0 && idxL1dMisses_ != npos) {
-        metrics.emplace_back("interval.l1d_miss_rate",
-                             delta(idxL1dMisses_) / l1d_accesses);
-    }
-    if (!metrics.empty())
-        timeline_->recordIntervalCounters(point.endCycle,
-                                          std::move(metrics));
+    return series;
 }
 
 void
-IntervalSampler::finalize(Cycle now, std::uint64_t events_retired)
+addIntervalCounterTracks(EventTimeline &timeline,
+                         const IntervalSeries &series)
 {
-    if (finalized_)
-        panic("IntervalSampler: finalize() called twice");
-    std::vector<double> values = currentValues();
-    // Trailing partial interval: whatever moved since the last grid
-    // sample. Emitting it makes the deltas telescope exactly to the
-    // final snapshot.
-    if (values != prev_) {
-        IntervalPoint point;
-        point.endCycle = now;
-        point.endEvents = events_retired;
-        point.deltas.resize(values.size());
-        for (std::size_t i = 0; i < values.size(); ++i)
-            point.deltas[i] = values[i] - prev_[i];
-        emitTimelineCounters(point);
-        series_.intervals.push_back(std::move(point));
+    const auto index = [&series](const char *name) {
+        return indexOf(series.names, name);
+    };
+    const std::size_t cycles_idx = index("core.cycles");
+    const std::size_t instrs_idx = index("core.instructions");
+    const std::size_t l1i_misses_idx = index("mem.l1i.misses");
+    const std::size_t l1d_accesses_idx = index("mem.l1d.accesses");
+    const std::size_t l1d_misses_idx = index("mem.l1d.misses");
+    const std::size_t esp_idx = index("core.cycle_bucket.esp_pre_exec");
+    for (const IntervalPoint &point : series.intervals) {
+        const auto delta = [&point](std::size_t idx) {
+            return idx == npos ? 0.0 : point.deltas[idx];
+        };
+        const double cycles = delta(cycles_idx);
+        const double instrs = delta(instrs_idx);
+        std::vector<std::pair<std::string, double>> metrics;
+        if (cycles > 0) {
+            metrics.emplace_back("interval.ipc", instrs / cycles);
+            if (esp_idx != npos) {
+                metrics.emplace_back("interval.esp_occupancy",
+                                     delta(esp_idx) / cycles);
+            }
+        }
+        if (instrs > 0 && l1i_misses_idx != npos) {
+            metrics.emplace_back("interval.l1i_mpki",
+                                 delta(l1i_misses_idx) /
+                                     (instrs / 1000.0));
+        }
+        const double l1d_accesses = delta(l1d_accesses_idx);
+        if (l1d_accesses > 0 && l1d_misses_idx != npos) {
+            metrics.emplace_back("interval.l1d_miss_rate",
+                                 delta(l1d_misses_idx) / l1d_accesses);
+        }
+        if (!metrics.empty())
+            timeline.recordIntervalCounters(point.endCycle,
+                                            std::move(metrics));
     }
-    prev_ = values;
-    series_.finalCycle = now;
-    series_.finalEvents = events_retired;
-    series_.finalValues = std::move(values);
-    finalized_ = true;
 }
 
 std::string
@@ -191,9 +123,9 @@ renderIntervalSeriesJson(const ArtifactManifest &manifest,
     w.key("config").value(series.configName);
     w.key("workload").value(series.workloadName);
     w.key("sample_cycles")
-        .value(std::uint64_t{series.period.sampleCycles});
+        .value(std::uint64_t{series.period.cycles});
     w.key("sample_events")
-        .value(std::uint64_t{series.period.sampleEvents});
+        .value(std::uint64_t{series.period.events});
     w.endObject();
 
     w.key("names").beginArray();

@@ -1,26 +1,30 @@
 /**
  * @file
- * Interval sampling engine: time-resolved counter series for one run.
+ * Interval series: time-resolved counter deltas for one run.
  *
- * Every figure in the paper is an end-of-run aggregate; this engine
- * exposes *phase behaviour* instead. The core invokes the sampler at
- * each event-retire boundary (the only points where the stat surface
- * is guaranteed consistent); whenever the run has advanced by the
- * configured cycle and/or event period, the sampler takes a
- * counter-only delta snapshot of the StatRegistry and appends one
- * interval to the series.
+ * Every figure in the paper is an end-of-run aggregate; the series
+ * exposes *phase behaviour* instead. It is built after the run from an
+ * in-memory CounterSampler (report/telemetry.hh), the one counter
+ * sampler: the sampler snapshots absolute counter values at each
+ * event-retire boundary that crosses a cycle and/or event grid point,
+ * and each interval here is the difference of two consecutive
+ * snapshots. The baseline is the sampler's construction snapshot, and
+ * a trailing interval closes the series only if a counter moved after
+ * the last grid snapshot.
  *
  * Only Counter-kind stats (uint64-backed monotone counters, see
  * StatKind) are sampled. Their doubles are exact below 2^53, so the
- * per-interval deltas **telescope**: for every counter,
+ * per-interval deltas **telescope** by construction: for every
+ * counter,
  *
  *     baseline + Σ interval deltas == final snapshot     (exactly)
  *
  * — a property the artifact validator, the unit tests and the fuzz
  * harness's interval-delta-closure oracle all check. Rates and ratios
- * (IPC, miss rates, ESP occupancy) are *not* sampled; downstream
- * consumers (tools/plot_intervals.py, the timeline counter tracks)
- * derive them per interval from the counter deltas.
+ * (IPC, miss rates, ESP occupancy) are *not* stored; downstream
+ * consumers (tools/plot_intervals.py, the timeline counter tracks
+ * added by addIntervalCounterTracks()) derive them per interval from
+ * the counter deltas.
  *
  * The series is deterministic by construction — names are the
  * registry's sorted order, intervals fire at cycle/event grid points
@@ -36,7 +40,7 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "report/stat_registry.hh"
+#include "report/telemetry.hh"
 
 namespace espsim
 {
@@ -46,21 +50,6 @@ class EventTimeline;
 
 /** Version of the interval-series schema this build writes. */
 constexpr std::uint32_t intervalSeriesFormatVersion = 1;
-
-/** When the sampler fires. Either period may be 0 (= disabled). */
-struct IntervalConfig
-{
-    /** Sample when ≥ this many cycles passed since the last sample. */
-    Cycle sampleCycles = 0;
-    /** Sample when ≥ this many events retired since the last sample. */
-    std::uint64_t sampleEvents = 0;
-
-    bool
-    enabled() const
-    {
-        return sampleCycles > 0 || sampleEvents > 0;
-    }
-};
 
 /** One sampling interval: counter deltas since the previous sample. */
 struct IntervalPoint
@@ -77,7 +66,7 @@ struct IntervalSeries
     std::string configName;
     std::string workloadName;
     std::string configHash; //!< 16-hex-digit hash of the run's config
-    IntervalConfig period;
+    SamplePeriod period;
 
     /** Sorted counter names; every values/deltas vector aligns. */
     std::vector<std::string> names;
@@ -95,61 +84,15 @@ struct IntervalSeries
     std::vector<double> finalValues;
 };
 
+/** The series of a finalized in-memory @p sampler, by subtraction. */
+IntervalSeries intervalSeries(const CounterSampler &sampler);
+
 /**
- * Samples a StatRegistry's counters over a run. Construct after every
- * component registered its counters (the name set is frozen at
- * construction), attach to the core, finalize after the run.
+ * Add each interval of @p series to @p timeline as counter-track
+ * points (IPC, miss rates, ESP occupancy derived from the deltas).
  */
-class IntervalSampler
-{
-  public:
-    IntervalSampler(const StatRegistry &reg, IntervalConfig period);
-
-    /**
-     * Core callback at each event-retire boundary. Samples when a
-     * cycle/event grid point has been crossed since the last sample.
-     */
-    void onEventRetired(std::uint64_t events_retired, Cycle now);
-
-    /**
-     * Close the series: record the final counter snapshot and the
-     * trailing partial interval (if any counter moved since the last
-     * sample), so the deltas telescope to the final values.
-     */
-    void finalize(Cycle now, std::uint64_t events_retired);
-
-    /**
-     * Also emit each sample as timeline counter-track points (IPC,
-     * miss rates, ESP occupancy derived from the interval deltas).
-     */
-    void setTimeline(EventTimeline *timeline) { timeline_ = timeline; }
-
-    const IntervalSeries &series() const { return series_; }
-
-    /** Move the finished series out of the sampler. */
-    IntervalSeries take() { return std::move(series_); }
-
-  private:
-    const StatRegistry &reg_;
-    IntervalSeries series_;
-    /** Interned getters aligned with series_.names; each sample reads
-     *  these directly instead of building a string-keyed snapshot. */
-    std::vector<StatRegistry::Getter> getters_;
-    std::vector<double> prev_; //!< counter values at the last sample
-    Cycle nextCycle_ = 0;
-    std::uint64_t nextEvents_ = 0;
-    bool finalized_ = false;
-    EventTimeline *timeline_ = nullptr;
-
-    //!< Indices into series_.names for derived track metrics
-    //!< (npos when the counter is not registered in this run).
-    std::size_t idxCycles_, idxInstructions_, idxL1iMisses_,
-        idxL1dAccesses_, idxL1dMisses_, idxEspPreExec_;
-
-    std::vector<double> currentValues() const;
-    void sample(Cycle now, std::uint64_t events_retired);
-    void emitTimelineCounters(const IntervalPoint &point);
-};
+void addIntervalCounterTracks(EventTimeline &timeline,
+                              const IntervalSeries &series);
 
 /**
  * Render the canonical `espsim-interval-series` JSON artifact.

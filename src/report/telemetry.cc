@@ -41,6 +41,17 @@ stallInjectRequested(std::uint64_t *event, unsigned *ms)
     return true;
 }
 
+/** The first multiple-of-@p period step of @p next past @p reached
+ *  (@p next itself while not yet reached, or with the pace off). */
+std::uint64_t
+nextGridPoint(std::uint64_t next, std::uint64_t reached,
+              std::uint64_t period)
+{
+    if (period == 0 || reached < next)
+        return next;
+    return next + ((reached - next) / period + 1) * period;
+}
+
 /** Prometheus metric names: [a-zA-Z0-9_:]; everything else → '_'. */
 std::string
 promName(const std::string &stat)
@@ -174,35 +185,49 @@ TelemetryPlane::degradedReason() const
 }
 
 // --------------------------------------------------------------------
-// TelemetrySnapshotter
+// CounterSampler
 // --------------------------------------------------------------------
 
-TelemetrySnapshotter::TelemetrySnapshotter(const StatRegistry &reg,
-                                           TelemetryConfig cfg,
-                                           TelemetryRunInfo info,
-                                           TelemetryStream *stream,
-                                           TelemetryPlane *plane)
-    : cfg_(cfg), info_(std::move(info)), stream_(stream), plane_(plane),
+CounterSampler::CounterSampler(const StatRegistry &reg,
+                               SamplePeriod period)
+    : period_(period), keep_(true),
       names_(std::make_shared<std::vector<std::string>>())
 {
-    // Freeze the counter name set now, exactly like the
-    // IntervalSampler: stats registered after the run (handler
-    // breakdown, derived metrics) never appear, so every snapshot
-    // reads the same names.
+    // Freeze the counter name set now: stats registered after the run
+    // (handler breakdown, derived metrics) never appear, so every
+    // snapshot reads the same names. Interning the getters makes each
+    // snapshot a plain walk over them — no per-sample string maps.
     getters_.reserve(reg.size());
     for (StatRegistry::CounterHandle &h : reg.counterHandles()) {
         names_->push_back(std::move(h.name));
         getters_.push_back(std::move(h.getter));
     }
+    baseline_.reserve(getters_.size());
+    for (const StatRegistry::Getter &getter : getters_)
+        baseline_.push_back(getter());
     snap_.values.resize(getters_.size(), 0.0);
-    nextCycle_ = cfg_.periodCycles;
+    nextCycle_ = period_.cycles;
+    nextEvents_ = period_.events;
     lastWall_ = std::chrono::steady_clock::now();
+}
+
+CounterSampler::CounterSampler(const StatRegistry &reg,
+                               SamplePeriod period,
+                               TelemetryRunInfo info,
+                               TelemetryStream *stream,
+                               TelemetryPlane *plane)
+    : CounterSampler(reg, period)
+{
+    keep_ = false;
+    info_ = std::move(info);
+    stream_ = stream;
+    plane_ = plane;
     stallArmed_ = stallInjectRequested(&stallEvent_, &stallMs_);
     writeHeader();
 }
 
 void
-TelemetrySnapshotter::writeHeader()
+CounterSampler::writeHeader()
 {
     if (stream_ == nullptr)
         return;
@@ -214,8 +239,8 @@ TelemetrySnapshotter::writeHeader()
     w.key("config").value(info_.config);
     w.key("workload").value(info_.workload);
     w.key("config_hash").value(info_.configHash);
-    w.key("period_cycles").value(cfg_.periodCycles);
-    w.key("wall_ms").value(cfg_.wallMs);
+    w.key("period_cycles").value(period_.cycles);
+    w.key("wall_ms").value(period_.wallMs);
     w.key("names");
     w.beginArray();
     for (const std::string &name : *names_)
@@ -226,8 +251,8 @@ TelemetrySnapshotter::writeHeader()
 }
 
 void
-TelemetrySnapshotter::sample(Cycle now, std::uint64_t events_retired,
-                             bool final_)
+CounterSampler::sample(Cycle now, std::uint64_t events_retired,
+                       bool final_)
 {
     ++seq_;
     snap_.seq = seq_;
@@ -236,6 +261,8 @@ TelemetrySnapshotter::sample(Cycle now, std::uint64_t events_retired,
     snap_.isFinal = final_;
     for (std::size_t i = 0; i < getters_.size(); ++i)
         snap_.values[i] = getters_[i]();
+    if (keep_)
+        kept_.push_back(snap_);
     if (stream_ != nullptr)
         stream_->writeLine(renderTelemetrySnapshotJson(
             info_, *names_, snap_, /*includeNames=*/false));
@@ -244,11 +271,12 @@ TelemetrySnapshotter::sample(Cycle now, std::uint64_t events_retired,
 }
 
 void
-TelemetrySnapshotter::onEventRetired(std::uint64_t events_retired,
-                                     Cycle now)
+CounterSampler::onSpan(const RequestSpan &span)
 {
     if (finalized_)
         return;
+    const std::uint64_t events_retired = span.index + 1;
+    const Cycle now = span.retire;
     if (plane_ != nullptr)
         plane_->noteProgress();
     if (stallArmed_ && events_retired == stallEvent_) {
@@ -258,8 +286,9 @@ TelemetrySnapshotter::onEventRetired(std::uint64_t events_retired,
         std::this_thread::sleep_for(
             std::chrono::milliseconds(stallMs_));
     }
-    bool due = cfg_.periodCycles > 0 && now >= nextCycle_;
-    if (cfg_.wallMs > 0 && !due) {
+    bool due = (period_.cycles > 0 && now >= nextCycle_) ||
+        (period_.events > 0 && events_retired >= nextEvents_);
+    if (period_.wallMs > 0 && !due) {
         // The steady_clock read costs far more than a retire; check
         // it only every 64 retires. Worst-case staleness at serve
         // throughput is microseconds — invisible at ms-scale pacing.
@@ -270,7 +299,7 @@ TelemetrySnapshotter::onEventRetired(std::uint64_t events_retired,
                 std::chrono::duration<double, std::milli>(now_wall -
                                                           lastWall_)
                     .count();
-            if (elapsed_ms >= cfg_.wallMs) {
+            if (elapsed_ms >= period_.wallMs) {
                 due = true;
                 lastWall_ = now_wall;
             }
@@ -278,18 +307,17 @@ TelemetrySnapshotter::onEventRetired(std::uint64_t events_retired,
     }
     if (!due)
         return;
-    if (cfg_.periodCycles > 0 && now >= nextCycle_) {
-        // Re-anchor the grid past `now` so a long event skips grid
-        // points instead of emitting a burst of stale samples.
-        nextCycle_ +=
-            ((now - nextCycle_) / cfg_.periodCycles + 1) *
-            cfg_.periodCycles;
-    }
+    // Re-anchor each grid past the point reached, so an event that
+    // spans several periods yields one (larger) interval instead of a
+    // burst of stale samples.
+    nextCycle_ = nextGridPoint(nextCycle_, now, period_.cycles);
+    nextEvents_ =
+        nextGridPoint(nextEvents_, events_retired, period_.events);
     sample(now, events_retired, /*final_=*/false);
 }
 
 void
-TelemetrySnapshotter::finalize(Cycle now, std::uint64_t events_retired)
+CounterSampler::finalize(Cycle now, std::uint64_t events_retired)
 {
     if (finalized_)
         return;

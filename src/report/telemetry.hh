@@ -1,23 +1,25 @@
 /**
  * @file
- * Live telemetry plane: online counter exposition for long runs.
+ * Counter sampling and the live telemetry plane.
  *
- * Everything else in src/report is post-mortem — artifacts, spans and
- * flight-recorder dumps land after the run ends. A multi-minute
- * `espsim serve` run streaming millions of events needs the opposite
- * shape: in-flight visibility. This header provides it in three
- * pieces:
+ * Artifacts, spans and flight-recorder dumps land after the run ends.
+ * Phase plots and a multi-minute `espsim serve` run streaming
+ * millions of events need counters *during* the run. This header
+ * provides that in four pieces:
  *
- *  - **TelemetrySnapshotter** — takes periodic counter snapshots of
- *    the StatRegistry at event-retire boundaries (the only points
- *    where the stat surface is consistent), paced by simulated cycles
- *    and/or wall-clock time. Snapshots are *absolute* counter values
- *    (not deltas like the IntervalSampler), so every snapshot is a
- *    self-contained readout: counters are monotone across snapshots
- *    and the final snapshot — always emitted at finalize — equals the
- *    end-of-run registry values exactly (uint64 counters are exact in
- *    double below 2^53). Snapshots stream as versioned JSON-lines
- *    through a TelemetryStream and publish into a TelemetryPlane.
+ *  - **CounterSampler** — the one counter sampler. It freezes the
+ *    StatRegistry's counter names at construction and, as a span sink
+ *    of the core, takes *absolute* counter snapshots at event-retire
+ *    boundaries (the only points where the stat surface is
+ *    consistent): whenever a cycle, event or wall-clock grid point was
+ *    crossed, and always once more at finalize. Counters are monotone
+ *    across snapshots, and the final snapshot equals the end-of-run
+ *    registry values exactly (uint64 counters are exact in double
+ *    below 2^53). An in-memory sampler keeps its snapshots; the
+ *    interval series (report/interval.hh) is their differences. A
+ *    live sampler instead streams each snapshot as a versioned
+ *    JSON line through a TelemetryStream and publishes it into a
+ *    TelemetryPlane.
  *
  *  - **TelemetryStream** — a JSON-lines sink (file or in-memory for
  *    tests). One stream may carry several run blocks (a serve sweep
@@ -28,23 +30,27 @@
  *
  *  - **TelemetryPlane** — the thread-safe rendezvous between the
  *    simulation thread and external observers (the /metrics HTTP
- *    endpoint, the stall watchdog). The snapshotter owns a private
- *    back buffer and *publishes* each completed snapshot into the
- *    plane's front buffer under a short lock (a classic
- *    double-buffer: the hot loop never waits on a reader holding a
- *    half-read snapshot). The plane also carries the run's health
- *    state (ok/degraded, set by the watchdog) and a relaxed-atomic
- *    retire-progress counter the watchdog monitors.
+ *    endpoint, the stall watchdog). The sampler owns a private back
+ *    buffer and *publishes* each completed snapshot into the plane's
+ *    front buffer under a short lock (a classic double-buffer: the
+ *    hot loop never waits on a reader holding a half-read snapshot).
+ *    The plane also carries the run's health state (ok/degraded, set
+ *    by the watchdog) and a relaxed-atomic retire-progress counter
+ *    the watchdog monitors.
  *
- * Determinism: telemetry is an opt-in observer. With it off, no code
+ *  - **Renderers** — the snapshot JSON line and the Prometheus text
+ *    exposition of the plane's latest view.
+ *
+ * Determinism: sampling is an opt-in observer. With it off, no code
  * path changes and every artifact stays byte-identical; with it on,
- * the run's *artifacts* are still byte-identical (telemetry only
- * reads counters), and the JSONL itself is deterministic when paced
- * purely by cycles (wall-clock pacing trades determinism for a fixed
- * real-time cadence, which is the point of a live feed).
+ * the run's *artifacts* are still byte-identical (samplers only read
+ * counters), and the snapshots themselves are deterministic when
+ * paced purely by cycles or events (wall-clock pacing trades
+ * determinism for a fixed real-time cadence, which is the point of a
+ * live feed).
  *
  * Test hook: ESPSIM_STALL_INJECT="<event>:<ms>" (the
- * ESPSIM_FAULT_INJECT pattern) makes the snapshotter sleep <ms>
+ * ESPSIM_FAULT_INJECT pattern) makes a live sampler sleep <ms>
  * milliseconds when event <event> retires — an injectable wedge for
  * exercising the stall watchdog end to end. See report/watchdog.hh.
  */
@@ -62,6 +68,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "report/spans.hh"
 #include "report/stat_registry.hh"
 
 namespace espsim
@@ -70,18 +77,20 @@ namespace espsim
 /** Version of the telemetry-stream schema this build writes. */
 constexpr std::uint32_t telemetryStreamFormatVersion = 1;
 
-/** When the snapshotter samples. Either pace may be 0 (= disabled). */
-struct TelemetryConfig
+/** When a CounterSampler snapshots. Each pace may be 0 (= off). */
+struct SamplePeriod
 {
     /** Snapshot when ≥ this many simulated cycles passed. */
-    Cycle periodCycles = 0;
+    Cycle cycles = 0;
+    /** Snapshot when ≥ this many events retired. */
+    std::uint64_t events = 0;
     /** Snapshot when ≥ this many wall-clock ms passed. */
     double wallMs = 0;
 
     bool
     enabled() const
     {
-        return periodCycles > 0 || wallMs > 0;
+        return cycles > 0 || events > 0 || wallMs > 0;
     }
 };
 
@@ -204,43 +213,62 @@ class TelemetryPlane
 
 /**
  * Samples a StatRegistry's counters over one run. Construct after
- * every pre-run counter is registered (the name set freezes now, like
- * the IntervalSampler), attach to the core, finalize after the run.
+ * every pre-run counter is registered (the name set and the baseline
+ * values freeze now; stats registered after the run never appear),
+ * add to the core as a span sink, finalize after the run.
  */
-class TelemetrySnapshotter
+class CounterSampler final : public SpanSink
 {
   public:
-    /** @p stream and @p plane are both nullable (either sink alone is
-     *  useful); the header line is written immediately. */
-    TelemetrySnapshotter(const StatRegistry &reg, TelemetryConfig cfg,
-                         TelemetryRunInfo info, TelemetryStream *stream,
-                         TelemetryPlane *plane);
-
-    /** Core callback at each event-retire boundary. */
-    void onEventRetired(std::uint64_t events_retired, Cycle now);
+    /** An in-memory sampler: every snapshot is kept (snapshots()). */
+    CounterSampler(const StatRegistry &reg, SamplePeriod period);
 
     /**
-     * Close the block: emit the final snapshot (always, flagged
+     * A live sampler: each snapshot streams to @p stream and publishes
+     * into @p plane (both nullable; either alone is useful) instead of
+     * being kept, and every retire notes progress in the plane. The
+     * stream's header line is written now.
+     */
+    CounterSampler(const StatRegistry &reg, SamplePeriod period,
+                   TelemetryRunInfo info, TelemetryStream *stream,
+                   TelemetryPlane *plane);
+
+    /** Snapshot if the retire at span.retire crossed a grid point. */
+    void onSpan(const RequestSpan &span) override;
+
+    /**
+     * Close the run: take the final snapshot (always, flagged
      * `"final": true`), whose values equal the end-of-run registry
-     * counters exactly.
+     * counters exactly. Later calls are no-ops.
      */
     void finalize(Cycle now, std::uint64_t events_retired);
 
+    const SamplePeriod &period() const { return period_; }
     const std::vector<std::string> &names() const { return *names_; }
-    std::uint64_t snapshots() const { return seq_; }
-    /** The back buffer after the most recent sample. */
-    const TelemetrySnapshot &lastSnapshot() const { return snap_; }
+    /** Counter values at construction (the pre-run machine). */
+    const std::vector<double> &baseline() const { return baseline_; }
+    /** Kept snapshots in order, the final one last (in-memory only). */
+    const std::vector<TelemetrySnapshot> &snapshots() const
+    {
+        return kept_;
+    }
+    /** Snapshots taken so far, the final one included. */
+    std::uint64_t count() const { return seq_; }
 
   private:
-    TelemetryConfig cfg_;
+    SamplePeriod period_;
+    bool keep_;
     TelemetryRunInfo info_;
-    TelemetryStream *stream_;
-    TelemetryPlane *plane_;
+    TelemetryStream *stream_ = nullptr;
+    TelemetryPlane *plane_ = nullptr;
     std::shared_ptr<std::vector<std::string>> names_;
     std::vector<StatRegistry::Getter> getters_;
+    std::vector<double> baseline_;
     TelemetrySnapshot snap_; //!< writer-owned back buffer (reused)
+    std::vector<TelemetrySnapshot> kept_;
     std::uint64_t seq_ = 0;
     Cycle nextCycle_ = 0;
+    std::uint64_t nextEvents_ = 0;
     std::chrono::steady_clock::time_point lastWall_;
     unsigned sinceWallCheck_ = 0;
     bool finalized_ = false;

@@ -1,6 +1,7 @@
 #include "report/timeline.hh"
 
 #include <fstream>
+#include <limits>
 
 #include "common/logging.hh"
 #include "report/json_writer.hh"
@@ -54,79 +55,34 @@ timelineStallName(TimelineStall kind)
 }
 
 void
-EventTimeline::eventQueued(std::size_t event_idx, Cycle now)
+EventTimeline::onSpan(const RequestSpan &span)
 {
-    if (eventLimit_ > 0 && numEvents() >= eventLimit_) {
-        // Over the cap: flush whatever is buffered so the kept
-        // prefix reaches the stream, then drop this and later events.
-        if (stream_ && !dropping_)
-            flushCompletedEvent();
-        dropping_ = true;
+    EventRecord record = pending_;
+    pending_ = EventRecord{};
+    pending_.span.index = span.index + 1;
+    if (full()) {
         ++droppedEvents_;
-        curEvent_ = event_idx;
         return;
     }
+    record.span = span;
+    events_.push_back(record);
     if (stream_)
-        flushCompletedEvent();
-    EventSpan span;
-    span.index = event_idx;
-    span.queued = now;
-    span.dispatched = now;
-    span.retired = now;
-    events_.push_back(span);
-    curEvent_ = event_idx;
-}
-
-void
-EventTimeline::eventDispatched(std::size_t event_idx, Cycle now)
-{
-    if (!events_.empty() && events_.back().index == event_idx)
-        events_.back().dispatched = now;
-}
-
-void
-EventTimeline::eventRetired(std::size_t event_idx, Cycle now,
-                            InstCount instructions)
-{
-    if (!events_.empty() && events_.back().index == event_idx) {
-        events_.back().retired = now;
-        events_.back().instructions = instructions;
-    }
-}
-
-void
-EventTimeline::eventCycleBuckets(
-    std::size_t event_idx,
-    std::vector<std::pair<std::string, Cycle>> buckets)
-{
-    if (!events_.empty() && events_.back().index == event_idx)
-        events_.back().cycleBuckets = std::move(buckets);
-}
-
-void
-EventTimeline::eventPrefetchTallies(
-    std::size_t event_idx,
-    std::vector<std::pair<std::string, std::uint64_t>> tallies)
-{
-    if (!events_.empty() && events_.back().index == event_idx)
-        events_.back().prefetches = std::move(tallies);
+        flushRecords();
 }
 
 void
 EventTimeline::recordStall(TimelineStall kind, Cycle start, Cycle dur)
 {
-    if (dropping_)
+    if (full())
         return;
     StallSpan span;
     span.kind = kind;
-    span.eventIdx = curEvent_;
+    span.eventIdx = pending_.span.index;
     span.start = start;
     span.dur = dur;
     stalls_.push_back(span);
-    if (!events_.empty()) {
-        events_.back().stallCycles[static_cast<unsigned>(kind)] += dur;
-        ++events_.back().stallCount;
-    }
+    pending_.stallCycles[static_cast<unsigned>(kind)] += dur;
+    ++pending_.stallCount;
 }
 
 void
@@ -134,17 +90,16 @@ EventTimeline::recordEspWindow(unsigned depth,
                                std::size_t spec_event_idx, Cycle start,
                                Cycle dur)
 {
-    if (dropping_)
+    if (full())
         return;
     EspSpan span;
     span.depth = depth;
     span.specEventIdx = spec_event_idx;
-    span.triggerEventIdx = curEvent_;
+    span.triggerEventIdx = pending_.span.index;
     span.start = start;
     span.dur = dur;
     windows_.push_back(span);
-    if (!events_.empty())
-        ++events_.back().espWindows;
+    ++pending_.espWindows;
 }
 
 void
@@ -208,6 +163,18 @@ sliceCommon(JsonWriter &w, const char *cat, Cycle ts, Cycle dur,
     w.key("tid").value(tid);
 }
 
+/** The span's cycle buckets as a {name: cycles} object. */
+void
+bucketArgs(JsonWriter &w, const RequestSpan &span)
+{
+    w.beginObject();
+    for (unsigned b = 0; b < numCycleBuckets; ++b) {
+        w.key(cycleBucketName(static_cast<CycleBucket>(b)))
+            .value(std::uint64_t{span.buckets[b]});
+    }
+    w.endObject();
+}
+
 } // namespace
 
 void
@@ -225,21 +192,21 @@ EventTimeline::renderHeader(JsonWriter &w) const
 }
 
 void
-EventTimeline::renderEventGroup(JsonWriter &w, const EventSpan &ev,
-                                std::size_t &stall_cursor,
-                                std::size_t &window_cursor) const
+EventTimeline::renderEvent(JsonWriter &w, const EventRecord &ev) const
 {
+    const RequestSpan &span = ev.span;
+
     // The full event span: queue-head to retire.
     w.beginObject();
-    w.key("name").value("event " + std::to_string(ev.index));
-    sliceCommon(w, "event", ev.queued, ev.retired - ev.queued,
+    w.key("name").value("event " + std::to_string(span.index));
+    sliceCommon(w, "event", span.arrival, span.retire - span.arrival,
                 tidEvents);
     w.key("args").beginObject();
-    w.key("index").value(std::uint64_t{ev.index});
-    w.key("queued_cycle").value(std::uint64_t{ev.queued});
-    w.key("dispatch_cycle").value(std::uint64_t{ev.dispatched});
-    w.key("retire_cycle").value(std::uint64_t{ev.retired});
-    w.key("instructions").value(std::uint64_t{ev.instructions});
+    w.key("index").value(std::uint64_t{span.index});
+    w.key("queued_cycle").value(std::uint64_t{span.arrival});
+    w.key("dispatch_cycle").value(std::uint64_t{span.dispatch});
+    w.key("retire_cycle").value(std::uint64_t{span.retire});
+    w.key("instructions").value(std::uint64_t{span.instructions});
     w.key("stall_count").value(std::uint64_t{ev.stallCount});
     w.key("esp_windows").value(std::uint64_t{ev.espWindows});
     w.key("stall_cycles").beginObject();
@@ -248,113 +215,87 @@ EventTimeline::renderEventGroup(JsonWriter &w, const EventSpan &ev,
             .value(std::uint64_t{ev.stallCycles[k]});
     }
     w.endObject();
-    if (!ev.cycleBuckets.empty()) {
-        w.key("cycle_buckets").beginObject();
-        for (const auto &[name, cycles] : ev.cycleBuckets)
-            w.key(name).value(std::uint64_t{cycles});
-        w.endObject();
+    w.key("cycle_buckets");
+    bucketArgs(w, span);
+    w.key("prefetches").beginObject();
+    for (unsigned s = 0; s < numPrefetchSources; ++s) {
+        w.key(prefetchSourceName(static_cast<PrefetchSource>(s)))
+            .value(std::uint64_t{span.prefetch[s].issued});
     }
-    if (!ev.prefetches.empty()) {
-        w.key("prefetches").beginObject();
-        for (const auto &[name, count] : ev.prefetches)
-            w.key(name).value(std::uint64_t{count});
-        w.endObject();
-    }
+    w.endObject();
     w.endObject();
     w.endObject();
 
     // Counter track: the event's cycle-accounting breakdown as a
-    // stacked Perfetto counter sampled at dispatch time.
-    if (!ev.cycleBuckets.empty()) {
-        w.beginObject();
-        w.key("name").value("cycle buckets");
-        w.key("cat").value("accounting");
-        w.key("ph").value("C");
-        w.key("ts").value(std::uint64_t{ev.queued});
-        w.key("pid").value(tracePid);
-        w.key("tid").value(tidAccounting);
-        w.key("args").beginObject();
-        for (const auto &[name, cycles] : ev.cycleBuckets)
-            w.key(name).value(std::uint64_t{cycles});
-        w.endObject();
-        w.endObject();
-    }
+    // stacked Perfetto counter sampled at queue time.
+    w.beginObject();
+    w.key("name").value("cycle buckets");
+    w.key("cat").value("accounting");
+    w.key("ph").value("C");
+    w.key("ts").value(std::uint64_t{span.arrival});
+    w.key("pid").value(tracePid);
+    w.key("tid").value(tidAccounting);
+    w.key("args");
+    bucketArgs(w, span);
+    w.endObject();
 
     // Nested execute slice: dispatch to retire (the looper-gap
     // prefix of the outer slice is the queue/dequeue overhead).
     w.beginObject();
     w.key("name").value("execute");
-    sliceCommon(w, "event", ev.dispatched, ev.retired - ev.dispatched,
+    sliceCommon(w, "event", span.dispatch, span.retire - span.dispatch,
                 tidEvents);
     w.key("args")
         .beginObject()
         .key("index")
-        .value(std::uint64_t{ev.index})
+        .value(std::uint64_t{span.index})
         .endObject();
     w.endObject();
-
-    // The event's stalls and ESP windows. Spans are recorded in
-    // event order, so a cursor walk groups them without indexing.
-    while (stall_cursor < stalls_.size() &&
-           stalls_[stall_cursor].eventIdx <= ev.index) {
-        const StallSpan &st = stalls_[stall_cursor++];
-        w.beginObject();
-        w.key("name").value(timelineStallName(st.kind));
-        sliceCommon(w, "stall", st.start, st.dur, tidStalls);
-        w.key("args")
-            .beginObject()
-            .key("event")
-            .value(std::uint64_t{st.eventIdx})
-            .endObject();
-        w.endObject();
-    }
-    while (window_cursor < windows_.size() &&
-           windows_[window_cursor].triggerEventIdx <= ev.index) {
-        const EspSpan &sp = windows_[window_cursor++];
-        w.beginObject();
-        w.key("name").value("ESP-" + std::to_string(sp.depth));
-        sliceCommon(w, "esp", sp.start, sp.dur, tidEsp);
-        w.key("args").beginObject();
-        w.key("depth").value(sp.depth);
-        w.key("pre_executed_event")
-            .value(std::uint64_t{sp.specEventIdx});
-        w.key("triggering_event")
-            .value(std::uint64_t{sp.triggerEventIdx});
-        w.endObject();
-        w.endObject();
-    }
 }
 
 void
-EventTimeline::renderTrailing(JsonWriter &w, std::size_t stall_cursor,
-                              std::size_t window_cursor) const
+EventTimeline::renderRecords(JsonWriter &w) const
 {
-    while (stall_cursor < stalls_.size()) {
-        const StallSpan &st = stalls_[stall_cursor++];
-        w.beginObject();
-        w.key("name").value(timelineStallName(st.kind));
-        sliceCommon(w, "stall", st.start, st.dur, tidStalls);
-        w.key("args")
-            .beginObject()
-            .key("event")
-            .value(std::uint64_t{st.eventIdx})
-            .endObject();
-        w.endObject();
+    // Stalls and ESP windows are recorded in event order, so a cursor
+    // walk puts each event's slices after it without indexing; the
+    // final walk emits any recorded after the last span.
+    std::size_t stall_cursor = 0;
+    std::size_t window_cursor = 0;
+    const auto slicesUpTo = [&](std::size_t last_event) {
+        while (stall_cursor < stalls_.size() &&
+               stalls_[stall_cursor].eventIdx <= last_event) {
+            const StallSpan &st = stalls_[stall_cursor++];
+            w.beginObject();
+            w.key("name").value(timelineStallName(st.kind));
+            sliceCommon(w, "stall", st.start, st.dur, tidStalls);
+            w.key("args")
+                .beginObject()
+                .key("event")
+                .value(std::uint64_t{st.eventIdx})
+                .endObject();
+            w.endObject();
+        }
+        while (window_cursor < windows_.size() &&
+               windows_[window_cursor].triggerEventIdx <= last_event) {
+            const EspSpan &sp = windows_[window_cursor++];
+            w.beginObject();
+            w.key("name").value("ESP-" + std::to_string(sp.depth));
+            sliceCommon(w, "esp", sp.start, sp.dur, tidEsp);
+            w.key("args").beginObject();
+            w.key("depth").value(sp.depth);
+            w.key("pre_executed_event")
+                .value(std::uint64_t{sp.specEventIdx});
+            w.key("triggering_event")
+                .value(std::uint64_t{sp.triggerEventIdx});
+            w.endObject();
+            w.endObject();
+        }
+    };
+    for (const EventRecord &ev : events_) {
+        renderEvent(w, ev);
+        slicesUpTo(ev.span.index);
     }
-    while (window_cursor < windows_.size()) {
-        const EspSpan &sp = windows_[window_cursor++];
-        w.beginObject();
-        w.key("name").value("ESP-" + std::to_string(sp.depth));
-        sliceCommon(w, "esp", sp.start, sp.dur, tidEsp);
-        w.key("args").beginObject();
-        w.key("depth").value(sp.depth);
-        w.key("pre_executed_event")
-            .value(std::uint64_t{sp.specEventIdx});
-        w.key("triggering_event")
-            .value(std::uint64_t{sp.triggerEventIdx});
-        w.endObject();
-        w.endObject();
-    }
+    slicesUpTo(std::numeric_limits<std::size_t>::max());
 }
 
 void
@@ -401,21 +342,23 @@ EventTimeline::renderFooter(JsonWriter &w) const
     w.endObject();
 }
 
-std::string
-EventTimeline::renderChromeTrace() const
+void
+EventTimeline::warnDropped() const
 {
     if (droppedEvents_ > 0) {
         warn("timeline: event limit %zu reached; dropped %zu later "
              "events",
              eventLimit_, droppedEvents_);
     }
+}
+
+std::string
+EventTimeline::renderChromeTrace() const
+{
+    warnDropped();
     JsonWriter w;
     renderHeader(w);
-    std::size_t stall_cursor = 0;
-    std::size_t window_cursor = 0;
-    for (const EventSpan &ev : events_)
-        renderEventGroup(w, ev, stall_cursor, window_cursor);
-    renderTrailing(w, stall_cursor, window_cursor);
+    renderRecords(w);
     renderCounterSamples(w);
     renderFooter(w);
     return w.str();
@@ -449,18 +392,9 @@ EventTimeline::streamTo(const std::string &path)
 }
 
 bool
-EventTimeline::flushCompletedEvent()
+EventTimeline::flushRecords()
 {
-    if (!stream_ || events_.empty())
-        return true;
-    // In streaming mode the buffers hold exactly the spans recorded
-    // since the previous flush, all belonging to the buffered event
-    // (or recorded before the first one).
-    std::size_t stall_cursor = 0;
-    std::size_t window_cursor = 0;
-    renderEventGroup(stream_->writer, events_.back(), stall_cursor,
-                     window_cursor);
-    renderTrailing(stream_->writer, stall_cursor, window_cursor);
+    renderRecords(stream_->writer);
     flushedEvents_ += events_.size();
     flushedStalls_ += stalls_.size();
     flushedWindows_ += windows_.size();
@@ -475,12 +409,8 @@ EventTimeline::closeStream()
 {
     if (!stream_)
         return false;
-    if (droppedEvents_ > 0) {
-        warn("timeline: event limit %zu reached; dropped %zu later "
-             "events",
-             eventLimit_, droppedEvents_);
-    }
-    bool ok = flushCompletedEvent();
+    warnDropped();
+    bool ok = flushRecords();
     renderCounterSamples(stream_->writer);
     renderFooter(stream_->writer);
     ok = stream_->drainTo() && ok;

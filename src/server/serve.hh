@@ -67,7 +67,7 @@ struct ServeTelemetryOptions
 {
     /** Snapshot pacing; a zero config disables sampling (the plane
      *  still carries liveness progress for the watchdog). */
-    TelemetryConfig period;
+    SamplePeriod period;
     /** JSONL snapshot stream path ("" = no stream). */
     std::string jsonlPath;
     /** Serve /metrics, /healthz, /snapshot.json over HTTP. */

@@ -78,8 +78,9 @@ struct RunInstrumentation
 {
     /** Per-event timeline recorder (nullptr = off). */
     EventTimeline *timeline = nullptr;
-    /** Interval sampling periods; disabled unless a period is set. */
-    IntervalConfig interval;
+    /** Interval sampling grid (cycles and/or events); disabled unless
+     *  a period is set. */
+    SamplePeriod interval;
     /** Receives the sampled series when interval.enabled(). */
     IntervalSeries *intervalSeries = nullptr;
     /** Receives warmup/sim/report wall-clock spans (nullptr = off). */
@@ -90,8 +91,9 @@ struct RunInstrumentation
     /** Per-request span sink (flight recorder / tail blame; nullptr =
      *  off). See report/spans.hh. */
     SpanSink *spans = nullptr;
-    /** Live-telemetry pacing; disabled unless a period is set. */
-    TelemetryConfig telemetry;
+    /** Live-telemetry pacing (cycles and/or wall clock); disabled
+     *  unless a period is set. */
+    SamplePeriod telemetry;
     /** JSONL sink for telemetry snapshots (nullptr = none). */
     TelemetryStream *telemetryStream = nullptr;
     /** Shared plane for /metrics, /healthz and the stall watchdog

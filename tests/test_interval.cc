@@ -35,7 +35,7 @@ tinyProfile()
 }
 
 IntervalSeries
-runSampled(const Workload &workload, IntervalConfig period)
+runSampled(const Workload &workload, SamplePeriod period)
 {
     RunInstrumentation inst;
     inst.interval = period;
@@ -54,8 +54,8 @@ runSampled(const Workload &workload, IntervalConfig period)
 TEST(IntervalSampler, DeltasTelescopeToFinalSnapshotExactly)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    IntervalConfig period;
-    period.sampleCycles = 5'000;
+    SamplePeriod period;
+    period.cycles = 5'000;
     const IntervalSeries series = runSampled(*workload, period);
 
     ASSERT_FALSE(series.names.empty());
@@ -82,8 +82,8 @@ TEST(IntervalSampler, DeltasTelescopeToFinalSnapshotExactly)
 TEST(IntervalSampler, EventPeriodSamplesEveryRetire)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    IntervalConfig period;
-    period.sampleEvents = 1;
+    SamplePeriod period;
+    period.events = 1;
     const IntervalSeries series = runSampled(*workload, period);
 
     // One sample per retired event; the trailing partial interval (if
@@ -114,8 +114,8 @@ TEST(IntervalSampler, DisabledSamplingLeavesSeriesUntouched)
 TEST(IntervalSampler, SeriesBytesIdenticalUnderConcurrentRuns)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    IntervalConfig period;
-    period.sampleCycles = 7'000;
+    SamplePeriod period;
+    period.cycles = 7'000;
 
     // Serial reference series (the "--jobs 1" world).
     const IntervalSeries solo = runSampled(*workload, period);
@@ -151,9 +151,9 @@ TEST(IntervalSampler, SeriesBytesIdenticalUnderConcurrentRuns)
 TEST(IntervalSeriesArtifact, CarriesSchemaManifestAndAlignedArrays)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    IntervalConfig period;
-    period.sampleCycles = 5'000;
-    period.sampleEvents = 3;
+    SamplePeriod period;
+    period.cycles = 5'000;
+    period.events = 3;
     const IntervalSeries series = runSampled(*workload, period);
 
     ArtifactManifest manifest;

@@ -46,7 +46,7 @@ tinyProfile()
 }
 
 SimResult
-runWithTelemetry(const Workload &workload, TelemetryConfig cfg,
+runWithTelemetry(const Workload &workload, SamplePeriod cfg,
                  std::string *captured,
                  TelemetryPlane *plane = nullptr)
 {
@@ -129,8 +129,8 @@ httpGet(std::uint16_t port, const std::string &target)
 TEST(Telemetry, FinalSnapshotEqualsRegistryExactly)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    TelemetryConfig cfg;
-    cfg.periodCycles = 5'000;
+    SamplePeriod cfg;
+    cfg.cycles = 5'000;
     std::string captured;
     const SimResult result =
         runWithTelemetry(*workload, cfg, &captured);
@@ -168,8 +168,8 @@ TEST(Telemetry, FinalSnapshotEqualsRegistryExactly)
 TEST(Telemetry, StreamIsMonotoneWithContiguousSeq)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    TelemetryConfig cfg;
-    cfg.periodCycles = 2'000;
+    SamplePeriod cfg;
+    cfg.cycles = 2'000;
     std::string captured;
     (void)runWithTelemetry(*workload, cfg, &captured);
 
@@ -209,8 +209,8 @@ TEST(Telemetry, StreamIsMonotoneWithContiguousSeq)
 TEST(Telemetry, HeaderCarriesRunIdentityAndSortedNames)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    TelemetryConfig cfg;
-    cfg.periodCycles = 5'000;
+    SamplePeriod cfg;
+    cfg.cycles = 5'000;
     std::string captured;
     (void)runWithTelemetry(*workload, cfg, &captured);
 
@@ -245,8 +245,8 @@ TEST(Telemetry, PlanePublishesFinalSnapshotAndProgress)
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
     TelemetryPlane plane;
     EXPECT_FALSE(plane.latest().valid);
-    TelemetryConfig cfg;
-    cfg.periodCycles = 5'000;
+    SamplePeriod cfg;
+    cfg.cycles = 5'000;
     (void)runWithTelemetry(*workload, cfg, nullptr, &plane);
 
     const TelemetryPlane::View view = plane.latest();
@@ -270,7 +270,7 @@ TEST(Telemetry, LatencyArtifactBytesIdenticalOnAndOff)
     off.events = 200;
     off.arrival.meanGapCycles = 2000.0;
     ServeOptions on = off;
-    on.telemetry.period.periodCycles = 3'000;
+    on.telemetry.period.cycles = 3'000;
 
     ArtifactManifest manifest;
     manifest.source = "test";
@@ -340,7 +340,7 @@ TEST(Watchdog, InjectedStallDegradesServeEndToEnd)
     ServeOptions opts;
     opts.events = 120;
     opts.arrival.meanGapCycles = 2000.0;
-    opts.telemetry.period.periodCycles = 5'000;
+    opts.telemetry.period.cycles = 5'000;
     opts.telemetry.watchdogBudgetMs = 100.0;
     const ServeReport report = runServe(
         ServerProfile::testProfile(), {SimConfig::baseline()}, opts);
