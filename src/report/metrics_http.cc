@@ -9,7 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "common/log.hh"
+#include "common/logging.hh"
 #include "report/telemetry.hh"
 
 namespace espsim
