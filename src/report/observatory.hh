@@ -14,9 +14,9 @@
  *    event run against a 1M-event run would compare raw cycle counts
  *    across scales;
  *  - within a group, runs are ordered (oldest → newest) by file
- *    modification time — the in-tree `espsim report` is offline and
- *    dependency-free; tools/observatory.py layers git-ancestry
- *    ordering on top for commit-accurate trajectories;
+ *    modification time, which keeps `espsim report` offline and
+ *    dependency-free; gate only on artifacts of one build, whose
+ *    same-group runs agree whatever order their mtimes give;
  *  - per run a small set of headline metrics is extracted (mean IPC
  *    and cycles per config from suites, p50/p99 total latency per
  *    config from latency artifacts, Mcycles/s per cell and suite wall

@@ -720,7 +720,7 @@ def validate_telemetry_stream(path):
 
 
 def validate_observatory(doc, problems):
-    """`espsim report` / tools/observatory.py cross-run report."""
+    """`espsim report` cross-run report."""
     manifest = doc.get("manifest")
     if not isinstance(manifest, dict):
         return _fail(problems, "missing manifest object")
@@ -750,8 +750,6 @@ def validate_observatory(doc, problems):
         elif not all(isinstance(v, (int, float))
                      for v in metrics.values()):
             _fail(problems, f"{where}.metrics not all numeric")
-    paths = {run.get("path") for run in runs
-             if isinstance(run, dict)}
     groups = doc.get("groups")
     if not isinstance(groups, list):
         return _fail(problems, "groups missing")
@@ -768,15 +766,9 @@ def validate_observatory(doc, problems):
             _fail(problems, f"{where}.runs missing or empty")
             member_paths = []
         for ref in member_paths:
-            # espsim report references members by runs[] index;
-            # tools/observatory.py by path. Both must resolve.
-            if isinstance(ref, int):
-                if not 0 <= ref < len(runs):
-                    _fail(problems, f"{where}.runs index {ref} out "
-                                    "of range")
-            elif ref not in paths:
-                _fail(problems,
-                      f"{where}.runs references unknown run {ref!r}")
+            # Members are referenced by runs[] index.
+            if not isinstance(ref, int) or not 0 <= ref < len(runs):
+                _fail(problems, f"{where}.runs index {ref!r} out of range")
         trends = group.get("trends")
         if not isinstance(trends, list):
             _fail(problems, f"{where}.trends missing or not a list")
