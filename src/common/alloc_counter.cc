@@ -7,7 +7,7 @@
 namespace
 {
 
-[[maybe_unused]] std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_allocs{0};
 
 } // namespace
 
@@ -17,26 +17,10 @@ namespace espsim
 std::uint64_t
 allocCount()
 {
-#ifdef ESPSIM_ALLOC_COUNTER
     return g_allocs.load(std::memory_order_relaxed);
-#else
-    return 0;
-#endif
-}
-
-bool
-allocCounterActive()
-{
-#ifdef ESPSIM_ALLOC_COUNTER
-    return true;
-#else
-    return false;
-#endif
 }
 
 } // namespace espsim
-
-#ifdef ESPSIM_ALLOC_COUNTER
 
 void *
 operator new(std::size_t size)
@@ -76,5 +60,3 @@ operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
 }
-
-#endif // ESPSIM_ALLOC_COUNTER

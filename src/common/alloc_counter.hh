@@ -1,13 +1,13 @@
 /**
  * @file
- * Debug-only global allocation counter.
+ * Global heap-allocation counter for the zero-allocation tests.
  *
- * Compiled in only when the build defines ESPSIM_ALLOC_COUNTER
- * (`cmake -DESPSIM_ALLOC_COUNTER=ON`): the replacement operator
- * new/delete in alloc_counter.cc then count every heap allocation, so
- * tests can assert the steady-state simulation loop performs none
- * (docs/PERFORMANCE.md, "zero-allocation invariant"). In normal
- * builds the hook vanishes and allocCount() reports 0.
+ * alloc_counter.cc replaces the global operator new/delete with
+ * counting versions. It is not part of the espsim library: only the
+ * espsim_alloc_tests executable links it, so tests there can assert
+ * that the steady-state simulation loop performs no heap allocation
+ * (docs/PERFORMANCE.md, "zero-allocation invariant") while every
+ * other binary keeps the standard allocator.
  */
 
 #ifndef ESPSIM_COMMON_ALLOC_COUNTER_HH
@@ -18,11 +18,8 @@
 namespace espsim
 {
 
-/** Total operator-new calls so far (0 when the hook is compiled out). */
+/** Total operator-new calls so far in this process. */
 std::uint64_t allocCount();
-
-/** Whether the counting hook is compiled into this build. */
-bool allocCounterActive();
 
 } // namespace espsim
 

@@ -4,8 +4,8 @@
  * raw-speed engine pass: the FixedRing pipeline queues, the per-event
  * EventArena, the open-addressed AddrMap, the BlockRunSet, and the
  * end-to-end guarantees they must preserve — byte-identical suite
- * artifacts across repeated runs and (in ESPSIM_ALLOC_COUNTER builds)
- * the zero-allocation steady state.
+ * artifacts across repeated runs. The zero-allocation steady state is
+ * checked in tests/test_zero_alloc.cc.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/addr_map.hh"
-#include "common/alloc_counter.hh"
 #include "common/arena.hh"
 #include "common/block_run_set.hh"
 #include "common/ring_buffer.hh"
@@ -241,27 +240,4 @@ TEST(HotPath, RepeatedSimulationsYieldIdenticalStats)
     ASSERT_EQ(a.stats.values().size(), b.stats.values().size());
     for (const auto &[name, value] : a.stats.values())
         EXPECT_EQ(value, b.stats.get(name)) << "stat diverged: " << name;
-}
-
-TEST(HotPath, SteadyStateLoopAllocatesNothing)
-{
-    if (!allocCounterActive())
-        GTEST_SKIP() << "needs -DESPSIM_ALLOC_COUNTER=ON";
-    // Warm one run so every pool/arena/ring reaches its settled
-    // capacity, then require the second, identical run to stay off
-    // the heap modulo the per-run setup (machine construction) —
-    // measured by differencing against a third run.
-    const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    const SimConfig config = SimConfig::espFull(true);
-    (void)Simulator(config).run(*workload);
-    const std::uint64_t before_second = allocCount();
-    (void)Simulator(config).run(*workload);
-    const std::uint64_t second = allocCount() - before_second;
-    const std::uint64_t before_third = allocCount();
-    (void)Simulator(config).run(*workload);
-    const std::uint64_t third = allocCount() - before_third;
-    // Identical warmed runs must allocate identically: any steady-
-    // state leak into the hot loop shows up as run-to-run drift.
-    EXPECT_EQ(second, third)
-        << "allocation count drifts between identical warmed runs";
 }

@@ -1,17 +1,15 @@
 /**
  * @file
  * Tests for the streaming workload core: EventSource equivalence with
- * a fully-materialised trace, bounded residency, free-list recycling,
- * and (in ESPSIM_ALLOC_COUNTER builds) the amortised-O(1) allocation
- * guarantee — steady-state streaming allocates only at window-advance
- * boundaries.
+ * a fully-materialised trace, bounded residency and free-list
+ * recycling. The amortised-O(1) allocation guarantee is checked in
+ * tests/test_zero_alloc.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "common/alloc_counter.hh"
 #include "sim/simulator.hh"
 #include "workload/lazy.hh"
 #include "workload/streaming.hh"
@@ -129,47 +127,4 @@ TEST(StreamingDeathTest, OutOfRangePanics)
 {
     StreamingWorkload w = makeStreaming();
     EXPECT_DEATH((void)w.event(999), "out of range");
-}
-
-// --------------------------------------------------------------------
-// Zero-alloc invariant (only meaningful in ESPSIM_ALLOC_COUNTER builds)
-// --------------------------------------------------------------------
-
-TEST(Streaming, SteadyStateReRequestDoesNotAllocate)
-{
-    if (!allocCounterActive())
-        GTEST_SKIP() << "build without ESPSIM_ALLOC_COUNTER";
-    StreamingWorkload w = makeStreaming(8);
-    for (std::size_t i = 0; i <= 30; ++i)
-        (void)w.event(i);
-    // Cache hits inside the pinned window are pure lookups.
-    const std::uint64_t before = allocCount();
-    (void)w.event(28);
-    (void)w.event(29);
-    (void)w.event(30);
-    EXPECT_EQ(allocCount(), before);
-}
-
-TEST(Streaming, AllocationsPerEventStayFlat)
-{
-    if (!allocCounterActive())
-        GTEST_SKIP() << "build without ESPSIM_ALLOC_COUNTER";
-    AppProfile p = AppProfile::testProfile();
-    p.numEvents = 240;
-    StreamingWorkload w(std::make_unique<GeneratorSource>(p), 8);
-    // Warm past the first window so the free list is populated.
-    for (std::size_t i = 0; i < 40; ++i)
-        (void)w.event(i);
-    const std::uint64_t c0 = allocCount();
-    for (std::size_t i = 40; i < 140; ++i)
-        (void)w.event(i);
-    const std::uint64_t first = allocCount() - c0;
-    const std::uint64_t c1 = allocCount();
-    for (std::size_t i = 140; i < 240; ++i)
-        (void)w.event(i);
-    const std::uint64_t second = allocCount() - c1;
-    // Amortised O(1)/event: a later window of 100 events must not
-    // allocate meaningfully more than an earlier one (no growth with
-    // stream position). Slack covers variance in trace sizes.
-    EXPECT_LE(second, first * 2 + 64);
 }
