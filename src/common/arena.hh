@@ -8,8 +8,8 @@
  * hands out space by bumping a pointer into a retained block and
  * recycles everything with a single reset() at the next boundary.
  * Capacity only ever grows, so after the first few events the loop
- * performs zero heap allocations — an invariant the debug-only
- * allocation counter (common/alloc_counter.hh) can assert.
+ * performs zero heap allocations — an invariant the allocation
+ * counter (common/alloc_counter.hh) asserts in tests/test_zero_alloc.cc.
  */
 
 #ifndef ESPSIM_COMMON_ARENA_HH

@@ -10,13 +10,17 @@
  * stall shadow ESP pre-execution consumed on its behalf, and whether
  * the prefetches attributed to it were timely, late, or harmful.
  *
- * The core emits spans through the SpanSink interface (an attach-point
- * like EventTimeline / EventPacer: nullable pointer, zero cost when
- * absent). SpanCollector is the standard sink: a preallocated
+ * RequestSpan is the one per-event record that leaves the core: each
+ * retired event's span goes to every SpanSink on the core's sink list
+ * (OoOCore::addSpanSink), and the core builds no span while the list
+ * is empty. Every per-event observer is such a sink: the timeline
+ * (report/timeline.hh), the counter sampler behind interval series
+ * and live telemetry (report/telemetry.hh), and SpanCollector.
+ * SpanCollector is the standard request-tracing sink: a preallocated
  * flight-recorder ring of the most recent spans, a bounded worst-K
  * table, and an online tail-anomaly detector over a power-of-two
  * latency histogram. Steady state allocates nothing (see
- * tests/test_spans.cc for the ESPSIM_ALLOC_COUNTER assertions); only
+ * tests/test_zero_alloc.cc for the allocation-count assertions); only
  * the one-shot anomaly callback — which dumps the ring as a Perfetto
  * trace via report/flight_recorder.hh — is allowed to touch the heap.
  *

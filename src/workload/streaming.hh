@@ -15,7 +15,7 @@
  * steady state the per-event allocations are only what trace
  * generation itself needs beyond the recycled capacity — the
  * window-advance boundary is the only place the streaming loop
- * allocates (see tests/test_streaming.cc for the ESPSIM_ALLOC_COUNTER
+ * allocates (see tests/test_zero_alloc.cc for the allocation-count
  * assertions).
  *
  * Concurrency contract is identical to the old LazyWorkload: safe to
