@@ -1,6 +1,5 @@
 #include "report/telemetry.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -52,43 +51,24 @@ nextGridPoint(std::uint64_t next, std::uint64_t reached,
     return next + ((reached - next) / period + 1) * period;
 }
 
-/** Prometheus metric names: [a-zA-Z0-9_:]; everything else → '_'. */
+/** One snapshot line of a telemetry block. */
 std::string
-promName(const std::string &stat)
+renderSnapshotLine(const TelemetrySnapshot &snap)
 {
-    std::string out = "espsim_";
-    out.reserve(out.size() + stat.size());
-    for (const char c : stat) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9');
-        out.push_back(ok ? c : '_');
-    }
-    return out;
-}
-
-/** Escape a Prometheus label value (backslash, quote, newline). */
-std::string
-promLabel(const std::string &value)
-{
-    std::string out;
-    out.reserve(value.size());
-    for (const char c : value) {
-        switch (c) {
-        case '\\':
-            out += "\\\\";
-            break;
-        case '"':
-            out += "\\\"";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        default:
-            out.push_back(c);
-        }
-    }
-    return out;
+    JsonWriter w;
+    w.beginObject();
+    w.key("seq").value(snap.seq);
+    w.key("cycle").value(snap.cycle);
+    w.key("events").value(snap.events);
+    if (snap.isFinal)
+        w.key("final").value(true);
+    w.key("values");
+    w.beginArray();
+    for (const double v : snap.values)
+        w.value(v);
+    w.endArray();
+    w.endObject();
+    return w.drain();
 }
 
 } // namespace
@@ -142,56 +122,12 @@ TelemetryStream::close()
 }
 
 // --------------------------------------------------------------------
-// TelemetryPlane
-// --------------------------------------------------------------------
-
-void
-TelemetryPlane::publish(
-    const TelemetryRunInfo &info,
-    const std::shared_ptr<const std::vector<std::string>> &names,
-    const TelemetrySnapshot &snap)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    front_.valid = true;
-    front_.config = info.config;
-    front_.workload = info.workload;
-    front_.configHash = info.configHash;
-    front_.names = names;
-    front_.snap = snap;
-}
-
-TelemetryPlane::View
-TelemetryPlane::latest() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return front_;
-}
-
-void
-TelemetryPlane::markDegraded(const std::string &reason)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!degraded_.load(std::memory_order_relaxed)) {
-        reason_ = reason;
-        degraded_.store(true, std::memory_order_release);
-    }
-}
-
-std::string
-TelemetryPlane::degradedReason() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return reason_;
-}
-
-// --------------------------------------------------------------------
 // CounterSampler
 // --------------------------------------------------------------------
 
 CounterSampler::CounterSampler(const StatRegistry &reg,
                                SamplePeriod period)
-    : period_(period), keep_(true),
-      names_(std::make_shared<std::vector<std::string>>())
+    : period_(period)
 {
     // Freeze the counter name set now: stats registered after the run
     // (handler breakdown, derived metrics) never appear, so every
@@ -199,7 +135,7 @@ CounterSampler::CounterSampler(const StatRegistry &reg,
     // snapshot a plain walk over them — no per-sample string maps.
     getters_.reserve(reg.size());
     for (StatRegistry::CounterHandle &h : reg.counterHandles()) {
-        names_->push_back(std::move(h.name));
+        names_.push_back(std::move(h.name));
         getters_.push_back(std::move(h.getter));
     }
     baseline_.reserve(getters_.size());
@@ -212,42 +148,41 @@ CounterSampler::CounterSampler(const StatRegistry &reg,
 }
 
 CounterSampler::CounterSampler(const StatRegistry &reg,
-                               SamplePeriod period,
-                               TelemetryRunInfo info,
-                               TelemetryStream *stream,
-                               TelemetryPlane *plane)
-    : CounterSampler(reg, period)
+                               LiveTelemetry &live,
+                               const std::string &config,
+                               const std::string &workload,
+                               const std::string &configHash)
+    : CounterSampler(reg, live.period)
 {
-    keep_ = false;
-    info_ = std::move(info);
-    stream_ = stream;
-    plane_ = plane;
+    live_ = &live;
     stallArmed_ = stallInjectRequested(&stallEvent_, &stallMs_);
-    writeHeader();
+    writeHeader(config, workload, configHash);
 }
 
 void
-CounterSampler::writeHeader()
+CounterSampler::writeHeader(const std::string &config,
+                            const std::string &workload,
+                            const std::string &configHash)
 {
-    if (stream_ == nullptr)
+    if (live_->stream == nullptr)
         return;
     JsonWriter w;
     w.beginObject();
     w.key("schema").value("espsim-telemetry-stream");
     w.key("format_version")
         .value(static_cast<std::uint64_t>(telemetryStreamFormatVersion));
-    w.key("config").value(info_.config);
-    w.key("workload").value(info_.workload);
-    w.key("config_hash").value(info_.configHash);
+    w.key("config").value(config);
+    w.key("workload").value(workload);
+    w.key("config_hash").value(configHash);
     w.key("period_cycles").value(period_.cycles);
     w.key("wall_ms").value(period_.wallMs);
     w.key("names");
     w.beginArray();
-    for (const std::string &name : *names_)
+    for (const std::string &name : names_)
         w.value(name);
     w.endArray();
     w.endObject();
-    stream_->writeLine(w.drain());
+    live_->stream->writeLine(w.drain());
 }
 
 void
@@ -261,13 +196,13 @@ CounterSampler::sample(Cycle now, std::uint64_t events_retired,
     snap_.isFinal = final_;
     for (std::size_t i = 0; i < getters_.size(); ++i)
         snap_.values[i] = getters_[i]();
-    if (keep_)
+    if (live_ == nullptr) {
         kept_.push_back(snap_);
-    if (stream_ != nullptr)
-        stream_->writeLine(renderTelemetrySnapshotJson(
-            info_, *names_, snap_, /*includeNames=*/false));
-    if (plane_ != nullptr)
-        plane_->publish(info_, names_, snap_);
+        return;
+    }
+    ++live_->snapshots;
+    if (live_->stream != nullptr)
+        live_->stream->writeLine(renderSnapshotLine(snap_));
 }
 
 void
@@ -277,8 +212,8 @@ CounterSampler::onSpan(const RequestSpan &span)
         return;
     const std::uint64_t events_retired = span.index + 1;
     const Cycle now = span.retire;
-    if (plane_ != nullptr)
-        plane_->noteProgress();
+    if (live_ != nullptr)
+        live_->progress.fetch_add(1, std::memory_order_relaxed);
     if (stallArmed_ && events_retired == stallEvent_) {
         // One-shot injected wedge: hold the retire boundary long
         // enough for the watchdog to notice no progress.
@@ -326,99 +261,6 @@ CounterSampler::finalize(Cycle now, std::uint64_t events_retired)
     // the same getters the registry snapshot uses, so the last JSONL
     // line equals the end-of-run counter values exactly.
     sample(now, events_retired, /*final_=*/true);
-}
-
-// --------------------------------------------------------------------
-// Renderers
-// --------------------------------------------------------------------
-
-std::string
-renderTelemetrySnapshotJson(const TelemetryRunInfo &info,
-                            const std::vector<std::string> &names,
-                            const TelemetrySnapshot &snap,
-                            bool includeNames)
-{
-    JsonWriter w;
-    w.beginObject();
-    if (includeNames) {
-        // Standalone form (/snapshot.json): self-describing.
-        w.key("schema").value("espsim-telemetry-snapshot");
-        w.key("format_version").value(
-            static_cast<std::uint64_t>(telemetryStreamFormatVersion));
-        w.key("config").value(info.config);
-        w.key("workload").value(info.workload);
-        w.key("config_hash").value(info.configHash);
-    }
-    w.key("seq").value(snap.seq);
-    w.key("cycle").value(snap.cycle);
-    w.key("events").value(snap.events);
-    if (snap.isFinal)
-        w.key("final").value(true);
-    if (includeNames) {
-        w.key("names");
-        w.beginArray();
-        for (const std::string &name : names)
-            w.value(name);
-        w.endArray();
-    }
-    w.key("values");
-    w.beginArray();
-    for (const double v : snap.values)
-        w.value(v);
-    w.endArray();
-    w.endObject();
-    return w.drain();
-}
-
-std::string
-renderPrometheusText(const TelemetryPlane::View &view, bool degraded)
-{
-    std::string out;
-    // Health and liveness series exist even before the first publish
-    // so scrapers always get a well-formed page.
-    out += "# TYPE espsim_health_degraded gauge\n";
-    out += "espsim_health_degraded ";
-    out += degraded ? '1' : '0';
-    out += '\n';
-    if (!view.valid)
-        return out;
-
-    const std::string labels = "{config=\"" + promLabel(view.config) +
-                               "\",workload=\"" +
-                               promLabel(view.workload) + "\"}";
-    char buf[64];
-
-    out += "# TYPE espsim_snapshot_seq counter\n";
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(view.snap.seq));
-    out += "espsim_snapshot_seq" + labels + " " + buf + "\n";
-    out += "# TYPE espsim_cycles counter\n";
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(view.snap.cycle));
-    out += "espsim_cycles" + labels + " " + buf + "\n";
-    out += "# TYPE espsim_events counter\n";
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(view.snap.events));
-    out += "espsim_events" + labels + " " + buf + "\n";
-
-    const std::size_t n =
-        view.names ? std::min(view.names->size(),
-                              view.snap.values.size())
-                   : 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::string name = promName((*view.names)[i]);
-        out += "# TYPE " + name + " counter\n";
-        // Counters are uint64-backed; print integral when exact so
-        // the exposition round-trips without float noise.
-        const double v = view.snap.values[i];
-        if (v == static_cast<double>(static_cast<std::uint64_t>(v)))
-            std::snprintf(buf, sizeof(buf), "%llu",
-                          static_cast<unsigned long long>(v));
-        else
-            std::snprintf(buf, sizeof(buf), "%.17g", v);
-        out += name + labels + " " + buf + "\n";
-    }
-    return out;
 }
 
 } // namespace espsim

@@ -1,11 +1,11 @@
 /**
  * @file
- * Counter sampling and the live telemetry plane.
+ * Counter sampling and the live telemetry stream.
  *
  * Artifacts, spans and flight-recorder dumps land after the run ends.
  * Phase plots and a multi-minute `espsim serve` run streaming
  * millions of events need counters *during* the run. This header
- * provides that in four pieces:
+ * provides that in three pieces:
  *
  *  - **CounterSampler** — the one counter sampler. It freezes the
  *    StatRegistry's counter names at construction and, as a span sink
@@ -18,28 +18,21 @@
  *    below 2^53). An in-memory sampler keeps its snapshots; the
  *    interval series (report/interval.hh) is their differences. A
  *    live sampler instead streams each snapshot as a versioned
- *    JSON line through a TelemetryStream and publishes it into a
- *    TelemetryPlane.
+ *    JSON line through a TelemetryStream.
  *
  *  - **TelemetryStream** — a JSON-lines sink (file or in-memory for
  *    tests). One stream may carry several run blocks (a serve sweep
  *    writes one block per config); each block opens with a header
  *    line carrying the schema, run identity and the frozen counter
  *    name set, followed by snapshot lines and exactly one line with
- *    `"final": true`.
+ *    `"final": true`. Lines are flushed as written, so `tail -f` on
+ *    the file is the way to watch a run live.
  *
- *  - **TelemetryPlane** — the thread-safe rendezvous between the
- *    simulation thread and external observers (the /metrics HTTP
- *    endpoint, the stall watchdog). The sampler owns a private back
- *    buffer and *publishes* each completed snapshot into the plane's
- *    front buffer under a short lock (a classic double-buffer: the
- *    hot loop never waits on a reader holding a half-read snapshot).
- *    The plane also carries the run's health state (ok/degraded, set
- *    by the watchdog) and a relaxed-atomic retire-progress counter
- *    the watchdog monitors.
- *
- *  - **Renderers** — the snapshot JSON line and the Prometheus text
- *    exposition of the plane's latest view.
+ *  - **LiveTelemetry** — the record a live sampler reports into: the
+ *    pacing, the stream, a snapshot count, and an atomic
+ *    retire-progress counter that the stall watchdog
+ *    (report/watchdog.hh) reads from its own thread. One record may
+ *    serve a whole serve sweep.
  *
  * Determinism: sampling is an opt-in observer. With it off, no code
  * path changes and every artifact stays byte-identical; with it on,
@@ -62,8 +55,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -104,14 +95,6 @@ struct TelemetrySnapshot
     std::vector<double> values;
 };
 
-/** Identity of the run a telemetry block describes. */
-struct TelemetryRunInfo
-{
-    std::string config;
-    std::string workload;
-    std::string configHash;
-};
-
 /**
  * JSON-lines sink for telemetry blocks. Lines are flushed as written
  * so a live `tail -f` (or a post-crash read) always sees complete
@@ -150,65 +133,24 @@ class TelemetryStream
 };
 
 /**
- * Thread-safe rendezvous between the run and its observers: the
- * published front buffer (latest snapshot + run identity), the health
- * state, and the retire-progress counter.
+ * What a live CounterSampler reports into. The sampler runs on the
+ * simulation thread; only `progress` is read from another thread.
  */
-class TelemetryPlane
+struct LiveTelemetry
 {
-  public:
-    /** A copy of the front buffer; `valid` is false before the first
-     *  publish. */
-    struct View
-    {
-        bool valid = false;
-        std::string config;
-        std::string workload;
-        std::string configHash;
-        std::shared_ptr<const std::vector<std::string>> names;
-        TelemetrySnapshot snap;
-    };
-
-    /** Writer side: replace the front buffer (short lock). */
-    void publish(const TelemetryRunInfo &info,
-                 const std::shared_ptr<const std::vector<std::string>>
-                     &names,
-                 const TelemetrySnapshot &snap);
-
-    /** Reader side: copy the front buffer out. */
-    View latest() const;
-
-    /** One event retired (relaxed; the watchdog's liveness signal). */
-    void
-    noteProgress()
-    {
-        progress_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    progress() const
-    {
-        return progress_.load(std::memory_order_relaxed);
-    }
-
-    /** Latch the degraded health state (first reason wins). */
-    void markDegraded(const std::string &reason);
-
-    bool
-    degraded() const
-    {
-        return degraded_.load(std::memory_order_acquire);
-    }
-
-    /** The first degradation reason ("" while healthy). */
-    std::string degradedReason() const;
-
-  private:
-    mutable std::mutex mu_;
-    View front_;
-    std::string reason_;
-    std::atomic<std::uint64_t> progress_{0};
-    std::atomic<bool> degraded_{false};
+    /** Snapshot pacing; a disabled period still takes the final
+     *  snapshot of each run. */
+    SamplePeriod period;
+    /** JSONL sink for the snapshots (nullptr = none). */
+    TelemetryStream *stream = nullptr;
+    /** Config hash stamped into each block header ("" = the hash of
+     *  the run's own config). */
+    std::string configHash;
+    /** Events retired so far, bumped once per retire (relaxed): the
+     *  stall watchdog's liveness signal. */
+    std::atomic<std::uint64_t> progress{0};
+    /** Snapshots taken so far, the final ones included. */
+    std::uint64_t snapshots = 0;
 };
 
 /**
@@ -224,14 +166,16 @@ class CounterSampler final : public SpanSink
     CounterSampler(const StatRegistry &reg, SamplePeriod period);
 
     /**
-     * A live sampler: each snapshot streams to @p stream and publishes
-     * into @p plane (both nullable; either alone is useful) instead of
-     * being kept, and every retire notes progress in the plane. The
-     * stream's header line is written now.
+     * A live sampler paced by @p live.period: each snapshot is counted
+     * in @p live and streamed to its stream (if any) instead of being
+     * kept, and every retire bumps its progress. The stream's block
+     * header, naming @p config, @p workload and @p configHash, is
+     * written now.
      */
-    CounterSampler(const StatRegistry &reg, SamplePeriod period,
-                   TelemetryRunInfo info, TelemetryStream *stream,
-                   TelemetryPlane *plane);
+    CounterSampler(const StatRegistry &reg, LiveTelemetry &live,
+                   const std::string &config,
+                   const std::string &workload,
+                   const std::string &configHash);
 
     /** Snapshot if the retire at span.retire crossed a grid point. */
     void onSpan(const RequestSpan &span) override;
@@ -244,7 +188,7 @@ class CounterSampler final : public SpanSink
     void finalize(Cycle now, std::uint64_t events_retired);
 
     const SamplePeriod &period() const { return period_; }
-    const std::vector<std::string> &names() const { return *names_; }
+    const std::vector<std::string> &names() const { return names_; }
     /** Counter values at construction (the pre-run machine). */
     const std::vector<double> &baseline() const { return baseline_; }
     /** Kept snapshots in order, the final one last (in-memory only). */
@@ -257,14 +201,11 @@ class CounterSampler final : public SpanSink
 
   private:
     SamplePeriod period_;
-    bool keep_;
-    TelemetryRunInfo info_;
-    TelemetryStream *stream_ = nullptr;
-    TelemetryPlane *plane_ = nullptr;
-    std::shared_ptr<std::vector<std::string>> names_;
+    LiveTelemetry *live_ = nullptr; //!< nullptr = in-memory sampler
+    std::vector<std::string> names_;
     std::vector<StatRegistry::Getter> getters_;
     std::vector<double> baseline_;
-    TelemetrySnapshot snap_; //!< writer-owned back buffer (reused)
+    TelemetrySnapshot snap_; //!< reused for every snapshot
     std::vector<TelemetrySnapshot> kept_;
     std::uint64_t seq_ = 0;
     Cycle nextCycle_ = 0;
@@ -277,24 +218,11 @@ class CounterSampler final : public SpanSink
     std::uint64_t stallEvent_ = 0;
     unsigned stallMs_ = 0;
 
-    void writeHeader();
+    void writeHeader(const std::string &config,
+                     const std::string &workload,
+                     const std::string &configHash);
     void sample(Cycle now, std::uint64_t events_retired, bool final_);
 };
-
-/** Render one snapshot line (or the /snapshot.json body). */
-std::string renderTelemetrySnapshotJson(
-    const TelemetryRunInfo &info,
-    const std::vector<std::string> &names,
-    const TelemetrySnapshot &snap, bool includeNames);
-
-/**
- * Render the latest published view as Prometheus/OpenMetrics text
- * exposition: one `espsim_`-prefixed counter family per registry
- * counter with config/workload labels, plus liveness and health
- * meta-series. @p degraded folds the plane's health state in.
- */
-std::string renderPrometheusText(const TelemetryPlane::View &view,
-                                 bool degraded);
 
 } // namespace espsim
 

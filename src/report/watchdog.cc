@@ -5,14 +5,13 @@
 #include <cstdio>
 
 #include "common/logging.hh"
-#include "report/telemetry.hh"
 
 namespace espsim
 {
 
-StallWatchdog::StallWatchdog(TelemetryPlane &plane, double budgetMs,
-                             DumpFn dump)
-    : plane_(plane), budgetMs_(budgetMs), dump_(std::move(dump))
+StallWatchdog::StallWatchdog(const std::atomic<std::uint64_t> &progress,
+                             double budgetMs, DumpFn dump)
+    : progress_(progress), budgetMs_(budgetMs), dump_(std::move(dump))
 {
     thread_ = std::thread([this] { watchLoop(); });
 }
@@ -40,13 +39,15 @@ StallWatchdog::watchLoop()
     const auto poll_interval = std::chrono::milliseconds(std::max<long>(
         1, std::min<long>(50, static_cast<long>(budgetMs_ / 4))));
 
-    std::uint64_t last_progress = plane_.progress();
+    std::uint64_t last_progress =
+        progress_.load(std::memory_order_relaxed);
     auto last_move = clock::now();
     bool fired = false;
 
     while (!stop_.load(std::memory_order_acquire)) {
         std::this_thread::sleep_for(poll_interval);
-        const std::uint64_t progress = plane_.progress();
+        const std::uint64_t progress =
+            progress_.load(std::memory_order_relaxed);
         const auto now = clock::now();
         if (progress != last_progress) {
             last_progress = progress;
@@ -58,17 +59,17 @@ StallWatchdog::watchLoop()
                 .count();
         if (fired || stalled_ms < budgetMs_)
             continue;
-        // Exactly-once: latch locally; the plane's degraded state
-        // latches globally for /healthz and the artifact.
+        // Exactly-once: the reason is written before the release
+        // increment that publishes it to degradedReason() readers.
         fired = true;
-        fires_.fetch_add(1, std::memory_order_release);
         char reason[160];
         std::snprintf(reason, sizeof(reason),
                       "stall watchdog: no retire progress for %.0f ms "
                       "(budget %.0f ms, progress=%llu)",
                       stalled_ms, budgetMs_,
                       static_cast<unsigned long long>(last_progress));
-        plane_.markDegraded(reason);
+        reason_ = reason;
+        fires_.fetch_add(1, std::memory_order_release);
         logLine(LogLevel::Warn, "%s", reason);
         if (dump_) {
             StallReport report;

@@ -7,13 +7,14 @@
  * workload cell, a host stall) should be *detected* within a bounded
  * wall-clock budget, not discovered when someone checks hours later.
  *
- * The watchdog is a background thread watching the TelemetryPlane's
- * relaxed-atomic progress counter. When the counter has not moved for
- * at least the configured budget it fires **exactly once** per run:
+ * The watchdog is a background thread watching a relaxed-atomic
+ * retire-progress counter (LiveTelemetry::progress, bumped by the
+ * live CounterSampler). When the counter has not moved for at least
+ * the configured budget it fires **exactly once**:
  *
- *   1. latches the plane's degraded health state (reason string with
- *      the stall duration and last-progress count) — /healthz flips
- *      to 503 and the final artifact gains a `health` block;
+ *   1. latches its degraded state (a reason string with the stall
+ *      duration and last-progress count), which the serve report and
+ *      the artifact's `health` block carry;
  *   2. invokes the dump callback (the serve path wires this to the
  *      span flight-recorder ring + a host-profile line) so the
  *      evidence lands on disk while the process is still alive.
@@ -36,8 +37,6 @@
 namespace espsim
 {
 
-class TelemetryPlane;
-
 /** What the watchdog saw when it fired. */
 struct StallReport
 {
@@ -45,18 +44,18 @@ struct StallReport
     std::uint64_t lastProgress = 0; //!< progress count at the stall
 };
 
-/** Background no-progress detector over a TelemetryPlane. */
+/** Background no-progress detector over one progress counter. */
 class StallWatchdog
 {
   public:
     using DumpFn = std::function<void(const StallReport &)>;
 
     /**
-     * Watch @p plane; fire when no progress for @p budgetMs. The
-     * optional @p dump runs on the watchdog thread, once.
+     * Watch @p progress; fire when it has not moved for @p budgetMs.
+     * The optional @p dump runs on the watchdog thread, once.
      */
-    StallWatchdog(TelemetryPlane &plane, double budgetMs,
-                  DumpFn dump = nullptr);
+    StallWatchdog(const std::atomic<std::uint64_t> &progress,
+                  double budgetMs, DumpFn dump = nullptr);
     ~StallWatchdog();
     StallWatchdog(const StallWatchdog &) = delete;
     StallWatchdog &operator=(const StallWatchdog &) = delete;
@@ -71,15 +70,27 @@ class StallWatchdog
         return fires_.load(std::memory_order_acquire);
     }
 
+    /** The watchdog fired: the run is degraded. */
+    bool degraded() const { return fireCount() > 0; }
+
+    /** Why the run is degraded ("" while healthy). */
+    std::string
+    degradedReason() const
+    {
+        return degraded() ? reason_ : std::string();
+    }
+
     double budgetMs() const { return budgetMs_; }
 
   private:
-    TelemetryPlane &plane_;
+    const std::atomic<std::uint64_t> &progress_;
     const double budgetMs_;
     DumpFn dump_;
     std::thread thread_;
     std::atomic<bool> stop_{false};
     std::atomic<std::uint64_t> fires_{0};
+    /** Written once, before the release increment of fires_. */
+    std::string reason_;
 
     void watchLoop();
 };

@@ -1,9 +1,8 @@
 #include "server/serve.hh"
 
 #include <memory>
-#include <utility>
-
 #include <mutex>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/version.hh"
@@ -11,7 +10,6 @@
 #include "report/flight_recorder.hh"
 #include "report/host_profile.hh"
 #include "report/json_writer.hh"
-#include "report/metrics_http.hh"
 #include "report/telemetry.hh"
 #include "report/watchdog.hh"
 #include "workload/streaming.hh"
@@ -75,6 +73,32 @@ class SpikedSource final : public EventSource
     unsigned scale_;
 };
 
+/**
+ * Span sink that delivers each span to @p inner under @p mu. The
+ * watchdog thread reads the collector's ring under the same mutex
+ * when it writes a stall dump, so the two threads never touch the
+ * ring at the same time.
+ */
+class LockedSpanSink final : public SpanSink
+{
+  public:
+    LockedSpanSink(SpanSink &inner, std::mutex &mu)
+        : inner_(inner), mu_(mu)
+    {
+    }
+
+    void
+    onSpan(const RequestSpan &span) override
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        inner_.onSpan(span);
+    }
+
+  private:
+    SpanSink &inner_;
+    std::mutex &mu_;
+};
+
 } // namespace
 
 ServeReport
@@ -101,17 +125,16 @@ runServe(const ServerProfile &profile,
     for (const SimConfig &c : configs)
         report.configNames.push_back(c.name);
 
-    // Live-telemetry plane: one plane/stream/endpoint/watchdog spans
-    // the whole sweep (the progress counter and health state are
-    // sweep-global; each config opens its own JSONL block).
-    std::unique_ptr<TelemetryPlane> plane;
+    // Live telemetry: one record, stream and watchdog span the whole
+    // sweep (the progress counter and health state are sweep-global;
+    // each config opens its own JSONL block).
+    std::unique_ptr<LiveTelemetry> live;
     std::unique_ptr<TelemetryStream> stream;
-    std::unique_ptr<MetricsHttpServer> metrics;
     std::unique_ptr<StallWatchdog> watchdog;
     // The watchdog thread dumps the flight-recorder ring of whichever
-    // config is currently running; the pointer swap is mutex-guarded
-    // (the stalled simulation thread is by definition not mid-span
-    // when the watchdog reads the ring).
+    // config is currently running. The mutex guards the target and,
+    // while a dump prefix is armed, every span delivery to the
+    // collector (see LockedSpanSink).
     struct WatchdogTarget
     {
         std::mutex mu;
@@ -119,8 +142,11 @@ runServe(const ServerProfile &profile,
         std::string config;
     };
     auto wd_target = std::make_shared<WatchdogTarget>();
+    const std::string &wd_prefix = opts.telemetry.watchdogDumpPrefix;
     if (opts.telemetry.any()) {
-        plane = std::make_unique<TelemetryPlane>();
+        live = std::make_unique<LiveTelemetry>();
+        live->period = opts.telemetry.period;
+        live->configHash = report.configHash;
         if (!opts.telemetry.jsonlPath.empty()) {
             stream = std::make_unique<TelemetryStream>();
             if (!stream->openFile(opts.telemetry.jsonlPath)) {
@@ -129,27 +155,12 @@ runServe(const ServerProfile &profile,
                         opts.telemetry.jsonlPath.c_str());
                 stream.reset();
             }
-        }
-        if (opts.telemetry.metricsEnabled) {
-            metrics = std::make_unique<MetricsHttpServer>(*plane);
-            if (!metrics->start(opts.telemetry.metricsPort)) {
-                logLine(LogLevel::Error,
-                        "cannot bind metrics port %u",
-                        unsigned{opts.telemetry.metricsPort});
-                metrics.reset();
-            } else {
-                logLine(LogLevel::Info,
-                        "# metrics endpoint: http://127.0.0.1:%u"
-                        "/metrics",
-                        unsigned{metrics->port()});
-            }
+            live->stream = stream.get();
         }
         if (opts.telemetry.watchdogBudgetMs > 0) {
-            const std::string prefix =
-                opts.telemetry.watchdogDumpPrefix;
             watchdog = std::make_unique<StallWatchdog>(
-                *plane, opts.telemetry.watchdogBudgetMs,
-                [wd_target, prefix, &p](const StallReport &stall) {
+                live->progress, opts.telemetry.watchdogBudgetMs,
+                [wd_target, &wd_prefix, &p](const StallReport &stall) {
                     logLine(LogLevel::Warn,
                             "# watchdog: host peak RSS %.1f MB, "
                             "stalled %.0f ms at progress %llu",
@@ -158,9 +169,9 @@ runServe(const ServerProfile &profile,
                                 stall.lastProgress));
                     std::lock_guard<std::mutex> lock(wd_target->mu);
                     if (wd_target->collector == nullptr ||
-                        prefix.empty())
+                        wd_prefix.empty())
                         return;
-                    const std::string path = prefix + "." +
+                    const std::string path = wd_prefix + "." +
                         wd_target->config + ".stall.trace.json";
                     if (writeFlightRecorderTrace(
                             *wd_target->collector, wd_target->config,
@@ -230,22 +241,24 @@ runServe(const ServerProfile &profile,
             inst.spans = spans.get();
         }
 
-        if (plane) {
-            inst.telemetry = opts.telemetry.period;
-            inst.telemetryStream = stream.get();
-            inst.telemetryPlane = plane.get();
-            inst.telemetryConfigHash = report.configHash;
+        std::unique_ptr<LockedSpanSink> locked_spans;
+        if (live) {
+            inst.telemetry = live.get();
             std::lock_guard<std::mutex> lock(wd_target->mu);
             wd_target->collector = spans.get();
             wd_target->config = config.name;
+            if (spans && watchdog && !wd_prefix.empty()) {
+                locked_spans = std::make_unique<LockedSpanSink>(
+                    *spans, wd_target->mu);
+                inst.spans = locked_spans.get();
+            }
         }
 
         const SimResult r = Simulator(config).run(workload, inst);
 
-        if (plane) {
-            // The per-run sampler is gone; detach the watchdog's
-            // dump target before the collector dies with this scope.
-            report.telemetrySnapshots += plane->latest().snap.seq;
+        if (live) {
+            // Detach the watchdog's dump target before the collector
+            // dies with this scope.
             std::lock_guard<std::mutex> lock(wd_target->mu);
             wd_target->collector = nullptr;
         }
@@ -287,15 +300,13 @@ runServe(const ServerProfile &profile,
         report.cells.push_back(std::move(cell));
     }
 
+    if (live)
+        report.telemetrySnapshots = live->snapshots;
     if (watchdog) {
         watchdog->stop();
         report.watchdogFires = watchdog->fireCount();
-    }
-    if (metrics)
-        metrics->stop();
-    if (plane && plane->degraded()) {
-        report.degraded = true;
-        report.degradedReason = plane->degradedReason();
+        report.degraded = watchdog->degraded();
+        report.degradedReason = watchdog->degradedReason();
     }
     if (stream && !stream->close())
         logLine(LogLevel::Error, "telemetry stream '%s': write failed",

@@ -10,6 +10,11 @@
  * versioned `espsim-latency-artifact` (validated by
  * tools/validate_artifact.py) — deterministic and free of wall-clock
  * facts, like every other espsim artifact.
+ *
+ * ServeTelemetryOptions arms the live side of a sweep: one JSONL
+ * snapshot stream (a block per config) and one stall watchdog, both
+ * spanning the whole sweep. Only the watchdog's verdict reaches the
+ * artifact, as the opt-in `health` block of a degraded run.
  */
 
 #ifndef ESPSIM_SERVER_SERVE_HH
@@ -58,22 +63,18 @@ struct ServeSpanOptions
 };
 
 /**
- * Live-telemetry knobs of one serve run (see report/telemetry.hh,
- * report/metrics_http.hh, report/watchdog.hh). The plane, snapshot
- * stream, HTTP endpoint and watchdog are all optional and mutually
- * independent; none of them perturbs the deterministic artifacts.
+ * Live-telemetry knobs of one serve run (see report/telemetry.hh and
+ * report/watchdog.hh). The JSONL snapshot stream and the stall
+ * watchdog are optional and independent; neither perturbs the
+ * deterministic artifacts.
  */
 struct ServeTelemetryOptions
 {
-    /** Snapshot pacing; a zero config disables sampling (the plane
-     *  still carries liveness progress for the watchdog). */
+    /** Snapshot pacing; a zero period still takes each config's
+     *  final snapshot. */
     SamplePeriod period;
     /** JSONL snapshot stream path ("" = no stream). */
     std::string jsonlPath;
-    /** Serve /metrics, /healthz, /snapshot.json over HTTP. */
-    bool metricsEnabled = false;
-    /** Port for the metrics endpoint (0 = ephemeral). */
-    std::uint16_t metricsPort = 0;
     /** Stall-watchdog budget in wall-clock ms (0 = no watchdog). */
     double watchdogBudgetMs = 0;
     /**
@@ -87,7 +88,7 @@ struct ServeTelemetryOptions
     any() const
     {
         return period.enabled() || !jsonlPath.empty() ||
-               metricsEnabled || watchdogBudgetMs > 0;
+               watchdogBudgetMs > 0;
     }
 };
 

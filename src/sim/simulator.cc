@@ -110,26 +110,21 @@ Simulator::run(const Workload &workload,
     // registered (the name set freezes now; the post-run
     // handler/derived registrations never enter a snapshot). The
     // in-memory sampler keeps its snapshots for the interval series;
-    // the live one streams them. It is attached whenever a sink or a plane is
-    // present — the plane alone still carries liveness progress for
-    // the stall watchdog even if no period is configured.
+    // the live one streams them. The live one is attached after the
+    // span sink, so an event's spans are delivered before its
+    // progress bump reaches the stall watchdog.
     std::unique_ptr<CounterSampler> sampler;
     if (inst.interval.enabled()) {
         sampler = std::make_unique<CounterSampler>(reg, inst.interval);
         core.addSpanSink(sampler.get());
     }
     std::unique_ptr<CounterSampler> telemetry;
-    if (inst.telemetry.enabled() || inst.telemetryStream != nullptr ||
-        inst.telemetryPlane != nullptr) {
-        TelemetryRunInfo tinfo;
-        tinfo.config = config_.name;
-        tinfo.workload = workload.name();
-        tinfo.configHash = inst.telemetryConfigHash.empty()
-                               ? configsHash({config_})
-                               : inst.telemetryConfigHash;
+    if (inst.telemetry != nullptr) {
         telemetry = std::make_unique<CounterSampler>(
-            reg, inst.telemetry, std::move(tinfo),
-            inst.telemetryStream, inst.telemetryPlane);
+            reg, *inst.telemetry, config_.name, workload.name(),
+            inst.telemetry->configHash.empty()
+                ? configsHash({config_})
+                : inst.telemetry->configHash);
         core.addSpanSink(telemetry.get());
     }
 

@@ -91,17 +91,10 @@ struct RunInstrumentation
     /** Per-request span sink (flight recorder / tail blame; nullptr =
      *  off). See report/spans.hh. */
     SpanSink *spans = nullptr;
-    /** Live-telemetry pacing (cycles and/or wall clock); disabled
-     *  unless a period is set. */
-    SamplePeriod telemetry;
-    /** JSONL sink for telemetry snapshots (nullptr = none). */
-    TelemetryStream *telemetryStream = nullptr;
-    /** Shared plane for /metrics, /healthz and the stall watchdog
-     *  (nullptr = none). */
-    TelemetryPlane *telemetryPlane = nullptr;
-    /** Run identity stamped into telemetry records (config/workload
-     *  names default from the run itself when left empty). */
-    std::string telemetryConfigHash;
+    /** Live telemetry: a CounterSampler streams snapshots into it and
+     *  bumps its retire progress (nullptr = off). It may outlive the
+     *  run and serve several. See report/telemetry.hh. */
+    LiveTelemetry *telemetry = nullptr;
 };
 
 /** One-shot simulator: construct with a config, run workloads. */

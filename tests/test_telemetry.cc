@@ -1,27 +1,24 @@
 /**
  * @file
- * Tests of the live telemetry plane: exact final-snapshot closure
- * against the end-of-run registry, monotone/contiguous JSONL streams,
- * byte-identical artifacts with telemetry on vs off, the stall
- * watchdog's fire-exactly-once contract under an injected stall, and
- * the /metrics HTTP surface (routing unit tests plus a real loopback
- * socket round trip).
+ * Tests of live telemetry: exact final-snapshot closure against the
+ * end-of-run registry, monotone/contiguous JSONL streams, progress and
+ * snapshot counts that agree with the stream, byte-identical artifacts
+ * with telemetry on vs off, and the stall watchdog's fire-exactly-once
+ * contract, alone and under an injected stall.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "report/json_reader.hh"
-#include "report/metrics_http.hh"
 #include "report/telemetry.hh"
 #include "report/watchdog.hh"
 #include "server/profile.hh"
@@ -45,20 +42,25 @@ tinyProfile()
     return p;
 }
 
+/** Run @p workload under ESP+NL with a live sampler paced by @p cfg
+ *  whose stream is captured into @p captured. */
 SimResult
 runWithTelemetry(const Workload &workload, SamplePeriod cfg,
-                 std::string *captured,
-                 TelemetryPlane *plane = nullptr)
+                 std::string *captured, LiveTelemetry *live = nullptr)
 {
-    RunInstrumentation inst;
-    inst.telemetry = cfg;
+    LiveTelemetry local;
+    if (live == nullptr)
+        live = &local;
+    live->period = cfg;
     TelemetryStream stream;
-    if (captured != nullptr) {
-        stream.captureTo(captured);
-        inst.telemetryStream = &stream;
-    }
-    inst.telemetryPlane = plane;
-    return Simulator(SimConfig::espFull(true)).run(workload, inst);
+    stream.captureTo(captured);
+    live->stream = &stream;
+    RunInstrumentation inst;
+    inst.telemetry = live;
+    const SimResult result =
+        Simulator(SimConfig::espFull(true)).run(workload, inst);
+    live->stream = nullptr;
+    return result;
 }
 
 std::vector<std::string>
@@ -91,34 +93,6 @@ class EnvGuard
   private:
     const char *name_;
 };
-
-/** Minimal HTTP/1.0 GET against 127.0.0.1:@p port. */
-std::string
-httpGet(std::uint16_t port, const std::string &target)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return {};
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
-        return {};
-    }
-    const std::string request =
-        "GET " + target + " HTTP/1.0\r\n\r\n";
-    (void)::send(fd, request.data(), request.size(), 0);
-    std::string response;
-    char buf[1024];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-        response.append(buf, static_cast<std::size_t>(n));
-    ::close(fd);
-    return response;
-}
 
 } // namespace
 
@@ -240,24 +214,44 @@ TEST(Telemetry, FinalizeAloneStillClosesTheBlock)
     EXPECT_EQ(last->at("seq").number, 1.0);
 }
 
-TEST(Telemetry, PlanePublishesFinalSnapshotAndProgress)
+TEST(Telemetry, ProgressAndSnapshotCountsMatchTheStream)
 {
+    // One run: progress counts every retired event, and the snapshot
+    // count is the stream's lines minus its one header.
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    TelemetryPlane plane;
-    EXPECT_FALSE(plane.latest().valid);
     SamplePeriod cfg;
     cfg.cycles = 5'000;
-    (void)runWithTelemetry(*workload, cfg, nullptr, &plane);
+    std::string captured;
+    LiveTelemetry live;
+    const SimResult result =
+        runWithTelemetry(*workload, cfg, &captured, &live);
+    EXPECT_EQ(live.progress.load(), result.core.events);
+    EXPECT_EQ(live.progress.load(), workload->numEvents());
+    EXPECT_EQ(live.snapshots, splitLines(captured).size() - 1);
 
-    const TelemetryPlane::View view = plane.latest();
-    ASSERT_TRUE(view.valid);
-    EXPECT_TRUE(view.snap.isFinal);
-    EXPECT_EQ(view.workload, "amazon-tiny");
-    ASSERT_TRUE(view.names);
-    EXPECT_EQ(view.names->size(), view.snap.values.size());
-    // Every retired event noted progress for the watchdog.
-    EXPECT_GE(plane.progress(), workload->numEvents());
-    EXPECT_FALSE(plane.degraded());
+    // A serve sweep shares one record across configs: the reported
+    // snapshot count is the file's lines minus one header per config.
+    ServeOptions opts;
+    opts.events = 200;
+    opts.arrival.meanGapCycles = 2000.0;
+    opts.telemetry.period.cycles = 3'000;
+    opts.telemetry.jsonlPath =
+        ::testing::TempDir() + "telemetry_counts.jsonl";
+    const std::vector<SimConfig> configs = {SimConfig::baseline(),
+                                            SimConfig::espFull(true)};
+    const ServeReport report =
+        runServe(ServerProfile::testProfile(), configs, opts);
+    std::ifstream in(opts.telemetry.jsonlPath);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::remove(opts.telemetry.jsonlPath.c_str());
+    std::size_t headers = 0;
+    const std::vector<std::string> lines = splitLines(text.str());
+    for (const std::string &line : lines)
+        headers += parseJson(line)->find("schema") != nullptr;
+    EXPECT_EQ(headers, configs.size());
+    EXPECT_GT(report.telemetrySnapshots, configs.size());
+    EXPECT_EQ(report.telemetrySnapshots, lines.size() - headers);
 }
 
 // --------------------------------------------------------------------
@@ -295,40 +289,40 @@ TEST(Telemetry, LatencyArtifactBytesIdenticalOnAndOff)
 
 TEST(Watchdog, FiresExactlyOnceWithoutProgress)
 {
-    TelemetryPlane plane;
+    const std::atomic<std::uint64_t> progress{0};
     int dumps = 0;
     StallReport seen{};
-    {
-        StallWatchdog watchdog(plane, 40.0,
-                               [&](const StallReport &report) {
-                                   ++dumps;
-                                   seen = report;
-                               });
-        // No progress at all: one fire, then the watchdog stays
-        // quiet no matter how long the stall continues.
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        EXPECT_EQ(watchdog.fireCount(), 1u);
-        watchdog.stop();
-    }
+    StallWatchdog watchdog(progress, 40.0,
+                           [&](const StallReport &report) {
+                               ++dumps;
+                               seen = report;
+                           });
+    // No progress at all: one fire, then the watchdog stays quiet no
+    // matter how long the stall continues.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    watchdog.stop();
+    EXPECT_EQ(watchdog.fireCount(), 1u);
     EXPECT_EQ(dumps, 1);
     EXPECT_GE(seen.stalledMs, 40.0);
-    EXPECT_TRUE(plane.degraded());
-    EXPECT_NE(plane.degradedReason().find("stall watchdog"),
+    EXPECT_EQ(seen.lastProgress, 0u);
+    EXPECT_TRUE(watchdog.degraded());
+    EXPECT_NE(watchdog.degradedReason().find("stall watchdog"),
               std::string::npos);
 }
 
 TEST(Watchdog, StaysQuietWhileProgressFlows)
 {
-    TelemetryPlane plane;
-    StallWatchdog watchdog(plane, 150.0,
+    std::atomic<std::uint64_t> progress{0};
+    StallWatchdog watchdog(progress, 150.0,
                            [](const StallReport &) {});
     for (int i = 0; i < 10; ++i) {
-        plane.noteProgress();
+        progress.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     watchdog.stop();
     EXPECT_EQ(watchdog.fireCount(), 0u);
-    EXPECT_FALSE(plane.degraded());
+    EXPECT_FALSE(watchdog.degraded());
+    EXPECT_EQ(watchdog.degradedReason(), "");
 }
 
 TEST(Watchdog, InjectedStallDegradesServeEndToEnd)
@@ -363,113 +357,4 @@ TEST(Watchdog, InjectedStallDegradesServeEndToEnd)
     EXPECT_NE(json.find("\"health\""), std::string::npos);
     EXPECT_NE(json.find("\"status\":\"degraded\""), std::string::npos);
     EXPECT_NE(json.find("\"watchdog_fires\":1"), std::string::npos);
-}
-
-// --------------------------------------------------------------------
-// Metrics HTTP surface
-// --------------------------------------------------------------------
-
-TEST(MetricsHttp, RoutesAndHealthTransitions)
-{
-    TelemetryPlane plane;
-    // Before any publish: healthy, but no snapshot to serve.
-    EXPECT_NE(metricsHttpResponse(plane, "/healthz").find("200"),
-              std::string::npos);
-    EXPECT_NE(metricsHttpResponse(plane, "/healthz")
-                  .find("\"status\":\"ok\""),
-              std::string::npos);
-    EXPECT_NE(metricsHttpResponse(plane, "/snapshot.json").find("503"),
-              std::string::npos);
-    EXPECT_NE(metricsHttpResponse(plane, "/metrics")
-                  .find("espsim_health_degraded 0"),
-              std::string::npos);
-    EXPECT_NE(metricsHttpResponse(plane, "/nope").find("404"),
-              std::string::npos);
-
-    TelemetryRunInfo info;
-    info.config = "Base";
-    info.workload = "testsrv";
-    info.configHash = "00112233aabbccdd";
-    auto names = std::make_shared<std::vector<std::string>>(
-        std::vector<std::string>{"core.cycles", "core.events"});
-    TelemetrySnapshot snap;
-    snap.seq = 3;
-    snap.cycle = 1234;
-    snap.events = 7;
-    snap.values = {1234.0, 7.0};
-    plane.publish(info, names, snap);
-
-    const std::string body =
-        metricsHttpResponse(plane, "/snapshot.json");
-    EXPECT_NE(body.find("200"), std::string::npos);
-    EXPECT_NE(body.find("00112233aabbccdd"), std::string::npos);
-    EXPECT_NE(body.find("\"seq\":3"), std::string::npos);
-
-    plane.markDegraded("stall watchdog: test");
-    EXPECT_NE(metricsHttpResponse(plane, "/healthz").find("503"),
-              std::string::npos);
-    EXPECT_NE(metricsHttpResponse(plane, "/healthz").find("degraded"),
-              std::string::npos);
-    EXPECT_NE(metricsHttpResponse(plane, "/metrics")
-                  .find("espsim_health_degraded 1"),
-              std::string::npos);
-}
-
-TEST(MetricsHttp, ServesOverLoopbackSocket)
-{
-    TelemetryPlane plane;
-    MetricsHttpServer server(plane);
-    ASSERT_TRUE(server.start(0)); // ephemeral port
-    ASSERT_GT(server.port(), 0);
-
-    const std::string health = httpGet(server.port(), "/healthz");
-    EXPECT_NE(health.find("200 OK"), std::string::npos);
-    EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos);
-    const std::string metrics = httpGet(server.port(), "/metrics");
-    EXPECT_NE(metrics.find("espsim_health_degraded 0"),
-              std::string::npos);
-    EXPECT_GE(server.requestsServed(), 2u);
-    server.stop();
-    EXPECT_FALSE(server.running());
-}
-
-// --------------------------------------------------------------------
-// Prometheus exposition
-// --------------------------------------------------------------------
-
-TEST(Prometheus, RendersLabelledCountersWithIntegralValues)
-{
-    TelemetryPlane plane;
-    TelemetryRunInfo info;
-    info.config = "Base";
-    info.workload = "amazon";
-    auto names = std::make_shared<std::vector<std::string>>(
-        std::vector<std::string>{"core.cycles", "mem.l1d_misses"});
-    TelemetrySnapshot snap;
-    snap.seq = 2;
-    snap.cycle = 9001;
-    snap.events = 41;
-    snap.values = {9001.0, 17.0};
-    plane.publish(info, names, snap);
-
-    const std::string text =
-        renderPrometheusText(plane.latest(), plane.degraded());
-    EXPECT_NE(text.find("# TYPE espsim_core_cycles counter\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("espsim_core_cycles{config=\"Base\","
-                        "workload=\"amazon\"} 9001\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("espsim_mem_l1d_misses{config=\"Base\","
-                        "workload=\"amazon\"} 17\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("espsim_snapshot_seq{config=\"Base\","
-                        "workload=\"amazon\"} 2\n"),
-              std::string::npos);
-
-    // Before any publish only the health gauge exists.
-    TelemetryPlane empty;
-    const std::string bare =
-        renderPrometheusText(empty.latest(), empty.degraded());
-    EXPECT_EQ(bare, "# TYPE espsim_health_degraded gauge\n"
-                    "espsim_health_degraded 0\n");
 }

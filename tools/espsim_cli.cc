@@ -32,7 +32,9 @@
  * Tables and results print to stdout; run chatter (manifest, artifact
  * notes) goes to stderr. Exit code 0 on success, 1 on usage errors,
  * 2 on malformed option values (all numeric options are parsed by one
- * checked helper that rejects trailing garbage).
+ * checked helper that rejects trailing garbage), on a flag the
+ * subcommand does not take, and on a flag that would do nothing
+ * without another one (--telemetry-period without --telemetry).
  * `espsim diff` exits 0 when the artifacts agree within tolerance,
  * 1 on a headline regression or config mismatch, 2 on load failure.
  * `espsim suite` exits 1 when any sweep cell failed (its artifact
@@ -48,6 +50,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -119,8 +122,7 @@ usage()
         "               [--spike-event N] [--spike-scale S]\n"
         "               [--telemetry [path]] [--telemetry-period N] "
         "[--telemetry-wall-ms M]\n"
-        "               [--metrics-port P] [--watchdog-ms M] "
-        "[--watchdog-dump PREFIX]\n"
+        "               [--watchdog-ms M] [--watchdog-dump PREFIX]\n"
         "  espsim bench [--out <path>] [--apps a,b] [--configs a,b] "
         "[--repeat N] [--events N]\n"
         "  espsim report [--dir DIR] [--bench DIR] [--tolerance F] "
@@ -179,6 +181,22 @@ parseDoubleOption(const std::string &value, const char *flag)
     return v;
 }
 
+/**
+ * Exit 2 when @p flag was given but @p ok is false: without @p needs
+ * the flag would silently do nothing.
+ */
+void
+requireWith(const std::map<std::string, std::string> &flags,
+            const char *flag, bool ok, const char *needs)
+{
+    if (ok || flags.count(flag) == 0)
+        return;
+    logLine(LogLevel::Error, "--%s does nothing without %s", flag,
+            needs);
+    usage();
+    std::exit(2);
+}
+
 /** Build/run manifest on stderr; artifacts stay free of such facts. */
 void
 printRunManifest()
@@ -203,6 +221,38 @@ parseFlags(int argc, char **argv, int from)
             flags[key] = "1";
     }
     return flags;
+}
+
+/**
+ * The flags each parseFlags subcommand takes (--log-level is global).
+ * main() rejects any other, so a misspelled or retired flag fails
+ * instead of being ignored.
+ */
+const std::map<std::string, std::set<std::string>> &
+commandFlags()
+{
+    static const std::map<std::string, std::set<std::string>> known{
+        {"list", {}},
+        {"run",
+         {"app", "trace", "config", "stats", "timeline",
+          "timeline-limit", "sample-cycles", "sample-events", "json",
+          "telemetry", "telemetry-period", "telemetry-wall-ms"}},
+        {"suite",
+         {"configs", "apps", "jobs", "json", "csv", "profile",
+          "streaming"}},
+        {"serve",
+         {"profile", "configs", "events", "window", "reservoir",
+          "arrival", "gap", "concurrency", "think", "seed", "json",
+          "trace-spans", "flight-recorder", "anomaly-threshold",
+          "worst", "anomaly-min", "flight-dump", "spike-event",
+          "spike-scale", "telemetry", "telemetry-period",
+          "telemetry-wall-ms", "watchdog-ms", "watchdog-dump"}},
+        {"bench", {"out", "apps", "configs", "repeat", "events"}},
+        {"report", {"dir", "bench", "tolerance", "json", "md"}},
+        {"gen", {"app", "out", "events"}},
+        {"fuzz", {"runs", "seed", "verbose"}},
+    };
+    return known;
 }
 
 std::optional<SimConfig>
@@ -236,6 +286,9 @@ cmdList()
 int
 cmdRun(const std::map<std::string, std::string> &flags)
 {
+    const bool telemetry_on = flags.count("telemetry") != 0;
+    requireWith(flags, "telemetry-period", telemetry_on, "--telemetry");
+    requireWith(flags, "telemetry-wall-ms", telemetry_on, "--telemetry");
     const auto cfg_it = flags.find("config");
     const std::string cfg_name =
         cfg_it == flags.end() ? "ESP+NL" : cfg_it->second;
@@ -295,8 +348,9 @@ cmdRun(const std::map<std::string, std::string> &flags)
     if (inst.interval.enabled())
         inst.intervalSeries = &series;
 
-    // Live telemetry stream (single-run form of the serve plane).
+    // Live telemetry stream (single-run form of the serve stream).
     TelemetryStream telemetry_stream;
+    LiveTelemetry live;
     if (auto it = flags.find("telemetry"); it != flags.end()) {
         const std::string path =
             it->second == "1" ? "espsim_telemetry.jsonl" : it->second;
@@ -305,19 +359,20 @@ cmdRun(const std::map<std::string, std::string> &flags)
                     "cannot open telemetry stream '%s'", path.c_str());
             return 1;
         }
-        inst.telemetryStream = &telemetry_stream;
+        live.stream = &telemetry_stream;
+        inst.telemetry = &live;
     }
     if (auto it = flags.find("telemetry-period"); it != flags.end())
-        inst.telemetry.cycles =
+        live.period.cycles =
             parseUnsignedOption(it->second, "telemetry-period");
     if (auto it = flags.find("telemetry-wall-ms"); it != flags.end())
-        inst.telemetry.wallMs =
+        live.period.wallMs =
             parseDoubleOption(it->second, "telemetry-wall-ms");
-    if (inst.telemetryStream != nullptr && !inst.telemetry.enabled())
-        inst.telemetry.cycles = 1'000'000;
+    if (telemetry_on && !live.period.enabled())
+        live.period.cycles = 1'000'000;
 
     const SimResult r = Simulator(*config).run(*workload, inst);
-    if (inst.telemetryStream != nullptr) {
+    if (telemetry_on) {
         if (!telemetry_stream.close()) {
             logLine(LogLevel::Error, "telemetry stream: write failed");
             return 1;
@@ -624,7 +679,10 @@ cmdServe(const std::map<std::string, std::string> &flags)
         opts.spans.spikeScale = s >= 2 ? static_cast<unsigned>(s) : 2;
     }
 
-    // --- live telemetry / metrics endpoint / stall watchdog ---------
+    // --- live telemetry / stall watchdog -----------------------------
+    const bool telemetry_on = flags.count("telemetry") != 0;
+    requireWith(flags, "telemetry-period", telemetry_on, "--telemetry");
+    requireWith(flags, "telemetry-wall-ms", telemetry_on, "--telemetry");
     if (auto it = flags.find("telemetry"); it != flags.end()) {
         opts.telemetry.jsonlPath = it->second == "1"
             ? "espsim_telemetry.jsonl"
@@ -636,22 +694,18 @@ cmdServe(const std::map<std::string, std::string> &flags)
     if (auto it = flags.find("telemetry-wall-ms"); it != flags.end())
         opts.telemetry.period.wallMs =
             parseDoubleOption(it->second, "telemetry-wall-ms");
-    if (auto it = flags.find("metrics-port"); it != flags.end()) {
-        opts.telemetry.metricsEnabled = true;
-        opts.telemetry.metricsPort = static_cast<std::uint16_t>(
-            parseUnsignedOption(it->second, "metrics-port"));
-    }
     if (auto it = flags.find("watchdog-ms"); it != flags.end())
         opts.telemetry.watchdogBudgetMs =
             parseDoubleOption(it->second, "watchdog-ms");
     if (auto it = flags.find("watchdog-dump"); it != flags.end() &&
         it->second != "1")
         opts.telemetry.watchdogDumpPrefix = it->second;
+    requireWith(flags, "watchdog-dump",
+                opts.telemetry.watchdogBudgetMs > 0 && opts.spans.enabled,
+                "--watchdog-ms and --trace-spans");
     // A sink without a pace would never snapshot; default to a cycle
     // grid coarse enough to be invisible in the overhead gate.
-    if ((!opts.telemetry.jsonlPath.empty() ||
-         opts.telemetry.metricsEnabled) &&
-        !opts.telemetry.period.enabled())
+    if (telemetry_on && !opts.telemetry.period.enabled())
         opts.telemetry.period.cycles = 1'000'000;
 
     printRunManifest();
@@ -917,9 +971,10 @@ cmdDiff(int argc, char **argv)
         } else if (arg == "--log-level") {
             value(); // consumed by main()'s pre-scan
         } else {
-            logLine(LogLevel::Error, "unknown diff flag '%s'",
+            logLine(LogLevel::Error, "unknown flag '%s' for espsim diff",
                     arg.c_str());
-            return usage();
+            usage();
+            return 2;
         }
     }
     if (paths.size() != 2)
@@ -1044,7 +1099,19 @@ main(int argc, char **argv)
     }
     if (cmd == "diff")
         return cmdDiff(argc, argv);
+    const auto known = commandFlags().find(cmd);
+    if (known == commandFlags().end())
+        return usage();
     const auto flags = parseFlags(argc, argv, 2);
+    for (const auto &[key, value] : flags) {
+        (void)value;
+        if (key != "log-level" && known->second.count(key) == 0) {
+            logLine(LogLevel::Error, "unknown flag '--%s' for espsim %s",
+                    key.c_str(), cmd.c_str());
+            usage();
+            return 2;
+        }
+    }
     if (cmd == "list")
         return cmdList();
     if (cmd == "run")

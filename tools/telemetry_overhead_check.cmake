@@ -1,10 +1,10 @@
-# Telemetry-overhead gate: the live telemetry plane must be invisible
-# at serve throughput. Run the same serve workload with the full plane
-# off and on — JSONL stream, default cycle pacing, metrics endpoint
-# (unscraped) and a watchdog that never fires — taking the best wall
-# time of 3 runs each from the "# serve wall" stderr line, and fail if
-# the plane costs more than 10% plus a fixed 40 ms allowance for
-# small-number timing noise. Mirrors serve_overhead_check.cmake.
+# Telemetry-overhead gate: live telemetry must be invisible at serve
+# throughput. Run the same serve workload with telemetry off and on —
+# JSONL stream, default cycle pacing and a watchdog that never fires —
+# taking the best wall time of 3 runs each from the "# serve wall"
+# stderr line, and fail if telemetry costs more than 10% plus a fixed
+# 40 ms allowance for small-number timing noise. Mirrors
+# serve_overhead_check.cmake.
 # Invoked as:
 #   cmake -DESPSIM_CLI=<path> -DWORK_DIR=<dir> -P this-file
 
@@ -38,7 +38,7 @@ endfunction()
 
 run_serve(telemetry-off "" off_ms)
 run_serve(telemetry-on
-    "--telemetry;overhead_telemetry.jsonl;--metrics-port;0;--watchdog-ms;60000"
+    "--telemetry;overhead_telemetry.jsonl;--watchdog-ms;60000"
     on_ms)
 
 message(STATUS
