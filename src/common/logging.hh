@@ -8,8 +8,8 @@
  *
  * Every line of run chatter (progress, artifact notes, warnings) goes
  * through one global level gate, so noisy surfaces can be silenced
- * without touching call sites: `espsim bench` wall-times, for example,
- * must not be polluted by interleaved worker output.
+ * without touching call sites: a scripted sweep, for example, can keep
+ * stderr free of interleaved worker progress with --log-level warn.
  *
  * Levels, most to least severe: error > warn > info > debug. The
  * default is info. Two knobs select the threshold:

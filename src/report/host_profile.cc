@@ -2,10 +2,6 @@
 
 #include <sys/resource.h>
 
-#include "common/version.hh"
-#include "report/artifact.hh"
-#include "report/json_writer.hh"
-
 namespace espsim
 {
 
@@ -32,46 +28,6 @@ mergeHostStats(StatGroup &stats, const HostCellProfile &profile)
     stats.set("host.report_ms", profile.reportMs);
     stats.set("host.total_ms", profile.totalMs());
     stats.set("host.peak_rss_mb", peakRssMb());
-}
-
-std::string
-renderBenchArtifactJson(const ArtifactManifest &manifest,
-                        const BenchReport &report)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.key("schema").value("espsim-bench-artifact");
-    w.key("format_version").value(std::uint64_t{benchFormatVersion});
-    w.key("manifest").beginObject();
-    w.key("source").value(manifest.source);
-    w.key("tool_version")
-        .value(manifest.toolVersion.empty() ? versionString()
-                                            : manifest.toolVersion);
-    w.key("build_type")
-        .value(manifest.buildType.empty() ? buildTypeString()
-                                          : manifest.buildType);
-    w.key("config_hash").value(report.configHash);
-    w.key("jobs").value(report.jobs);
-    w.key("repeat").value(report.repeat);
-    w.endObject();
-    w.key("suite_wall_ms").value(report.suiteWallMs);
-    w.key("peak_rss_mb").value(report.peakRssMb);
-    w.key("cells").beginArray();
-    for (const BenchCell &cell : report.cells) {
-        w.beginObject();
-        w.key("app").value(cell.app);
-        w.key("config").value(cell.config);
-        w.key("sim_cycles").value(std::uint64_t{cell.simCycles});
-        w.key("sim_events").value(std::uint64_t{cell.simEvents});
-        w.key("instructions").value(std::uint64_t{cell.instructions});
-        w.key("wall_ms").value(cell.wallMs);
-        w.key("cycles_per_sec").value(cell.cyclesPerSec());
-        w.key("events_per_sec").value(cell.eventsPerSec());
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    return w.str();
 }
 
 } // namespace espsim

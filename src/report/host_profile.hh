@@ -1,47 +1,29 @@
 /**
  * @file
- * Host-side self-profiler and the `espsim bench` artifact.
+ * Host-side self-profiler: where a sweep cell's wall time goes.
  *
- * Simulators are programs too: the ROADMAP's "as fast as the hardware
- * allows" north-star needs the simulator to *measure itself*. This
- * header provides the two surfaces that do it:
- *
- *  - **Per-cell wall-clock profiles** (HostCellProfile + the RAII
- *    WallClockSpan): trace generation, warmup, simulation and
- *    reporting time per (app, config) sweep cell, plus process peak
- *    RSS. `espsim suite --profile` merges them into the cell stats as
- *    a `host.*` namespace and prints a one-line per-cell summary.
- *    Host times are wall-clock facts about *this* run on *this*
- *    machine, so they are strictly opt-in: without `--profile` no
- *    `host.*` stat exists and suite artifacts stay byte-identical to
- *    the deterministic baseline.
- *
- *  - **Bench artifacts** (BenchReport + renderBenchArtifactJson):
- *    `espsim bench` runs a pinned micro-suite and records simulated
- *    cycles/sec and events/sec per cell plus total suite wall time
- *    into a `BENCH_<git-describe>.json`. tools/compare_bench.py diffs
- *    two of these with relative tolerances, giving CI a
- *    simulator-throughput regression gate.
+ * HostCellProfile and the RAII WallClockSpan time trace generation,
+ * warmup, simulation and reporting per (app, config) sweep cell;
+ * peakRssMb() reads the process peak RSS. `espsim suite --profile`
+ * merges a cell's profile into its stats as a `host.*` namespace and
+ * prints a one-line per-cell summary. Host times are wall-clock facts
+ * about *this* run on *this* machine, so they are strictly opt-in:
+ * without `--profile` no `host.*` stat exists and suite artifacts
+ * stay byte-identical to the deterministic baseline. Simulator
+ * throughput across commits is measured by perfbench/ (see
+ * docs/PERFORMANCE.md), not here.
  */
 
 #ifndef ESPSIM_REPORT_HOST_PROFILE_HH
 #define ESPSIM_REPORT_HOST_PROFILE_HH
 
 #include <chrono>
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/stats.hh"
-#include "common/types.hh"
 
 namespace espsim
 {
-
-struct ArtifactManifest;
-
-/** Version of the bench-artifact schema this build writes. */
-constexpr std::uint32_t benchFormatVersion = 1;
 
 /** Where one (app, config) cell's host wall time went, in ms. */
 struct HostCellProfile
@@ -101,48 +83,6 @@ double peakRssMb();
  * host.total_ms, host.peak_rss_mb). Only ever called with --profile.
  */
 void mergeHostStats(StatGroup &stats, const HostCellProfile &profile);
-
-/** One bench cell: simulator throughput on one (app, config) point. */
-struct BenchCell
-{
-    std::string app;
-    std::string config;
-    Cycle simCycles = 0;
-    std::uint64_t simEvents = 0;
-    std::uint64_t instructions = 0;
-    double wallMs = 0; //!< best (minimum) over --repeat runs
-
-    double
-    cyclesPerSec() const
-    {
-        return wallMs <= 0.0
-            ? 0.0
-            : static_cast<double>(simCycles) * 1000.0 / wallMs;
-    }
-
-    double
-    eventsPerSec() const
-    {
-        return wallMs <= 0.0
-            ? 0.0
-            : static_cast<double>(simEvents) * 1000.0 / wallMs;
-    }
-};
-
-/** A whole `espsim bench` run. */
-struct BenchReport
-{
-    std::string configHash; //!< hash of the pinned config set
-    unsigned jobs = 1;
-    unsigned repeat = 1;
-    double suiteWallMs = 0;
-    double peakRssMb = 0;
-    std::vector<BenchCell> cells;
-};
-
-/** Render the `espsim-bench-artifact` JSON document. */
-std::string renderBenchArtifactJson(const ArtifactManifest &manifest,
-                                    const BenchReport &report);
 
 } // namespace espsim
 

@@ -71,21 +71,88 @@ independentAlus(std::size_t n)
     return b.build("alus");
 }
 
+/**
+ * K groups of one conditional branch at @p pc followed by
+ * @p alus_per_branch independent ALU ops in the same I-cache block.
+ * Each branch's outcome is the opposite of what a fresh predictor,
+ * fed the same branch sequence, predicts at that point; a core whose
+ * predictor starts from the same default state therefore mispredicts
+ * every one of them.
+ */
+std::unique_ptr<InMemoryWorkload>
+alwaysMispredicted(std::size_t k, std::size_t alus_per_branch)
+{
+    const Addr pc = 0x1000;
+    PentiumMPredictor shadow;
+    WorkloadBuilder b;
+    b.beginEvent(pc);
+    for (std::size_t i = 0; i < k; ++i) {
+        MicroOp br;
+        br.pc = pc;
+        br.setType(OpType::BranchCond);
+        const bool taken = !shadow.predictOnly(br).taken;
+        br.setTaken(taken);
+        br.setBranchTarget(taken ? pc : 0);
+        shadow.executeBranch(br);
+        b.op(br);
+        for (std::size_t j = 1; j <= alus_per_branch; ++j)
+            b.alu(pc + 4 * j);
+    }
+    return b.build("mispredicted");
+}
+
+/** Cycles @p w takes on a fresh core whose code block at 0x1000 is
+ *  already in the L1-I (so no cold fetch bubble). */
+Cycle
+warmCycles(const Fixture &f, const InMemoryWorkload &w,
+           std::uint64_t *mispredicts = nullptr)
+{
+    MemoryHierarchy mem(f.memCfg);
+    mem.accessInstr(0x1000, 0);
+    PentiumMPredictor bp;
+    CoreHooks hooks;
+    OoOCore core(f.coreCfg, mem, bp, f.noPf, hooks);
+    core.run(w);
+    if (mispredicts)
+        *mispredicts = core.stats().mispredicts;
+    return core.stats().cycles;
+}
+
 } // namespace
 
 TEST(Core, WidthBoundOnIndependentCode)
 {
+    // Closed form for N independent ALU ops in one warm block: the
+    // core issues `width` ops per cycle, so the last op issues in
+    // cycle ceil(N / width) - 1 and completes pipelineDepth cycles
+    // later, when the event-end drain stops the clock. The run
+    // therefore takes ceil(N / width) cycles plus a fill constant of
+    // pipelineDepth - 1: the last issue group's fetch-to-complete
+    // latency beyond its own issue cycle.
     Fixture f;
+    const Cycle width = f.coreCfg.width;
+    const Cycle fill = f.coreCfg.pipelineDepth - 1;
+    for (const std::size_t n : {1u, 3u, 4u, 5u, 97u, 4000u}) {
+        auto w = independentAlus(n);
+        EXPECT_EQ(warmCycles(f, *w), (n + width - 1) / width + fill)
+            << "n = " << n;
+    }
+
+    // A cold block adds exactly one fetch bubble: the L2 and DRAM
+    // latencies a memory fill costs beyond the L1 hit, less the
+    // latency the fetch queue hides.
     auto w = independentAlus(4000);
     MemoryHierarchy mem(f.memCfg);
     PentiumMPredictor bp;
     CoreHooks hooks;
     OoOCore core(f.coreCfg, mem, bp, f.noPf, hooks);
     core.run(*w);
-    // Warm single-block code, no dependences: IPC approaches width.
-    EXPECT_GT(core.stats().ipc(), 2.5);
     EXPECT_EQ(core.stats().instructions, 4000u);
     EXPECT_EQ(core.stats().events, 1u);
+    const Cycle cold_bubble = f.memCfg.l2.hitLatency +
+        f.memCfg.memLatency - f.coreCfg.fetchQueueHide;
+    EXPECT_EQ(core.stats().cycles,
+              (4000 + width - 1) / width + fill + cold_bubble);
 }
 
 TEST(Core, DependencyChainsReduceIpc)
@@ -161,6 +228,49 @@ TEST(Core, PerfectBranchSkipsPenalties)
     EXPECT_EQ(core.stats().mispredicts, 0u);
     EXPECT_EQ(core.stats().branchStallCycles, 0u);
     EXPECT_EQ(core.stats().branches, 500u);
+}
+
+TEST(Core, EachMispredictCostsThePenaltyOverPerfectPrediction)
+{
+    // K branches that all mispredict, each followed by width - 1
+    // independent ALU ops: under perfect prediction every branch
+    // issues in slot 0 of its own cycle. A mispredict moves the
+    // branch's group to dispatch + mispredictPenalty and restarts it
+    // at slot 0, so the group still fills exactly one cycle and each
+    // branch costs exactly mispredictPenalty: per-branch slack 0.
+    Fixture f;
+    const std::size_t k = 300;
+    const Cycle penalty = f.coreCfg.mispredictPenalty;
+    auto aligned = alwaysMispredicted(k, f.coreCfg.width - 1);
+    std::uint64_t mispredicts = 0;
+    const Cycle predicted = warmCycles(f, *aligned, &mispredicts);
+    ASSERT_EQ(mispredicts, k);
+    Fixture perfect;
+    perfect.coreCfg.perfectBranch = true;
+    const Cycle ideal = warmCycles(perfect, *aligned);
+    EXPECT_EQ(ideal, k + f.coreCfg.pipelineDepth - 1);
+    EXPECT_EQ(predicted - ideal, k * penalty);
+
+    // Branches back to back: each mispredict holds the front end for
+    // mispredictPenalty cycles from its own issue cycle, and the last
+    // redirect hides the pipeline fill (pipelineDepth <=
+    // mispredictPenalty), so the run takes exactly K * penalty. Under
+    // perfect prediction the same K branches issue `width` per cycle.
+    // The difference is K * penalty less the 1 / width issue cycle
+    // each branch costs anyway: a per-branch slack under one cycle.
+    auto dense = alwaysMispredicted(k, 0);
+    const Cycle dense_predicted = warmCycles(f, *dense, &mispredicts);
+    ASSERT_EQ(mispredicts, k);
+    const Cycle dense_ideal = warmCycles(perfect, *dense);
+    const Cycle width = f.coreCfg.width;
+    ASSERT_LE(f.coreCfg.pipelineDepth, penalty);
+    EXPECT_EQ(dense_predicted, k * penalty);
+    EXPECT_EQ(dense_ideal, (k + width - 1) / width +
+                               f.coreCfg.pipelineDepth - 1);
+    const Cycle slack_per_branch = 1;
+    EXPECT_LE(dense_predicted - dense_ideal, k * penalty);
+    EXPECT_GE(dense_predicted - dense_ideal,
+              k * (penalty - slack_per_branch));
 }
 
 TEST(Core, IcacheMissesStallFetch)

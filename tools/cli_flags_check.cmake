@@ -1,7 +1,10 @@
-# Flag-rejection gate: `espsim` must exit 2 and name the offending
-# flag when a subcommand gets a flag it does not take, or a flag that
-# would do nothing without another one. Each case would otherwise run
-# to completion with the flag silently ignored.
+# Input-rejection gate: `espsim` must exit 2 and name the offending
+# input when it gets an unknown or retired subcommand, a flag the
+# subcommand does not take, a flag that would do nothing without
+# another one, or a signed value for an unsigned option. Each case
+# would otherwise run with the input silently ignored, print the usage
+# text with a regression gate's exit 1, or (for a wrapped negative
+# count) abort or run effectively forever; the timeout catches that.
 # Invoked as:
 #   cmake -DESPSIM_CLI=<path> -P this-file
 
@@ -10,7 +13,8 @@ function(expect_rejected flag)
         COMMAND ${ESPSIM_CLI} ${ARGN}
         RESULT_VARIABLE rc
         ERROR_VARIABLE err
-        OUTPUT_QUIET)
+        OUTPUT_QUIET
+        TIMEOUT 60)
     if(NOT rc EQUAL 2)
         message(FATAL_ERROR
             "espsim ${ARGN}: expected exit 2, got ${rc}: ${err}")
@@ -31,3 +35,16 @@ expect_rejected(--metrics-port
 # A flag that does nothing without --telemetry.
 expect_rejected(--telemetry-period
     run --app amazon --config base --telemetry-period 1000)
+
+# Unknown subcommands, including the retired throughput and
+# cross-run report commands.
+expect_rejected("unknown command 'frob'" frob)
+expect_rejected("unknown command 'bench'" bench --apps amazon)
+expect_rejected("unknown command 'report'" report --dir .)
+
+# strtoul skips leading whitespace and wraps a minus sign: " -5" must
+# not read as a huge event count.
+expect_rejected("invalid value"
+    gen --app amazon --out never_written.espw --events " -5")
+expect_rejected("invalid value"
+    serve --profile testsrv --configs base --events " -1")

@@ -16,8 +16,6 @@
  *                [--json [path]] [--trace-spans [path]]
  *                [--flight-recorder N] [--anomaly-threshold K]
  *                [--flight-dump PREFIX] [--spike-event N]
- *   espsim bench [--out path] [--apps a,b] [--configs a,b]
- *                [--repeat N] [--events N]
  *   espsim gen   --app gmaps --out gmaps.espw [--events N]
  *   espsim diff  baseline.json candidate.json [--rel-tol F]
  *                [--abs-tol F] [--headline a,b] [--max-rows N]
@@ -31,8 +29,9 @@
  *
  * Tables and results print to stdout; run chatter (manifest, artifact
  * notes) goes to stderr. Exit code 0 on success, 1 on usage errors,
- * 2 on malformed option values (all numeric options are parsed by one
- * checked helper that rejects trailing garbage), on a flag the
+ * 2 on an unknown subcommand, on malformed option values (numeric
+ * options go through checked helpers that reject trailing garbage, and
+ * a sign or leading whitespace on an unsigned value), on a flag the
  * subcommand does not take, and on a flag that would do nothing
  * without another one (--telemetry-period without --telemetry).
  * `espsim diff` exits 0 when the artifacts agree within tolerance,
@@ -43,6 +42,7 @@
  * the first oracle violation, printing a shrunken repro.
  */
 
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -65,7 +65,6 @@
 #include "report/diff.hh"
 #include "report/host_profile.hh"
 #include "report/interval.hh"
-#include "report/observatory.hh"
 #include "report/telemetry.hh"
 #include "report/timeline.hh"
 #include "server/serve.hh"
@@ -123,10 +122,6 @@ usage()
         "               [--telemetry [path]] [--telemetry-period N] "
         "[--telemetry-wall-ms M]\n"
         "               [--watchdog-ms M] [--watchdog-dump PREFIX]\n"
-        "  espsim bench [--out <path>] [--apps a,b] [--configs a,b] "
-        "[--repeat N] [--events N]\n"
-        "  espsim report [--dir DIR] [--bench DIR] [--tolerance F] "
-        "[--json [path]] [--md [path]]\n"
         "  espsim gen   --app <name> --out <file> [--events N]\n"
         "  espsim diff  <baseline.json> <candidate.json> "
         "[--rel-tol F] [--abs-tol F]\n"
@@ -144,7 +139,9 @@ usage()
  * of these instead of raw std::stoul / strtod, so `--events abc` (or
  * `--rel-tol 0.1x`) prints the usage text and exits 2 instead of
  * aborting on an uncaught std::invalid_argument or silently reading
- * a half-parsed value. Trailing garbage is rejected.
+ * a half-parsed value. Trailing garbage is rejected, and an unsigned
+ * value must start with a digit: strtoul skips leading whitespace and
+ * wraps a minus sign, so " -5" would otherwise read as 2^64 - 5.
  */
 unsigned long
 parseUnsignedOption(const std::string &value, const char *flag)
@@ -152,8 +149,9 @@ parseUnsignedOption(const std::string &value, const char *flag)
     char *end = nullptr;
     errno = 0;
     const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-    if (value.empty() || end != value.c_str() + value.size() ||
-        errno == ERANGE || value[0] == '-') {
+    if (value.empty() ||
+        !std::isdigit(static_cast<unsigned char>(value[0])) ||
+        end != value.c_str() + value.size() || errno == ERANGE) {
         logLine(LogLevel::Error,
                 "invalid value '%s' for --%s (expected a "
                 "non-negative integer)",
@@ -247,8 +245,6 @@ commandFlags()
           "worst", "anomaly-min", "flight-dump", "spike-event",
           "spike-scale", "telemetry", "telemetry-period",
           "telemetry-wall-ms", "watchdog-ms", "watchdog-dump"}},
-        {"bench", {"out", "apps", "configs", "repeat", "events"}},
-        {"report", {"dir", "bench", "tolerance", "json", "md"}},
         {"gen", {"app", "out", "events"}},
         {"fuzz", {"runs", "seed", "verbose"}},
     };
@@ -786,129 +782,6 @@ cmdServe(const std::map<std::string, std::string> &flags)
     return 0;
 }
 
-/**
- * `espsim bench` — simulator-throughput micro-suite. Runs a pinned
- * (config, app) grid strictly serially (one cell at a time, so cells
- * never steal each other's CPU), records the best-of---repeat wall
- * time per cell, and writes a BENCH_<git-describe>.json artifact
- * that tools/compare_bench.py can diff across commits.
- */
-int
-cmdBench(const std::map<std::string, std::string> &flags)
-{
-    // Pinned defaults: the slowest and the most instrumented design
-    // points bound the simulator's throughput envelope.
-    std::vector<std::string> names{"base", "ESP+NL"};
-    if (auto it = flags.find("configs"); it != flags.end()) {
-        names.clear();
-        std::stringstream ss(it->second);
-        std::string token;
-        while (std::getline(ss, token, ','))
-            names.push_back(token);
-    }
-    std::vector<SimConfig> configs;
-    for (const std::string &name : names) {
-        const auto cfg = lookupConfig(name);
-        if (!cfg)
-            return 1;
-        configs.push_back(*cfg);
-    }
-
-    std::vector<AppProfile> apps = AppProfile::webSuite();
-    if (auto it = flags.find("apps"); it != flags.end()) {
-        std::vector<AppProfile> picked;
-        std::stringstream ss(it->second);
-        std::string token;
-        while (std::getline(ss, token, ',')) {
-            bool found = false;
-            for (const AppProfile &p : apps) {
-                if (p.name == token) {
-                    picked.push_back(p);
-                    found = true;
-                    break;
-                }
-            }
-            if (!found) {
-                logLine(LogLevel::Error,
-                        "unknown app '%s' (try: espsim list)",
-                        token.c_str());
-                return 1;
-            }
-        }
-        apps = std::move(picked);
-    }
-
-    unsigned long repeat = 1;
-    if (auto it = flags.find("repeat"); it != flags.end())
-        repeat = parseUnsignedOption(it->second, "repeat");
-    if (repeat == 0)
-        repeat = 1;
-    unsigned long events_override = 0;
-    if (auto it = flags.find("events"); it != flags.end())
-        events_override = parseUnsignedOption(it->second, "events");
-
-    printRunManifest();
-    using Clock = std::chrono::steady_clock;
-    const auto suite_start = Clock::now();
-
-    BenchReport report;
-    report.configHash = configsHash(configs);
-    report.jobs = 1; // serial by design: cells must not contend
-    report.repeat = static_cast<unsigned>(repeat);
-    for (AppProfile profile : apps) {
-        if (events_override > 0)
-            profile.numEvents = events_override;
-        const auto workload = SyntheticGenerator(profile).generate();
-        for (const SimConfig &cfg : configs) {
-            BenchCell cell;
-            cell.app = profile.name;
-            cell.config = cfg.name;
-            cell.simEvents = workload->numEvents();
-            cell.instructions = workload->totalInstructions();
-            for (unsigned long rep = 0; rep < repeat; ++rep) {
-                const auto t0 = Clock::now();
-                const SimResult r = Simulator(cfg).run(*workload);
-                const double wall_ms =
-                    std::chrono::duration<double, std::milli>(
-                        Clock::now() - t0)
-                        .count();
-                cell.simCycles = r.cycles;
-                // Best-of-N: the minimum is the least noisy estimate
-                // of the machine's actual throughput.
-                if (rep == 0 || wall_ms < cell.wallMs)
-                    cell.wallMs = wall_ms;
-            }
-            logLine(LogLevel::Info,
-                    "# bench %s/%s: %.1f ms, %.2f Mcycles/s, %.1f "
-                    "kevents/s",
-                    cell.app.c_str(), cell.config.c_str(), cell.wallMs,
-                    cell.cyclesPerSec() / 1e6,
-                    cell.eventsPerSec() / 1e3);
-            report.cells.push_back(std::move(cell));
-        }
-    }
-    report.suiteWallMs = std::chrono::duration<double, std::milli>(
-                             Clock::now() - suite_start)
-                             .count();
-    report.peakRssMb = peakRssMb();
-
-    std::string path = std::string("BENCH_") + versionString() + ".json";
-    if (auto it = flags.find("out"); it != flags.end())
-        path = it->second;
-    ArtifactManifest manifest;
-    manifest.source = "espsim bench";
-    if (!writeTextFile(path, renderBenchArtifactJson(manifest, report))) {
-        logLine(LogLevel::Error, "cannot write '%s'", path.c_str());
-        return 1;
-    }
-    logLine(LogLevel::Info,
-            "# wrote %s (%zu cells, suite wall %.0f ms, peak RSS %.1f "
-            "MiB)",
-            path.c_str(), report.cells.size(), report.suiteWallMs,
-            report.peakRssMb);
-    return 0;
-}
-
 int
 cmdGen(const std::map<std::string, std::string> &flags)
 {
@@ -1002,72 +875,6 @@ cmdFuzz(const std::map<std::string, std::string> &flags)
     return runFuzz(opts);
 }
 
-/**
- * `espsim report` — the cross-run observatory. Ingests a directory of
- * espsim artifacts (plus, optionally, the committed bench baselines),
- * joins them by config hash, and prints the perf trajectory with
- * regression flags. Exit 0 when clean, 1 when any trend regressed
- * beyond tolerance.
- */
-int
-cmdReport(const std::map<std::string, std::string> &flags)
-{
-    std::vector<std::string> dirs;
-    if (auto it = flags.find("dir"); it != flags.end() &&
-        it->second != "1")
-        dirs.push_back(it->second);
-    else
-        dirs.push_back(".");
-    if (auto it = flags.find("bench"); it != flags.end() &&
-        it->second != "1")
-        dirs.push_back(it->second);
-    double tolerance = 0.10;
-    if (auto it = flags.find("tolerance"); it != flags.end())
-        tolerance = parseDoubleOption(it->second, "tolerance");
-
-    const ObservatoryReport report =
-        buildObservatoryReport(dirs, tolerance);
-    const std::string markdown = renderObservatoryMarkdown(report);
-
-    auto artifactPath = [&flags](const char *key,
-                                 const char *def) -> std::string {
-        auto it = flags.find(key);
-        if (it == flags.end())
-            return "";
-        return it->second == "1" ? def : it->second;
-    };
-    if (const std::string path =
-            artifactPath("md", "espsim_observatory.md");
-        !path.empty()) {
-        if (!writeTextFile(path, markdown)) {
-            logLine(LogLevel::Error, "cannot write '%s'",
-                    path.c_str());
-            return 1;
-        }
-        logLine(LogLevel::Info, "# wrote %s", path.c_str());
-    } else {
-        std::fputs(markdown.c_str(), stdout);
-    }
-    if (const std::string path =
-            artifactPath("json", "espsim_observatory.json");
-        !path.empty()) {
-        if (!writeTextFile(path, renderObservatoryJson(report))) {
-            logLine(LogLevel::Error, "cannot write '%s'",
-                    path.c_str());
-            return 1;
-        }
-        logLine(LogLevel::Info, "# wrote %s", path.c_str());
-    }
-    if (report.regressions > 0) {
-        logLine(LogLevel::Warn,
-                "# observatory: %zu trend(s) regressed beyond "
-                "%.0f%% tolerance",
-                report.regressions, tolerance * 100);
-        return 1;
-    }
-    return 0;
-}
-
 } // namespace
 
 int
@@ -1100,8 +907,11 @@ main(int argc, char **argv)
     if (cmd == "diff")
         return cmdDiff(argc, argv);
     const auto known = commandFlags().find(cmd);
-    if (known == commandFlags().end())
-        return usage();
+    if (known == commandFlags().end()) {
+        logLine(LogLevel::Error, "unknown command '%s'", cmd.c_str());
+        usage();
+        return 2;
+    }
     const auto flags = parseFlags(argc, argv, 2);
     for (const auto &[key, value] : flags) {
         (void)value;
@@ -1120,10 +930,6 @@ main(int argc, char **argv)
         return cmdSuite(flags);
     if (cmd == "serve")
         return cmdServe(flags);
-    if (cmd == "bench")
-        return cmdBench(flags);
-    if (cmd == "report")
-        return cmdReport(flags);
     if (cmd == "gen")
         return cmdGen(flags);
     if (cmd == "fuzz")

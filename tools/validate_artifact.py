@@ -5,8 +5,9 @@ Checks the schema of the JSON artifacts the simulator's binaries
 write — suite artifacts (espsim suite / figure binaries --json), table
 artifacts (descriptive figures --json), Chrome-trace timelines
 (espsim run --timeline), interval series (espsim run --sample-cycles
---json), and bench artifacts (espsim bench). Standard library only,
-so it runs anywhere the repo builds.
+--json), serve latency and span artifacts (espsim serve --json /
+--trace-spans). Standard library only, so it runs anywhere the repo
+builds.
 
 Interval series are checked semantically, not just structurally: for
 every counter, baseline + sum(interval deltas) must equal the final
@@ -32,11 +33,9 @@ import sys
 SUITE_SCHEMA = "espsim-suite-artifact"
 TABLE_SCHEMA = "espsim-table-artifact"
 INTERVAL_SCHEMA = "espsim-interval-series"
-BENCH_SCHEMA = "espsim-bench-artifact"
 LATENCY_SCHEMA = "espsim-latency-artifact"
 SPAN_SCHEMA = "espsim-span-artifact"
 TELEMETRY_SCHEMA = "espsim-telemetry-stream"
-OBSERVATORY_SCHEMA = "espsim-observatory-report"
 SUPPORTED_FORMAT_VERSIONS = {1}
 
 
@@ -265,42 +264,6 @@ def validate_interval_series(doc, problems):
                 and last.get("end_cycle") != final["cycle"]):
             _fail(problems,
                   "last interval end_cycle != final.cycle")
-    return problems
-
-
-def validate_bench(doc, problems):
-    _check_manifest(doc, problems, want_hash=True)
-    manifest = doc.get("manifest", {})
-    for key in ("jobs", "repeat"):
-        value = manifest.get(key)
-        if not isinstance(value, int) or value < 1:
-            _fail(problems,
-                  f"manifest.{key} is not a positive integer")
-    for key in ("suite_wall_ms", "peak_rss_mb"):
-        value = doc.get(key)
-        if not isinstance(value, (int, float)) or value < 0:
-            _fail(problems, f"{key} is not a non-negative number")
-    cells = doc.get("cells")
-    if not isinstance(cells, list) or not cells:
-        return _fail(problems, "cells missing or empty")
-    for i, cell in enumerate(cells):
-        where = f"cells[{i}]"
-        if not isinstance(cell, dict):
-            _fail(problems, f"{where} is not an object")
-            continue
-        for key in ("app", "config"):
-            if not isinstance(cell.get(key), str) or not cell[key]:
-                _fail(problems, f"{where}.{key} missing or empty")
-        for key in ("sim_cycles", "sim_events", "instructions"):
-            value = cell.get(key)
-            if not isinstance(value, int) or value < 0:
-                _fail(problems,
-                      f"{where}.{key} is not a non-negative integer")
-        for key in ("wall_ms", "cycles_per_sec", "events_per_sec"):
-            value = cell.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                _fail(problems,
-                      f"{where}.{key} is not a non-negative number")
     return problems
 
 
@@ -719,103 +682,6 @@ def validate_telemetry_stream(path):
     return problems
 
 
-def validate_observatory(doc, problems):
-    """`espsim report` cross-run report."""
-    manifest = doc.get("manifest")
-    if not isinstance(manifest, dict):
-        return _fail(problems, "missing manifest object")
-    if not isinstance(manifest.get("source"), str) \
-            or not manifest.get("source"):
-        _fail(problems, "manifest.source missing or empty")
-    tolerance = manifest.get("tolerance")
-    if not isinstance(tolerance, (int, float)) or tolerance < 0:
-        _fail(problems,
-              "manifest.tolerance is not a non-negative number")
-    runs = doc.get("runs")
-    if not isinstance(runs, list) or not runs:
-        return _fail(problems, "runs missing or empty")
-    for i, run in enumerate(runs):
-        where = f"runs[{i}]"
-        if not isinstance(run, dict):
-            _fail(problems, f"{where} is not an object")
-            continue
-        for key in ("path", "schema"):
-            if not isinstance(run.get(key), str) or not run[key]:
-                _fail(problems, f"{where}.{key} missing or empty")
-        if not isinstance(run.get("degraded"), bool):
-            _fail(problems, f"{where}.degraded is not a boolean")
-        metrics = run.get("metrics")
-        if not isinstance(metrics, dict):
-            _fail(problems, f"{where}.metrics missing")
-        elif not all(isinstance(v, (int, float))
-                     for v in metrics.values()):
-            _fail(problems, f"{where}.metrics not all numeric")
-    groups = doc.get("groups")
-    if not isinstance(groups, list):
-        return _fail(problems, "groups missing")
-    flagged = 0
-    for i, group in enumerate(groups):
-        where = f"groups[{i}]"
-        if not isinstance(group, dict):
-            _fail(problems, f"{where} is not an object")
-            continue
-        if not isinstance(group.get("schema"), str):
-            _fail(problems, f"{where}.schema missing")
-        member_paths = group.get("runs")
-        if not isinstance(member_paths, list) or not member_paths:
-            _fail(problems, f"{where}.runs missing or empty")
-            member_paths = []
-        for ref in member_paths:
-            # Members are referenced by runs[] index.
-            if not isinstance(ref, int) or not 0 <= ref < len(runs):
-                _fail(problems, f"{where}.runs index {ref!r} out of range")
-        trends = group.get("trends")
-        if not isinstance(trends, list):
-            _fail(problems, f"{where}.trends missing or not a list")
-            trends = []
-        if len(member_paths) < 2 and trends:
-            _fail(problems,
-                  f"{where}: trends present with fewer than 2 runs")
-        for j, trend in enumerate(trends):
-            tw = f"{where}.trends[{j}]"
-            if not isinstance(trend, dict):
-                _fail(problems, f"{tw} is not an object")
-                continue
-            if not isinstance(trend.get("metric"), str) \
-                    or not trend.get("metric"):
-                _fail(problems, f"{tw}.metric missing or empty")
-            for key in ("first", "last", "rel_change"):
-                if not isinstance(trend.get(key), (int, float)):
-                    _fail(problems, f"{tw}.{key} is not a number")
-            for key in ("higher_is_better", "regressed"):
-                if not isinstance(trend.get(key), bool):
-                    _fail(problems, f"{tw}.{key} is not a boolean")
-            flagged += trend.get("regressed") is True
-            # Replay the regression rule offline: the flag must
-            # follow from rel_change, direction and tolerance.
-            rel = trend.get("rel_change")
-            if (isinstance(rel, (int, float))
-                    and isinstance(tolerance, (int, float))
-                    and isinstance(trend.get("higher_is_better"),
-                                   bool)
-                    and isinstance(trend.get("regressed"), bool)):
-                bad = -rel if trend["higher_is_better"] else rel
-                if trend["regressed"] != (bad > tolerance):
-                    _fail(problems,
-                          f"{tw}.regressed inconsistent with "
-                          "rel_change and tolerance")
-    regressions = doc.get("regressions")
-    if not isinstance(regressions, int) or regressions < 0:
-        _fail(problems,
-              "regressions is not a non-negative integer")
-    elif regressions != flagged:
-        _fail(problems, f"regressions is {regressions} but "
-                        f"{flagged} trend(s) are flagged")
-    if not isinstance(doc.get("skipped"), list):
-        _fail(problems, "skipped missing or not a list")
-    return problems
-
-
 def validate_timeline(doc, problems):
     events = doc.get("traceEvents")
     if not isinstance(events, list) or not events:
@@ -879,10 +745,8 @@ def validate(path):
         SUITE_SCHEMA: validate_suite,
         TABLE_SCHEMA: validate_table,
         INTERVAL_SCHEMA: validate_interval_series,
-        BENCH_SCHEMA: validate_bench,
         LATENCY_SCHEMA: validate_latency,
         SPAN_SCHEMA: validate_span,
-        OBSERVATORY_SCHEMA: validate_observatory,
     }
     if schema not in handlers:
         return _fail(problems, f"unknown schema {schema!r}")
