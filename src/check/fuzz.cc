@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "branch/pentium_m.hh"
@@ -11,8 +13,8 @@
 #include "common/rng.hh"
 #include "esp/controller.hh"
 #include "report/artifact.hh"
-#include "report/interval.hh"
 #include "report/json_reader.hh"
+#include "report/telemetry.hh"
 #include "sim/simulator.hh"
 #include "sim/stats_report.hh"
 #include "workload/generator.hh"
@@ -247,64 +249,85 @@ streamingMismatch(const FuzzCase &c,
 }
 
 /**
- * Oracle: interval sampling telescopes. For every counter and any
- * sample period, baseline + Σ interval deltas must equal the final
- * snapshot *exactly* (counters are uint64-backed, exact in a double
- * below 2^53; see src/report/interval.hh), interval end cycles must
- * be monotone, and the trailing interval must land on the final
- * cycle.
+ * Oracle: the counter stream closes. At a random cycle period, the
+ * sampler's telemetry block (captured in memory) must have a
+ * contiguous 1-based seq, monotone cycle, events and counters, and
+ * exactly one final line, the last; the final values must equal the
+ * run's end-of-run stats *exactly* (counters are uint64-backed, exact
+ * in a double below 2^53).
  */
 std::string
-intervalClosureMismatch(const FuzzCase &c, const Workload &workload)
+counterStreamMismatch(const FuzzCase &c, const Workload &workload)
 {
-    // Periods from a case-derived stream: short cycle periods and
-    // tiny event periods stress the grid-advance logic hardest.
+    // Periods from a case-derived stream: short ones stress the
+    // grid-advance logic hardest.
     Rng rng(c.caseSeed ^ 0x1257a15a3713ULL);
+    LiveTelemetry live;
+    live.period.cycles = 500 + rng.below(30'000);
+    std::string captured;
+    TelemetryStream stream;
+    stream.captureTo(&captured);
+    live.stream = &stream;
     RunInstrumentation inst;
-    if (rng.chance(0.5))
-        inst.interval.cycles = 500 + rng.below(30'000);
-    if (inst.interval.cycles == 0 || rng.chance(0.5))
-        inst.interval.events = 1 + rng.below(8);
-    IntervalSeries series;
-    inst.intervalSeries = &series;
-    (void)Simulator(c.config).run(workload, inst);
+    inst.telemetry = &live;
+    const SimResult r = Simulator(c.config).run(workload, inst);
 
-    if (series.names.size() != series.baseline.size() ||
-        series.names.size() != series.finalValues.size())
-        return "series name/value widths disagree";
-    std::vector<double> acc = series.baseline;
-    Cycle prev_cycle = series.baselineCycle;
-    std::uint64_t prev_events = series.baselineEvents;
-    for (const IntervalPoint &point : series.intervals) {
-        if (point.endCycle < prev_cycle)
-            return "interval end cycles are not monotone";
-        if (point.endEvents < prev_events)
-            return "interval end events are not monotone";
-        prev_cycle = point.endCycle;
-        prev_events = point.endEvents;
-        if (point.deltas.size() != acc.size())
-            return "interval delta width != names width";
-        for (std::size_t i = 0; i < acc.size(); ++i)
-            acc[i] += point.deltas[i];
+    const std::string period =
+        " (period " + std::to_string(live.period.cycles) + " cycles)";
+    std::vector<std::string> names;
+    std::vector<double> prev; // counters start at zero
+    double prev_cycle = 0;
+    double prev_events = 0;
+    double seq = 0;
+    bool closed = false;
+    const std::string_view text(captured);
+    for (std::size_t start = 0; start < text.size();) {
+        const std::size_t end = text.find('\n', start);
+        const auto doc = parseJson(text.substr(start, end - start));
+        start = end == std::string_view::npos ? text.size() : end + 1;
+        if (!doc)
+            return "unparseable stream line" + period;
+        if (names.empty()) {
+            const JsonValue *header = doc->find("names");
+            if (header == nullptr || header->array.empty())
+                return "block header lacks counter names";
+            for (const JsonValue &name : header->array)
+                names.push_back(name.string);
+            prev.assign(names.size(), 0.0);
+            continue;
+        }
+        if (closed)
+            return "snapshot after the final line" + period;
+        const JsonValue *values = doc->find("values");
+        if (values == nullptr || values->array.size() != names.size())
+            return "snapshot width != names width" + period;
+        if (doc->at("seq").number != ++seq)
+            return "seq is not contiguous" + period;
+        const double cycle = doc->at("cycle").number;
+        const double events = doc->at("events").number;
+        if (cycle < prev_cycle || events < prev_events)
+            return "cycle or events decreased" + period;
+        prev_cycle = cycle;
+        prev_events = events;
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            if (values->array[i].number < prev[i])
+                return names[i] + " decreased" + period;
+            prev[i] = values->array[i].number;
+        }
+        closed = doc->find("final") != nullptr;
     }
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-        if (acc[i] != series.finalValues[i]) {
+    if (!closed)
+        return "the block has no final line" + period;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        if (!r.stats.has(names[i]) || prev[i] != r.stats.get(names[i])) {
             char buf[192];
             std::snprintf(buf, sizeof(buf),
-                          "%s: baseline+deltas %.17g != final %.17g "
-                          "(period %llu cycles / %llu events)",
-                          series.names[i].c_str(), acc[i],
-                          series.finalValues[i],
-                          static_cast<ULL>(
-                              inst.interval.cycles),
-                          static_cast<ULL>(
-                              inst.interval.events));
-            return buf;
+                          "%s: final line %.17g != end-of-run %.17g",
+                          names[i].c_str(), prev[i],
+                          r.stats.get(names[i]));
+            return buf + period;
         }
     }
-    if (!series.intervals.empty() &&
-        series.intervals.back().endCycle != series.finalCycle)
-        return "trailing interval does not land on the final cycle";
     return {};
 }
 
@@ -451,10 +474,10 @@ checkFuzzCase(const FuzzCase &c)
         return {"streaming-equivalence", std::move(m)};
     }
 
-    // Oracle: interval deltas telescope at any sample period.
-    if (std::string m = intervalClosureMismatch(c, *workload);
+    // Oracle: the counter stream closes at any cycle period.
+    if (std::string m = counterStreamMismatch(c, *workload);
         !m.empty()) {
-        return {"interval-delta-closure", std::move(m)};
+        return {"counter-stream-closure", std::move(m)};
     }
 
     return {};

@@ -16,9 +16,10 @@
  *                            produce bit-identical stat snapshots
  *   - artifact-roundtrip:    the suite JSON artifact re-parses and
  *                            reproduces every stat value exactly
- *   - interval-delta-closure: at any sample period, the interval
- *                            sampler's deltas telescope — baseline +
- *                            Σ deltas == final counter snapshot
+ *   - counter-stream-closure: at any cycle period, the telemetry
+ *                            stream has contiguous seq, monotone
+ *                            counters, one final line, and final
+ *                            values == the end-of-run stats
  *
  * On a violation the harness shrinks the profile to a minimal
  * still-failing point and prints a one-line repro command; see

@@ -427,7 +427,7 @@ OoOCore::run(const Workload &workload)
         pendingSpecCycles_ = 0;
         ++stats_.events;
         // Keep the cycles counter live at retire boundaries so a
-        // mid-run counter snapshot (interval sampling) is consistent
+        // mid-run counter snapshot (the telemetry stream) is consistent
         // with the rest of the stat surface.
         stats_.cycles = fetchCycle_;
         hooks_.onEventEnd(idx, fetchCycle_);

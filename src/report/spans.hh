@@ -14,8 +14,8 @@
  * retired event's span goes to every SpanSink on the core's sink list
  * (OoOCore::addSpanSink), and the core builds no span while the list
  * is empty. Every per-event observer is such a sink: the timeline
- * (report/timeline.hh), the counter sampler behind interval series
- * and live telemetry (report/telemetry.hh), and SpanCollector.
+ * (report/timeline.hh), the counter sampler behind the telemetry
+ * stream (report/telemetry.hh), and SpanCollector.
  * SpanCollector is the standard request-tracing sink: a preallocated
  * flight-recorder ring of the most recent spans, a bounded worst-K
  * table, and an online tail-anomaly detector over a power-of-two

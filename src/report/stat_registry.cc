@@ -63,17 +63,6 @@ StatRegistry::snapshot() const
     return out;
 }
 
-StatGroup
-StatRegistry::counterSnapshot() const
-{
-    StatGroup out;
-    for (const auto &[name, entry] : entries_) {
-        if (entry.kind == StatKind::Counter)
-            out.set(name, entry.getter());
-    }
-    return out;
-}
-
 std::vector<StatRegistry::CounterHandle>
 StatRegistry::counterHandles() const
 {

@@ -36,10 +36,10 @@ namespace espsim
 {
 
 /**
- * What backs a registered stat. Interval sampling only differences
+ * What backs a registered stat. The counter sampler only reads
  * Counter-kind stats: uint64-backed monotone counters difference
- * exactly in double (values stay < 2^53), so per-interval deltas
- * telescope back to the final aggregate with zero error. Gauges can
+ * exactly in double (values stay < 2^53), so the deltas of
+ * consecutive snapshots are exact. Gauges can
  * move both ways, Derived values are ratios of other stats, and
  * Sample expansions are order statistics — none of them difference
  * meaningfully.
@@ -78,13 +78,6 @@ class StatRegistry
     /** Evaluate every registered stat into a flat StatGroup. */
     StatGroup snapshot() const;
 
-    /**
-     * Evaluate only Counter-kind stats (uint64-backed monotone
-     * counters). This is the interval-sampling surface: deltas of
-     * these values are exact and sum to the final aggregate.
-     */
-    StatGroup counterSnapshot() const;
-
     /** An interned Counter-kind stat: its name and a copy of its
      *  getter. */
     struct CounterHandle
@@ -95,10 +88,9 @@ class StatRegistry
 
     /**
      * Intern the Counter-kind stats: resolve each name to its getter
-     * once, in name order. Interval sampling holds these handles and
+     * once, in name order. The counter sampler holds these handles and
      * re-reads values with plain calls — no per-sample string-map
-     * construction or lookups (the snapshot surface above is
-     * unchanged).
+     * construction or lookups.
      */
     std::vector<CounterHandle> counterHandles() const;
 

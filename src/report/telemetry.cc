@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "report/json_writer.hh"
+#include "report/timeline.hh"
 
 namespace espsim
 {
@@ -126,8 +127,12 @@ TelemetryStream::close()
 // --------------------------------------------------------------------
 
 CounterSampler::CounterSampler(const StatRegistry &reg,
-                               SamplePeriod period)
-    : period_(period)
+                               LiveTelemetry &live,
+                               const std::string &config,
+                               const std::string &workload,
+                               const std::string &configHash,
+                               EventTimeline *timeline)
+    : live_(live), period_(live.period), timeline_(timeline)
 {
     // Freeze the counter name set now: stats registered after the run
     // (handler breakdown, derived metrics) never appear, so every
@@ -138,25 +143,13 @@ CounterSampler::CounterSampler(const StatRegistry &reg,
         names_.push_back(std::move(h.name));
         getters_.push_back(std::move(h.getter));
     }
-    baseline_.reserve(getters_.size());
-    for (const StatRegistry::Getter &getter : getters_)
-        baseline_.push_back(getter());
     snap_.values.resize(getters_.size(), 0.0);
     nextCycle_ = period_.cycles;
-    nextEvents_ = period_.events;
     lastWall_ = std::chrono::steady_clock::now();
-}
-
-CounterSampler::CounterSampler(const StatRegistry &reg,
-                               LiveTelemetry &live,
-                               const std::string &config,
-                               const std::string &workload,
-                               const std::string &configHash)
-    : CounterSampler(reg, live.period)
-{
-    live_ = &live;
     stallArmed_ = stallInjectRequested(&stallEvent_, &stallMs_);
     writeHeader(config, workload, configHash);
+    if (timeline_ != nullptr)
+        timeline_->beginCounterSeries(names_);
 }
 
 void
@@ -164,7 +157,7 @@ CounterSampler::writeHeader(const std::string &config,
                             const std::string &workload,
                             const std::string &configHash)
 {
-    if (live_->stream == nullptr)
+    if (live_.stream == nullptr)
         return;
     JsonWriter w;
     w.beginObject();
@@ -182,27 +175,24 @@ CounterSampler::writeHeader(const std::string &config,
         w.value(name);
     w.endArray();
     w.endObject();
-    live_->stream->writeLine(w.drain());
+    live_.stream->writeLine(w.drain());
 }
 
 void
 CounterSampler::sample(Cycle now, std::uint64_t events_retired,
                        bool final_)
 {
-    ++seq_;
-    snap_.seq = seq_;
+    ++snap_.seq;
     snap_.cycle = now;
     snap_.events = events_retired;
     snap_.isFinal = final_;
     for (std::size_t i = 0; i < getters_.size(); ++i)
         snap_.values[i] = getters_[i]();
-    if (live_ == nullptr) {
-        kept_.push_back(snap_);
-        return;
-    }
-    ++live_->snapshots;
-    if (live_->stream != nullptr)
-        live_->stream->writeLine(renderSnapshotLine(snap_));
+    ++live_.snapshots;
+    if (live_.stream != nullptr)
+        live_.stream->writeLine(renderSnapshotLine(snap_));
+    if (timeline_ != nullptr)
+        timeline_->onCounterSnapshot(snap_);
 }
 
 void
@@ -212,8 +202,7 @@ CounterSampler::onSpan(const RequestSpan &span)
         return;
     const std::uint64_t events_retired = span.index + 1;
     const Cycle now = span.retire;
-    if (live_ != nullptr)
-        live_->progress.fetch_add(1, std::memory_order_relaxed);
+    live_.progress.fetch_add(1, std::memory_order_relaxed);
     if (stallArmed_ && events_retired == stallEvent_) {
         // One-shot injected wedge: hold the retire boundary long
         // enough for the watchdog to notice no progress.
@@ -221,8 +210,7 @@ CounterSampler::onSpan(const RequestSpan &span)
         std::this_thread::sleep_for(
             std::chrono::milliseconds(stallMs_));
     }
-    bool due = (period_.cycles > 0 && now >= nextCycle_) ||
-        (period_.events > 0 && events_retired >= nextEvents_);
+    bool due = period_.cycles > 0 && now >= nextCycle_;
     if (period_.wallMs > 0 && !due) {
         // The steady_clock read costs far more than a retire; check
         // it only every 64 retires. Worst-case staleness at serve
@@ -242,12 +230,10 @@ CounterSampler::onSpan(const RequestSpan &span)
     }
     if (!due)
         return;
-    // Re-anchor each grid past the point reached, so an event that
+    // Re-anchor the grid past the point reached, so an event that
     // spans several periods yields one (larger) interval instead of a
     // burst of stale samples.
     nextCycle_ = nextGridPoint(nextCycle_, now, period_.cycles);
-    nextEvents_ =
-        nextGridPoint(nextEvents_, events_retired, period_.events);
     sample(now, events_retired, /*final_=*/false);
 }
 

@@ -4,21 +4,21 @@
  *
  * Artifacts, spans and flight-recorder dumps land after the run ends.
  * Phase plots and a multi-minute `espsim serve` run streaming
- * millions of events need counters *during* the run. This header
- * provides that in three pieces:
+ * millions of events need counters *during* the run. The telemetry
+ * stream is the one counter time series, in three pieces:
  *
  *  - **CounterSampler** — the one counter sampler. It freezes the
- *    StatRegistry's counter names at construction and, as a span sink
- *    of the core, takes *absolute* counter snapshots at event-retire
- *    boundaries (the only points where the stat surface is
- *    consistent): whenever a cycle, event or wall-clock grid point was
- *    crossed, and always once more at finalize. Counters are monotone
- *    across snapshots, and the final snapshot equals the end-of-run
- *    registry values exactly (uint64 counters are exact in double
- *    below 2^53). An in-memory sampler keeps its snapshots; the
- *    interval series (report/interval.hh) is their differences. A
- *    live sampler instead streams each snapshot as a versioned
- *    JSON line through a TelemetryStream.
+ *    StatRegistry's counter names at construction (every counter is
+ *    zero then) and, as a span sink of the core, takes *absolute*
+ *    counter snapshots at event-retire boundaries (the only points
+ *    where the stat surface is consistent): whenever a cycle or
+ *    wall-clock grid point was crossed, and always once more at
+ *    finalize. Counters are monotone across snapshots, and the final
+ *    snapshot equals the end-of-run registry values exactly (uint64
+ *    counters are exact in double below 2^53). Each snapshot is
+ *    streamed as a versioned JSON line through a TelemetryStream,
+ *    and handed to the run's timeline (if any), which draws its
+ *    interval counter tracks from consecutive snapshots.
  *
  *  - **TelemetryStream** — a JSON-lines sink (file or in-memory for
  *    tests). One stream may carry several run blocks (a serve sweep
@@ -38,7 +38,7 @@
  * path changes and every artifact stays byte-identical; with it on,
  * the run's *artifacts* are still byte-identical (samplers only read
  * counters), and the snapshots themselves are deterministic when
- * paced purely by cycles or events (wall-clock pacing trades
+ * paced purely by cycles (wall-clock pacing trades
  * determinism for a fixed real-time cadence, which is the point of a
  * live feed).
  *
@@ -65,6 +65,8 @@
 namespace espsim
 {
 
+class EventTimeline;
+
 /** Version of the telemetry-stream schema this build writes. */
 constexpr std::uint32_t telemetryStreamFormatVersion = 1;
 
@@ -73,16 +75,10 @@ struct SamplePeriod
 {
     /** Snapshot when ≥ this many simulated cycles passed. */
     Cycle cycles = 0;
-    /** Snapshot when ≥ this many events retired. */
-    std::uint64_t events = 0;
     /** Snapshot when ≥ this many wall-clock ms passed. */
     double wallMs = 0;
 
-    bool
-    enabled() const
-    {
-        return cycles > 0 || events > 0 || wallMs > 0;
-    }
+    bool enabled() const { return cycles > 0 || wallMs > 0; }
 };
 
 /** One absolute counter readout (aligned with the run's name set). */
@@ -133,7 +129,7 @@ class TelemetryStream
 };
 
 /**
- * What a live CounterSampler reports into. The sampler runs on the
+ * What a CounterSampler reports into. The sampler runs on the
  * simulation thread; only `progress` is read from another thread.
  */
 struct LiveTelemetry
@@ -155,27 +151,25 @@ struct LiveTelemetry
 
 /**
  * Samples a StatRegistry's counters over one run. Construct after
- * every pre-run counter is registered (the name set and the baseline
- * values freeze now; stats registered after the run never appear),
- * add to the core as a span sink, finalize after the run.
+ * every pre-run counter is registered (the name set freezes now;
+ * stats registered after the run never appear), add to the core as a
+ * span sink, finalize after the run.
  */
 class CounterSampler final : public SpanSink
 {
   public:
-    /** An in-memory sampler: every snapshot is kept (snapshots()). */
-    CounterSampler(const StatRegistry &reg, SamplePeriod period);
-
     /**
-     * A live sampler paced by @p live.period: each snapshot is counted
-     * in @p live and streamed to its stream (if any) instead of being
-     * kept, and every retire bumps its progress. The stream's block
-     * header, naming @p config, @p workload and @p configHash, is
-     * written now.
+     * A sampler paced by @p live.period: each snapshot is counted in
+     * @p live, streamed to its stream (if any) and handed to
+     * @p timeline (if any), and every retire bumps its progress. The
+     * stream's block header, naming @p config, @p workload and
+     * @p configHash, is written now.
      */
     CounterSampler(const StatRegistry &reg, LiveTelemetry &live,
                    const std::string &config,
                    const std::string &workload,
-                   const std::string &configHash);
+                   const std::string &configHash,
+                   EventTimeline *timeline);
 
     /** Snapshot if the retire at span.retire crossed a grid point. */
     void onSpan(const RequestSpan &span) override;
@@ -187,29 +181,14 @@ class CounterSampler final : public SpanSink
      */
     void finalize(Cycle now, std::uint64_t events_retired);
 
-    const SamplePeriod &period() const { return period_; }
-    const std::vector<std::string> &names() const { return names_; }
-    /** Counter values at construction (the pre-run machine). */
-    const std::vector<double> &baseline() const { return baseline_; }
-    /** Kept snapshots in order, the final one last (in-memory only). */
-    const std::vector<TelemetrySnapshot> &snapshots() const
-    {
-        return kept_;
-    }
-    /** Snapshots taken so far, the final one included. */
-    std::uint64_t count() const { return seq_; }
-
   private:
-    SamplePeriod period_;
-    LiveTelemetry *live_ = nullptr; //!< nullptr = in-memory sampler
+    LiveTelemetry &live_;
+    const SamplePeriod period_;
+    EventTimeline *timeline_;
     std::vector<std::string> names_;
     std::vector<StatRegistry::Getter> getters_;
-    std::vector<double> baseline_;
     TelemetrySnapshot snap_; //!< reused for every snapshot
-    std::vector<TelemetrySnapshot> kept_;
-    std::uint64_t seq_ = 0;
     Cycle nextCycle_ = 0;
-    std::uint64_t nextEvents_ = 0;
     std::chrono::steady_clock::time_point lastWall_;
     unsigned sinceWallCheck_ = 0;
     bool finalized_ = false;

@@ -1,10 +1,12 @@
 #include "report/timeline.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 
 #include "common/logging.hh"
 #include "report/json_writer.hh"
+#include "report/telemetry.hh"
 
 namespace espsim
 {
@@ -103,16 +105,6 @@ EventTimeline::recordEspWindow(unsigned depth,
 }
 
 void
-EventTimeline::recordIntervalCounters(
-    Cycle ts, std::vector<std::pair<std::string, double>> values)
-{
-    CounterSample sample;
-    sample.ts = ts;
-    sample.values = std::move(values);
-    counters_.push_back(std::move(sample));
-}
-
-void
 EventTimeline::setRunInfo(const std::string &config_name,
                           const std::string &workload_name)
 {
@@ -163,6 +155,18 @@ sliceCommon(JsonWriter &w, const char *cat, Cycle ts, Cycle dur,
     w.key("tid").value(tid);
 }
 
+constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+/** Position of @p name in sorted @p names, or npos. */
+std::size_t
+indexOf(const std::vector<std::string> &names, const char *name)
+{
+    const auto it = std::lower_bound(names.begin(), names.end(), name);
+    if (it == names.end() || *it != name)
+        return npos;
+    return static_cast<std::size_t>(it - names.begin());
+}
+
 /** The span's cycle buckets as a {name: cycles} object. */
 void
 bucketArgs(JsonWriter &w, const RequestSpan &span)
@@ -176,6 +180,52 @@ bucketArgs(JsonWriter &w, const RequestSpan &span)
 }
 
 } // namespace
+
+void
+EventTimeline::beginCounterSeries(const std::vector<std::string> &names)
+{
+    counterIdx_ = {indexOf(names, "core.cycles"),
+                   indexOf(names, "core.instructions"),
+                   indexOf(names, "mem.l1i.misses"),
+                   indexOf(names, "mem.l1d.accesses"),
+                   indexOf(names, "mem.l1d.misses"),
+                   indexOf(names, "core.cycle_bucket.esp_pre_exec")};
+    prevCounters_.assign(names.size(), 0.0);
+}
+
+void
+EventTimeline::onCounterSnapshot(const TelemetrySnapshot &snap)
+{
+    if (snap.isFinal && snap.values == prevCounters_)
+        return;
+    const auto delta = [&](std::size_t idx) {
+        return idx == npos ? 0.0 : snap.values[idx] - prevCounters_[idx];
+    };
+    const CounterIndex &ix = counterIdx_;
+    const double cycles = delta(ix.cycles);
+    const double instrs = delta(ix.instrs);
+    const double l1d_accesses = delta(ix.l1dAccesses);
+    CounterSample sample;
+    sample.ts = snap.cycle;
+    if (cycles > 0) {
+        sample.values.emplace_back("interval.ipc", instrs / cycles);
+        if (ix.espCycles != npos) {
+            sample.values.emplace_back("interval.esp_occupancy",
+                                       delta(ix.espCycles) / cycles);
+        }
+    }
+    if (instrs > 0 && ix.l1iMisses != npos) {
+        sample.values.emplace_back(
+            "interval.l1i_mpki", delta(ix.l1iMisses) / (instrs / 1000.0));
+    }
+    if (l1d_accesses > 0 && ix.l1dMisses != npos) {
+        sample.values.emplace_back("interval.l1d_miss_rate",
+                                   delta(ix.l1dMisses) / l1d_accesses);
+    }
+    if (!sample.values.empty())
+        counters_.push_back(std::move(sample));
+    prevCounters_ = snap.values;
+}
 
 void
 EventTimeline::renderHeader(JsonWriter &w) const

@@ -33,10 +33,12 @@
  *    dropped (and counted) instead of silently ballooning RSS, with a
  *    warning to stderr when the trace is finalized.
  *
- * After the run, the finished interval series (report/interval.hh) can
- * append counter tracks — recordIntervalCounters() samples land on
- * their own trace row so IPC/miss-rate phases line up visually with
- * the event slices.
+ * A run with both a timeline and a counter sampler
+ * (report/telemetry.hh) also gets interval counter tracks: the
+ * sampler hands each absolute counter snapshot to onCounterSnapshot(),
+ * which derives IPC, L1-I MPKI, L1-D miss rate and ESP occupancy from
+ * the difference to the previous snapshot. They land on their own
+ * trace row so phases line up visually with the event slices.
  *
  * The recorder costs nothing when absent: the core builds no span
  * while its sink list is empty, and the stall and ESP-window calls sit
@@ -59,6 +61,7 @@ namespace espsim
 {
 
 class JsonWriter;
+struct TelemetrySnapshot;
 
 /** Trace format version written into the exported file. */
 constexpr std::uint32_t timelineFormatVersion = 1;
@@ -104,13 +107,22 @@ class EventTimeline final : public SpanSink
                          Cycle start, Cycle dur);
 
     /**
-     * One interval-sampling counter snapshot at cycle @p ts: each
-     * (metric, value) pair becomes a point on its own counter track.
-     * Samples are buffered (they are tiny) and emitted after the
-     * event slices in both buffered and streaming modes.
+     * Start a counter series over @p names (the sampler's frozen,
+     * sorted counter names). Every counter is zero when the sampler
+     * is constructed, so the first interval is measured from zero.
      */
-    void recordIntervalCounters(
-        Cycle ts, std::vector<std::pair<std::string, double>> values);
+    void beginCounterSeries(const std::vector<std::string> &names);
+
+    /**
+     * One absolute counter snapshot of the series: the interval since
+     * the previous snapshot becomes one point per derived metric
+     * (`interval.ipc`, `interval.esp_occupancy`, `interval.l1i_mpki`,
+     * `interval.l1d_miss_rate`) at the snapshot's cycle. A final
+     * snapshot equal to the previous one adds no interval. Points are
+     * buffered (they are tiny) and emitted after the event slices in
+     * both buffered and streaming modes.
+     */
+    void onCounterSnapshot(const TelemetrySnapshot &snap);
 
     /** Run metadata stamped into the trace header. */
     void setRunInfo(const std::string &config_name,
@@ -197,7 +209,15 @@ class EventTimeline final : public SpanSink
     struct CounterSample
     {
         Cycle ts = 0;
-        std::vector<std::pair<std::string, double>> values;
+        std::vector<std::pair<const char *, double>> values;
+    };
+
+    /** Series positions of the counters the interval tracks read
+     *  (npos = not in this run's name set). */
+    struct CounterIndex
+    {
+        std::size_t cycles, instrs, l1iMisses, l1dAccesses, l1dMisses,
+            espCycles;
     };
 
     /** The event in flight: its index (one past the last span's) and
@@ -207,6 +227,8 @@ class EventTimeline final : public SpanSink
     std::vector<StallSpan> stalls_;
     std::vector<EspSpan> windows_;
     std::vector<CounterSample> counters_;
+    CounterIndex counterIdx_{};
+    std::vector<double> prevCounters_; //!< the series' last snapshot
     std::string configName_;
     std::string workloadName_;
     std::string traceKind_;

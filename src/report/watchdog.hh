@@ -9,7 +9,7 @@
  *
  * The watchdog is a background thread watching a relaxed-atomic
  * retire-progress counter (LiveTelemetry::progress, bumped by the
- * live CounterSampler). When the counter has not moved for at least
+ * CounterSampler). When the counter has not moved for at least
  * the configured budget it fires **exactly once**:
  *
  *   1. latches its degraded state (a reason string with the stall

@@ -196,4 +196,21 @@ SimConfig::espWorkingSetStudy(unsigned depth)
     return c;
 }
 
+const std::map<std::string, std::function<SimConfig()>> &
+namedConfigs()
+{
+    static const std::map<std::string, std::function<SimConfig()>> reg{
+        {"base", [] { return SimConfig::baseline(); }},
+        {"NL", [] { return SimConfig::nextLine(); }},
+        {"NL+S", [] { return SimConfig::nextLineStride(); }},
+        {"Runahead", [] { return SimConfig::runaheadExec(false); }},
+        {"Runahead+NL", [] { return SimConfig::runaheadExec(true); }},
+        {"ESP", [] { return SimConfig::espFull(false); }},
+        {"ESP+NL", [] { return SimConfig::espFull(true); }},
+        {"NaiveESP+NL", [] { return SimConfig::espNaive(true); }},
+        {"perfect", [] { return SimConfig::perfect(true, true, true); }},
+    };
+    return reg;
+}
+
 } // namespace espsim

@@ -10,6 +10,8 @@
 #ifndef ESPSIM_SIM_SIM_CONFIG_HH
 #define ESPSIM_SIM_SIM_CONFIG_HH
 
+#include <functional>
+#include <map>
 #include <string>
 
 #include "branch/pentium_m.hh"
@@ -92,6 +94,9 @@ struct SimConfig
     /** Figure 13 instrumentation: deep jump-ahead working-set study. */
     static SimConfig espWorkingSetStudy(unsigned depth);
 };
+
+/** The named design points `espsim` runs (`espsim list`), by name. */
+const std::map<std::string, std::function<SimConfig()>> &namedConfigs();
 
 } // namespace espsim
 

@@ -106,26 +106,20 @@ Simulator::run(const Workload &workload,
     if (inst.pacer)
         core.setPacer(inst.pacer);
 
-    // Counter samplers: constructed after every pre-run counter is
+    // The counter sampler: constructed after every pre-run counter is
     // registered (the name set freezes now; the post-run
-    // handler/derived registrations never enter a snapshot). The
-    // in-memory sampler keeps its snapshots for the interval series;
-    // the live one streams them. The live one is attached after the
-    // span sink, so an event's spans are delivered before its
-    // progress bump reaches the stall watchdog.
+    // handler/derived registrations never enter a snapshot). It is
+    // attached after the span sink, so an event's spans are delivered
+    // before its progress bump reaches the stall watchdog.
     std::unique_ptr<CounterSampler> sampler;
-    if (inst.interval.enabled()) {
-        sampler = std::make_unique<CounterSampler>(reg, inst.interval);
-        core.addSpanSink(sampler.get());
-    }
-    std::unique_ptr<CounterSampler> telemetry;
     if (inst.telemetry != nullptr) {
-        telemetry = std::make_unique<CounterSampler>(
+        sampler = std::make_unique<CounterSampler>(
             reg, *inst.telemetry, config_.name, workload.name(),
             inst.telemetry->configHash.empty()
                 ? configsHash({config_})
-                : inst.telemetry->configHash);
-        core.addSpanSink(telemetry.get());
+                : inst.telemetry->configHash,
+            timeline);
+        core.addSpanSink(sampler.get());
     }
 
     {
@@ -136,22 +130,10 @@ Simulator::run(const Workload &workload,
         mem.finalizePrefetchLifecycles();
     }
 
-    // The final snapshots follow the lifecycle finalize, so they equal
+    // The final snapshot follows the lifecycle finalize, so it equals
     // the end-of-run registry counter values exactly.
-    if (telemetry)
-        telemetry->finalize(core.stats().cycles, core.stats().events);
-    if (sampler) {
+    if (sampler)
         sampler->finalize(core.stats().cycles, core.stats().events);
-        IntervalSeries series = intervalSeries(*sampler);
-        if (timeline)
-            addIntervalCounterTracks(*timeline, series);
-        if (inst.intervalSeries) {
-            series.configName = config_.name;
-            series.workloadName = workload.name();
-            series.configHash = configsHash({config_});
-            *inst.intervalSeries = std::move(series);
-        }
-    }
 
     WallClockSpan report_span(profile ? &profile->reportMs : nullptr);
 

@@ -15,7 +15,6 @@
 #include "cpu/ooo_core.hh"
 #include "energy/energy_model.hh"
 #include "report/host_profile.hh"
-#include "report/interval.hh"
 #include "report/spans.hh"
 #include "report/telemetry.hh"
 #include "report/timeline.hh"
@@ -78,11 +77,6 @@ struct RunInstrumentation
 {
     /** Per-event timeline recorder (nullptr = off). */
     EventTimeline *timeline = nullptr;
-    /** Interval sampling grid (cycles and/or events); disabled unless
-     *  a period is set. */
-    SamplePeriod interval;
-    /** Receives the sampled series when interval.enabled(). */
-    IntervalSeries *intervalSeries = nullptr;
     /** Receives warmup/sim/report wall-clock spans (nullptr = off). */
     HostCellProfile *hostProfile = nullptr;
     /** Event arrival discipline + latency probe (nullptr = saturated
@@ -91,9 +85,10 @@ struct RunInstrumentation
     /** Per-request span sink (flight recorder / tail blame; nullptr =
      *  off). See report/spans.hh. */
     SpanSink *spans = nullptr;
-    /** Live telemetry: a CounterSampler streams snapshots into it and
-     *  bumps its retire progress (nullptr = off). It may outlive the
-     *  run and serve several. See report/telemetry.hh. */
+    /** Telemetry: a CounterSampler streams snapshots into it, bumps
+     *  its retire progress and, with a timeline, draws the timeline's
+     *  interval counter tracks (nullptr = off). It may outlive the run
+     *  and serve several. See report/telemetry.hh. */
     LiveTelemetry *telemetry = nullptr;
 };
 

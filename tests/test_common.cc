@@ -187,6 +187,36 @@ TEST(SampleStat, RecordAfterQueryStillSorted)
     EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
 }
 
+TEST(SampleStat, PercentileOfEmptyIsZero)
+{
+    const SampleStat s;
+    EXPECT_EQ(s.percentile(95.0), 0.0);
+    EXPECT_EQ(s.max(), 0.0);
+    EXPECT_EQ(s.mean(), 0.0);
+}
+
+TEST(SampleStat, PercentileOfSingleElementIsThatElement)
+{
+    SampleStat s;
+    s.record(42.0);
+    EXPECT_EQ(s.percentile(0.0), 42.0);
+    EXPECT_EQ(s.percentile(50.0), 42.0);
+    EXPECT_EQ(s.percentile(95.0), 42.0);
+    EXPECT_EQ(s.percentile(100.0), 42.0);
+}
+
+TEST(SampleStat, PercentileOfTwoElementsPicksByNearestRank)
+{
+    SampleStat s;
+    s.record(10.0);
+    s.record(20.0);
+    EXPECT_EQ(s.percentile(0.0), 10.0);
+    EXPECT_EQ(s.percentile(100.0), 20.0);
+    EXPECT_EQ(s.percentile(95.0), 20.0);
+    EXPECT_EQ(s.max(), 20.0);
+    EXPECT_EQ(s.mean(), 15.0);
+}
+
 TEST(Means, HarmonicMean)
 {
     EXPECT_DOUBLE_EQ(harmonicMean({1, 1, 1}), 1.0);

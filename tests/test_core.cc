@@ -3,7 +3,8 @@
  * Tests for the OoO core timing model, driven by hand-built traces:
  * width-limited throughput, dependency/load-use issue costs, I-cache
  * miss bubbles, mispredict redirects, MLP overlap through the ROB,
- * looper overhead, and stall-window delivery to the hooks.
+ * looper overhead, stall-window delivery to the hooks, and a dependent
+ * load chain against the miss-latency arithmetic.
  */
 
 #include <gtest/gtest.h>
@@ -341,6 +342,70 @@ TEST(Core, MlpOverlapsIndependentMisses)
     // One miss ~124 cycles; 8 serialised plus the cold code blocks
     // would be well over 1000.
     EXPECT_LT(core.stats().cycles, 800u);
+}
+
+TEST(Core, DependentLoadChainAgainstMissArithmetic)
+{
+    // K loads, each reading its address from the one before (srcA is
+    // the previous dest) and each to a distinct block, run cold (every
+    // load misses the L1-D and the L2, which is the LLC) and warm
+    // (every block already in the L1-D). For a core that waits for
+    // each address, every cold load adds exactly
+    // l1d.hitLatency + l2.hitLatency + memLatency over the warm chain.
+    //
+    // The model disagrees, and this test pins the gap exactly:
+    //  - a load completes res.latency - l1d.hitLatency after dispatch
+    //    + pipelineDepth, so the L1-D hit latency is inside the
+    //    pipeline and a miss adds l2.hitLatency + memLatency;
+    //  - the core tracks no register readiness, so a load issues
+    //    without waiting for the load that produces its address: the
+    //    misses of a chain that fits the LSQ overlap and only the last
+    //    one is exposed.
+    // The cold chain thus costs l2.hitLatency + memLatency over the
+    // warm one for every K up to lsqSize, short of the arithmetic by
+    // K * (l1d + l2 + mem) - (l2 + mem) cycles: 2 cycles at K = 1,
+    // 1862 at K = 16 with the default latencies (2, 21, 101).
+    Fixture f;
+    const Cycle l2 = f.memCfg.l2.hitLatency;
+    const Cycle mem_lat = f.memCfg.memLatency;
+    const Addr code = 0x1000;
+    const Addr data = 0x4000000;
+    for (const std::size_t k : {std::size_t{1}, std::size_t{4},
+                                std::size_t{f.coreCfg.lsqSize}}) {
+        WorkloadBuilder b;
+        b.beginEvent(code);
+        for (std::size_t i = 0; i < k; ++i) {
+            MicroOp op;
+            op.pc = code + 4 * (i % 16);
+            op.setType(OpType::Load);
+            op.memAddr = data + i * blockBytes;
+            op.dest = 5;
+            op.srcA = 5;
+            b.op(op);
+        }
+        const auto chain = b.build("chain");
+        const auto run = [&](bool warm, std::uint64_t *llc_misses) {
+            MemoryHierarchy mem(f.memCfg);
+            mem.accessInstr(code, 0);
+            for (std::size_t i = 0; warm && i < k; ++i)
+                mem.accessData(data + i * blockBytes, false, 0);
+            PentiumMPredictor bp;
+            CoreHooks hooks;
+            OoOCore core(f.coreCfg, mem, bp, f.noPf, hooks);
+            core.run(*chain);
+            *llc_misses = core.stats().llcMissesData;
+            return core.stats().cycles;
+        };
+        std::uint64_t cold_misses = 0;
+        std::uint64_t warm_misses = 0;
+        const Cycle cold = run(false, &cold_misses);
+        const Cycle warm = run(true, &warm_misses);
+        ASSERT_EQ(cold_misses, k);
+        ASSERT_EQ(warm_misses, 0u);
+        // The arithmetic says k * (l1 + l2 + mem_lat); see the gap
+        // above.
+        EXPECT_EQ(cold - warm, l2 + mem_lat) << "K = " << k;
+    }
 }
 
 TEST(Core, LooperOverheadAddsInstructionsBetweenEvents)

@@ -2,23 +2,31 @@
  * @file
  * Tests of the observability subsystem: the JSON writer/reader pair,
  * the StatRegistry, suite/table artifacts (including the byte-identity
- * guarantee across --jobs counts), and the Chrome-trace timeline.
+ * guarantee across --jobs counts), the Chrome-trace timeline with its
+ * interval counter tracks, and the host profiler's span accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <set>
+#include <sstream>
+#include <thread>
 
 #include "report/artifact.hh"
+#include "report/host_profile.hh"
 #include "report/json_reader.hh"
 #include "report/json_writer.hh"
 #include "report/stat_registry.hh"
+#include "report/telemetry.hh"
 #include "report/timeline.hh"
 #include "sim/simulator.hh"
 #include "sim/stats_report.hh"
@@ -440,14 +448,16 @@ TEST(Timeline, TimelineDoesNotPerturbResults)
 
 TEST(Timeline, StreamedTraceMatchesBufferedRender)
 {
-    // Interval sampling adds the counter tracks, so the check covers
-    // every record kind the trace can hold.
+    // A counter sampler adds the interval counter tracks, so the
+    // check covers every record kind the trace can hold.
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
     const Simulator sim(SimConfig::espFull(true));
     const auto traced = [&](EventTimeline &timeline) {
+        LiveTelemetry live;
+        live.period.cycles = 5'000;
         RunInstrumentation inst;
         inst.timeline = &timeline;
-        inst.interval.cycles = 5'000;
+        inst.telemetry = &live;
         (void)sim.run(*workload, inst);
     };
 
@@ -467,6 +477,72 @@ TEST(Timeline, StreamedTraceMatchesBufferedRender)
                              std::istreambuf_iterator<char>());
     std::remove(path.c_str());
     EXPECT_EQ(actual, expected);
+}
+
+TEST(Timeline, IntervalIpcTrackFollowsTheCounterStream)
+{
+    // Each interval.ipc point must sit at a snapshot cycle of the
+    // captured stream and equal that interval's Δcore.instructions /
+    // Δcore.cycles, the first interval measured from zero.
+    const auto workload = SyntheticGenerator(tinyProfile()).generate();
+    EventTimeline timeline;
+    std::string captured;
+    TelemetryStream stream;
+    stream.captureTo(&captured);
+    LiveTelemetry live;
+    live.period.cycles = 5'000;
+    live.stream = &stream;
+    RunInstrumentation inst;
+    inst.timeline = &timeline;
+    inst.telemetry = &live;
+    (void)Simulator(SimConfig::espFull(true)).run(*workload, inst);
+
+    std::istringstream lines(captured);
+    std::string line;
+    ASSERT_TRUE(std::getline(lines, line));
+    const auto header = parseJson(line);
+    ASSERT_TRUE(header);
+    std::vector<std::string> names;
+    for (const JsonValue &name : header->at("names").array)
+        names.push_back(name.string);
+    const auto column = [&names](const char *name) {
+        return static_cast<std::size_t>(
+            std::find(names.begin(), names.end(), name) - names.begin());
+    };
+    const std::size_t instrs = column("core.instructions");
+    const std::size_t cycles = column("core.cycles");
+    ASSERT_LT(instrs, names.size());
+    ASSERT_LT(cycles, names.size());
+    std::map<double, double> expected; // snapshot cycle -> IPC
+    double prev_instrs = 0;
+    double prev_cycles = 0;
+    while (std::getline(lines, line)) {
+        const auto snap = parseJson(line);
+        ASSERT_TRUE(snap);
+        const JsonValue &values = snap->at("values");
+        const double d_instrs = values.array[instrs].number - prev_instrs;
+        const double d_cycles = values.array[cycles].number - prev_cycles;
+        if (d_cycles > 0)
+            expected[snap->at("cycle").number] = d_instrs / d_cycles;
+        prev_instrs = values.array[instrs].number;
+        prev_cycles = values.array[cycles].number;
+    }
+    ASSERT_GT(expected.size(), 1u);
+
+    const auto trace = parseJson(timeline.renderChromeTrace());
+    ASSERT_TRUE(trace);
+    std::size_t points = 0;
+    for (const JsonValue &e : trace->at("traceEvents").array) {
+        const JsonValue *name = e.find("name");
+        if (name == nullptr || name->string != "interval.ipc")
+            continue;
+        ++points;
+        const auto it = expected.find(e.at("ts").number);
+        ASSERT_NE(it, expected.end()) << "no snapshot at cycle "
+                                      << e.at("ts").number;
+        EXPECT_EQ(e.at("args").at("value").number, it->second);
+    }
+    EXPECT_EQ(points, expected.size());
 }
 
 TEST(Timeline, EventLimitKeepsOnlyTheFirstEventsAndTheirSlices)
@@ -521,4 +597,41 @@ TEST(Timeline, StallNamesAreStable)
                  "mispredict-flush");
     EXPECT_STREQ(timelineStallName(TimelineStall::BtbMiss),
                  "btb-miss");
+}
+
+// --------------------------------------------------------------------
+// Host profiler
+// --------------------------------------------------------------------
+
+TEST(HostProfile, WallClockSpansAccumulateAndMergeAsHostStats)
+{
+    HostCellProfile profile;
+    {
+        WallClockSpan span(&profile.simMs);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    { WallClockSpan free_span(nullptr); } // must be a no-op
+    EXPECT_GT(profile.simMs, 0.0);
+    EXPECT_EQ(profile.genMs, 0.0);
+
+    StatGroup stats;
+    mergeHostStats(stats, profile);
+    EXPECT_EQ(stats.get("host.sim_ms"), profile.simMs);
+    EXPECT_EQ(stats.get("host.total_ms"), profile.totalMs());
+    EXPECT_GE(stats.get("host.peak_rss_mb"), 0.0);
+}
+
+TEST(HostProfile, ProfiledRunFillsEveryPhaseSpan)
+{
+    const auto workload = SyntheticGenerator(tinyProfile()).generate();
+    HostCellProfile profile;
+    RunInstrumentation inst;
+    inst.hostProfile = &profile;
+    (void)Simulator(SimConfig::espFull(true)).run(*workload, inst);
+    // Simulation always takes measurable time; warmup and reporting
+    // may round to ~0 but must never be negative.
+    EXPECT_GT(profile.simMs, 0.0);
+    EXPECT_GE(profile.warmupMs, 0.0);
+    EXPECT_GE(profile.reportMs, 0.0);
+    EXPECT_GT(profile.totalMs(), 0.0);
 }

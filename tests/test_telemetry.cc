@@ -1,9 +1,11 @@
 /**
  * @file
- * Tests of live telemetry: exact final-snapshot closure against the
- * end-of-run registry, monotone/contiguous JSONL streams, progress and
- * snapshot counts that agree with the stream, byte-identical artifacts
- * with telemetry on vs off, and the stall watchdog's fire-exactly-once
+ * Tests of telemetry, the one counter time series: exact
+ * final-snapshot closure against the end-of-run registry,
+ * monotone/contiguous JSONL streams, counters that start at zero,
+ * progress and snapshot counts that agree with the stream, streams
+ * byte-identical under concurrent runs, artifacts byte-identical with
+ * telemetry on vs off, and the stall watchdog's fire-exactly-once
  * contract, alone and under an injected stall.
  */
 
@@ -254,9 +256,71 @@ TEST(Telemetry, ProgressAndSnapshotCountsMatchTheStream)
     EXPECT_EQ(report.telemetrySnapshots, lines.size() - headers);
 }
 
+TEST(Telemetry, CountersAreZeroWhenTheSamplerStartsForEveryConfig)
+{
+    // plot_intervals.py and the timeline's interval tracks measure the
+    // first interval from zero. A run with no events keeps the warmup
+    // and engine construction that precede the sampler and adds no
+    // work after it; counters are monotone, so a final line of zeros
+    // means every counter was zero when the sampler started.
+    const auto app = SyntheticGenerator(tinyProfile()).generate();
+    InMemoryWorkload empty(app->name(), {});
+    empty.setWarmSet(app->warmSet());
+    ASSERT_FALSE(empty.warmSet().empty());
+    for (const auto &[name, make] : namedConfigs()) {
+        std::string captured;
+        LiveTelemetry live;
+        TelemetryStream stream;
+        stream.captureTo(&captured);
+        live.stream = &stream;
+        RunInstrumentation inst;
+        inst.telemetry = &live;
+        (void)Simulator(make()).run(empty, inst);
+        const std::vector<std::string> lines = splitLines(captured);
+        ASSERT_EQ(lines.size(), 2u) << name;
+        const auto header = parseJson(lines.front());
+        const auto last = parseJson(lines.back());
+        ASSERT_TRUE(header && last) << name;
+        const JsonValue &names = header->at("names");
+        const JsonValue &values = last->at("values");
+        ASSERT_EQ(values.array.size(), names.array.size()) << name;
+        for (std::size_t i = 0; i < values.array.size(); ++i) {
+            EXPECT_EQ(values.array[i].number, 0.0)
+                << name << ": " << names.array[i].string;
+        }
+    }
+}
+
 // --------------------------------------------------------------------
-// Artifact byte-identity
+// Determinism and artifact byte-identity
 // --------------------------------------------------------------------
+
+TEST(Telemetry, StreamBytesIdenticalUnderConcurrentRuns)
+{
+    const auto workload = SyntheticGenerator(tinyProfile()).generate();
+    SamplePeriod cfg;
+    cfg.cycles = 7'000;
+
+    // Serial reference stream (the "--jobs 1" world).
+    std::string solo;
+    (void)runWithTelemetry(*workload, cfg, &solo);
+    ASSERT_GT(splitLines(solo).size(), 2u);
+
+    // Four concurrent samplers over the same immutable workload (the
+    // "--jobs 4" world): every captured stream must be byte-identical
+    // to the serial one.
+    std::vector<std::string> captured(4);
+    std::vector<std::thread> threads;
+    for (std::string &out : captured) {
+        threads.emplace_back([&workload, &cfg, &out] {
+            (void)runWithTelemetry(*workload, cfg, &out);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (const std::string &stream : captured)
+        EXPECT_EQ(stream, solo);
+}
 
 TEST(Telemetry, LatencyArtifactBytesIdenticalOnAndOff)
 {

@@ -1,7 +1,8 @@
 # Input-rejection gate: `espsim` must exit 2 and name the offending
 # input when it gets an unknown or retired subcommand, a flag the
 # subcommand does not take, a flag that would do nothing without
-# another one, or a signed value for an unsigned option. Each case
+# another one, a signed value for an unsigned option, or a non-finite
+# or negative value for a real-valued option. Each case
 # would otherwise run with the input silently ignored, print the usage
 # text with a regression gate's exit 1, or (for a wrapped negative
 # count) abort or run effectively forever; the timeout catches that.
@@ -32,6 +33,13 @@ expect_rejected(--watchdog-m
 # The retired metrics endpoint.
 expect_rejected(--metrics-port
     serve --profile testsrv --events 50 --configs base --metrics-port 0)
+# The retired interval-series flags of `run`: the telemetry stream
+# (--telemetry, --telemetry-period) is the one counter time series.
+expect_rejected(--sample-cycles
+    run --app amazon --config base --sample-cycles 1000)
+expect_rejected(--sample-events
+    run --app amazon --config base --sample-events 1)
+expect_rejected(--json run --app amazon --config base --json x)
 # A flag that does nothing without --telemetry.
 expect_rejected(--telemetry-period
     run --app amazon --config base --telemetry-period 1000)
@@ -48,3 +56,16 @@ expect_rejected("invalid value"
     gen --app amazon --out never_written.espw --events " -5")
 expect_rejected("invalid value"
     serve --profile testsrv --configs base --events " -1")
+
+# strtod accepts "nan" and "inf", and a real-valued option is a gap,
+# threshold, budget or tolerance: a NaN gap once ran with a wrapped
+# cycle count, and a negative one ran as if it were valid.
+expect_rejected("invalid value"
+    serve --profile testsrv --events 50 --configs base --gap nan)
+expect_rejected("invalid value"
+    serve --profile testsrv --events 50 --configs base --gap -5)
+expect_rejected("invalid value"
+    serve --profile testsrv --events 50 --configs base
+    --anomaly-threshold -3)
+expect_rejected("invalid value"
+    diff never_read.json never_read.json --rel-tol nan)

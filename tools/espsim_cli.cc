@@ -5,9 +5,8 @@
  *   espsim run   --app amazon --config ESP+NL [--stats]
  *   espsim run   --trace file.espw --config NL+S
  *   espsim run   --app bing --timeline out.trace.json
- *                [--timeline-limit N]
- *   espsim run   --app bing --sample-cycles N [--sample-events K]
- *                [--json [path]]
+ *                [--timeline-limit N] [--telemetry [path]]
+ *                [--telemetry-period N]
  *   espsim suite --configs base,NL,ESP+NL [--jobs N] [--apps a,b]
  *                [--json [path]] [--csv [path]] [--profile]
  *                [--streaming]
@@ -30,8 +29,9 @@
  * Tables and results print to stdout; run chatter (manifest, artifact
  * notes) goes to stderr. Exit code 0 on success, 1 on usage errors,
  * 2 on an unknown subcommand, on malformed option values (numeric
- * options go through checked helpers that reject trailing garbage, and
- * a sign or leading whitespace on an unsigned value), on a flag the
+ * options go through checked helpers that reject trailing garbage, a
+ * sign or leading whitespace on an unsigned value, and a non-finite or
+ * negative value on a real-valued one), on a flag the
  * subcommand does not take, and on a flag that would do nothing
  * without another one (--telemetry-period without --telemetry).
  * `espsim diff` exits 0 when the artifacts agree within tolerance,
@@ -44,10 +44,10 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -64,7 +64,6 @@
 #include "report/artifact.hh"
 #include "report/diff.hh"
 #include "report/host_profile.hh"
-#include "report/interval.hh"
 #include "report/telemetry.hh"
 #include "report/timeline.hh"
 #include "server/serve.hh"
@@ -77,24 +76,6 @@ using namespace espsim;
 namespace
 {
 
-/** All named design points the CLI can run. */
-const std::map<std::string, std::function<SimConfig()>> &
-configRegistry()
-{
-    static const std::map<std::string, std::function<SimConfig()>> reg{
-        {"base", [] { return SimConfig::baseline(); }},
-        {"NL", [] { return SimConfig::nextLine(); }},
-        {"NL+S", [] { return SimConfig::nextLineStride(); }},
-        {"Runahead", [] { return SimConfig::runaheadExec(false); }},
-        {"Runahead+NL", [] { return SimConfig::runaheadExec(true); }},
-        {"ESP", [] { return SimConfig::espFull(false); }},
-        {"ESP+NL", [] { return SimConfig::espFull(true); }},
-        {"NaiveESP+NL", [] { return SimConfig::espNaive(true); }},
-        {"perfect", [] { return SimConfig::perfect(true, true, true); }},
-    };
-    return reg;
-}
-
 int
 usage()
 {
@@ -102,10 +83,9 @@ usage()
         "usage:\n"
         "  espsim run   --app <name>|--trace <file> --config <name> "
         "[--stats] [--timeline <file>]\n"
-        "               [--timeline-limit N] [--sample-cycles N] "
-        "[--sample-events K] [--json [path]]\n"
-        "               [--telemetry [path]] [--telemetry-period N] "
-        "[--telemetry-wall-ms M]\n"
+        "               [--timeline-limit N] [--telemetry [path]] "
+        "[--telemetry-period N]\n"
+        "               [--telemetry-wall-ms M]\n"
         "  espsim suite [--configs a,b,c] [--apps a,b] [--jobs N] "
         "[--json [path]] [--csv [path]] [--profile] [--streaming]\n"
         "  espsim serve [--profile memcached|http|testsrv] "
@@ -141,7 +121,10 @@ usage()
  * aborting on an uncaught std::invalid_argument or silently reading
  * a half-parsed value. Trailing garbage is rejected, and an unsigned
  * value must start with a digit: strtoul skips leading whitespace and
- * wraps a minus sign, so " -5" would otherwise read as 2^64 - 5.
+ * wraps a minus sign, so " -5" would otherwise read as 2^64 - 5. Every
+ * real-valued option is a gap, threshold, budget or tolerance, so a
+ * real value must be finite and non-negative: strtod accepts "nan" and
+ * "inf", and a NaN gap once ran with a wrapped cycle count.
  */
 unsigned long
 parseUnsignedOption(const std::string &value, const char *flag)
@@ -169,9 +152,10 @@ parseDoubleOption(const std::string &value, const char *flag)
     errno = 0;
     const double v = std::strtod(value.c_str(), &end);
     if (value.empty() || end != value.c_str() + value.size() ||
-        errno == ERANGE) {
+        errno == ERANGE || !std::isfinite(v) || v < 0) {
         logLine(LogLevel::Error,
-                "invalid value '%s' for --%s (expected a number)",
+                "invalid value '%s' for --%s (expected a finite, "
+                "non-negative number)",
                 value.c_str(), flag);
         usage();
         std::exit(2);
@@ -203,7 +187,12 @@ printRunManifest()
             buildTypeString());
 }
 
-/** Minimal flag parser: --key value pairs after the subcommand. */
+/**
+ * Minimal flag parser: --key value pairs after the subcommand. A
+ * following argument is the flag's value unless it is itself a flag,
+ * so a negative number ("--gap -5") reaches the value checks instead
+ * of leaving the flag at its "1" placeholder.
+ */
 std::map<std::string, std::string>
 parseFlags(int argc, char **argv, int from)
 {
@@ -213,7 +202,7 @@ parseFlags(int argc, char **argv, int from)
         if (arg.rfind("--", 0) != 0)
             continue;
         const std::string key = arg.substr(2);
-        if (i + 1 < argc && argv[i + 1][0] != '-')
+        if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
             flags[key] = argv[++i];
         else
             flags[key] = "1";
@@ -233,8 +222,8 @@ commandFlags()
         {"list", {}},
         {"run",
          {"app", "trace", "config", "stats", "timeline",
-          "timeline-limit", "sample-cycles", "sample-events", "json",
-          "telemetry", "telemetry-period", "telemetry-wall-ms"}},
+          "timeline-limit", "telemetry", "telemetry-period",
+          "telemetry-wall-ms"}},
         {"suite",
          {"configs", "apps", "jobs", "json", "csv", "profile",
           "streaming"}},
@@ -254,7 +243,7 @@ commandFlags()
 std::optional<SimConfig>
 lookupConfig(const std::string &name)
 {
-    const auto &reg = configRegistry();
+    const auto &reg = namedConfigs();
     auto it = reg.find(name);
     if (it == reg.end()) {
         logLine(LogLevel::Error,
@@ -272,7 +261,7 @@ cmdList()
         std::printf("  %-9s %s\n", p.name.c_str(),
                     p.description.c_str());
     std::puts("configs:");
-    for (const auto &[name, make] : configRegistry()) {
+    for (const auto &[name, make] : namedConfigs()) {
         (void)make;
         std::printf("  %s\n", name.c_str());
     }
@@ -325,26 +314,9 @@ cmdRun(const std::map<std::string, std::string> &flags)
 
     RunInstrumentation inst;
     inst.timeline = want_timeline ? &timeline : nullptr;
-    if (auto it = flags.find("sample-cycles"); it != flags.end()) {
-        inst.interval.cycles =
-            parseUnsignedOption(it->second, "sample-cycles");
-    }
-    if (auto it = flags.find("sample-events"); it != flags.end()) {
-        inst.interval.events =
-            parseUnsignedOption(it->second, "sample-events");
-    }
-    const auto json_it = flags.find("json");
-    if (json_it != flags.end() && !inst.interval.enabled()) {
-        logLine(LogLevel::Error,
-                "--json needs --sample-cycles and/or "
-                "--sample-events");
-        return 1;
-    }
-    IntervalSeries series;
-    if (inst.interval.enabled())
-        inst.intervalSeries = &series;
 
-    // Live telemetry stream (single-run form of the serve stream).
+    // Telemetry stream (single-run form of the serve stream); with a
+    // timeline it also draws the interval counter tracks.
     TelemetryStream telemetry_stream;
     LiveTelemetry live;
     if (auto it = flags.find("telemetry"); it != flags.end()) {
@@ -397,23 +369,6 @@ cmdRun(const std::map<std::string, std::string> &flags)
                 "chrome://tracing",
                 tl_it->second.c_str(), timeline.numEvents(),
                 timeline.numStalls(), timeline.numEspWindows());
-    }
-    if (json_it != flags.end()) {
-        const std::string path = json_it->second == "1"
-            ? "espsim_intervals.json"
-            : json_it->second;
-        ArtifactManifest manifest;
-        manifest.source = "espsim run";
-        if (!writeTextFile(path,
-                           renderIntervalSeriesJson(manifest, series))) {
-            logLine(LogLevel::Error, "cannot write '%s'",
-                    path.c_str());
-            return 1;
-        }
-        logLine(LogLevel::Info,
-                "# wrote %s (%zu intervals over %zu counters)",
-                path.c_str(), series.intervals.size(),
-                series.names.size());
     }
     return 0;
 }

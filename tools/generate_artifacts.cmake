@@ -1,6 +1,6 @@
 # Produce the artifacts the artifact_validate / diff ctests check: a
-# reduced suite sweep (one app, two configs), a per-event timeline,
-# the same sweep at --jobs 1 and --jobs 8 (the determinism gate diffs
+# reduced suite sweep (one app, two configs), a per-event timeline, a
+# telemetry stream, the same sweep at --jobs 1 and --jobs 8 (the determinism gate diffs
 # them), and the golden-gate candidate sweep, all via the espsim CLI.
 # Invoked as:
 #   cmake -DESPSIM_CLI=<path> -DARTIFACT_DIR=<dir> -P this-file
@@ -41,16 +41,17 @@ if(NOT run_rc EQUAL 0)
     message(FATAL_ERROR "espsim run --timeline failed (${run_rc})")
 endif()
 
-# Time-resolved counter series; the validator checks the exact
-# baseline + Σ deltas == final closure, not just the schema.
+# The counter time series: a telemetry stream at a 50k-cycle pace.
+# The validator checks its contract (contiguous seq, monotone
+# counters, one final line); plot_intervals.py draws phases from it.
 execute_process(
     COMMAND ${ESPSIM_CLI} run --app amazon --config ESP+NL
-        --sample-cycles 50000 --sample-events 4
-        --json ${ARTIFACT_DIR}/intervals.json
+        --telemetry ${ARTIFACT_DIR}/intervals.jsonl
+        --telemetry-period 50000
     RESULT_VARIABLE intervals_rc)
 if(NOT intervals_rc EQUAL 0)
     message(FATAL_ERROR
-        "espsim run --sample-cycles failed (${intervals_rc})")
+        "espsim run --telemetry failed (${intervals_rc})")
 endif()
 
 # The same golden-gate matrix replayed through the streaming workload

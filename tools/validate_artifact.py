@@ -4,14 +4,9 @@
 Checks the schema of the JSON artifacts the simulator's binaries
 write — suite artifacts (espsim suite / figure binaries --json), table
 artifacts (descriptive figures --json), Chrome-trace timelines
-(espsim run --timeline), interval series (espsim run --sample-cycles
---json), serve latency and span artifacts (espsim serve --json /
---trace-spans). Standard library only, so it runs anywhere the repo
-builds.
-
-Interval series are checked semantically, not just structurally: for
-every counter, baseline + sum(interval deltas) must equal the final
-snapshot exactly (the deltas telescope; see src/report/interval.hh).
+(espsim run --timeline), serve latency and span artifacts (espsim
+serve --json / --trace-spans). Standard library only, so it runs
+anywhere the repo builds.
 
 Files ending in ``.jsonl`` are treated as telemetry streams
 (``espsim run/serve --telemetry``): one header line per run block
@@ -32,7 +27,6 @@ import sys
 
 SUITE_SCHEMA = "espsim-suite-artifact"
 TABLE_SCHEMA = "espsim-table-artifact"
-INTERVAL_SCHEMA = "espsim-interval-series"
 LATENCY_SCHEMA = "espsim-latency-artifact"
 SPAN_SCHEMA = "espsim-span-artifact"
 TELEMETRY_SCHEMA = "espsim-telemetry-stream"
@@ -166,104 +160,6 @@ def validate_table(doc, problems):
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != len(header):
             _fail(problems, f"rows[{i}] width != header width")
-    return problems
-
-
-def _check_snapshot(doc, key, n_names, problems):
-    """Validate a {cycle, events, values} snapshot block."""
-    snap = doc.get(key)
-    if not isinstance(snap, dict):
-        _fail(problems, f"{key} missing or not an object")
-        return None
-    for field in ("cycle", "events"):
-        value = snap.get(field)
-        if not isinstance(value, int) or value < 0:
-            _fail(problems,
-                  f"{key}.{field} is not a non-negative integer")
-    values = snap.get("values")
-    if not isinstance(values, list) or len(values) != n_names:
-        _fail(problems, f"{key}.values length != names length")
-        return None
-    if not all(isinstance(v, (int, float)) for v in values):
-        _fail(problems, f"{key}.values not all numeric")
-        return None
-    return snap
-
-
-def validate_interval_series(doc, problems):
-    _check_manifest(doc, problems, want_hash=True)
-    manifest = doc.get("manifest", {})
-    for key in ("config", "workload"):
-        if (not isinstance(manifest.get(key), str)
-                or not manifest[key]):
-            _fail(problems, f"manifest.{key} missing or empty")
-    periods = []
-    for key in ("sample_cycles", "sample_events"):
-        value = manifest.get(key)
-        if not isinstance(value, int) or value < 0:
-            _fail(problems,
-                  f"manifest.{key} is not a non-negative integer")
-        else:
-            periods.append(value)
-    if periods and not any(periods):
-        _fail(problems, "neither sampling period is enabled")
-
-    names = doc.get("names")
-    if not isinstance(names, list) or not names:
-        return _fail(problems, "names missing or empty")
-    if sorted(names) != names:
-        _fail(problems, "names are not sorted")
-
-    baseline = _check_snapshot(doc, "baseline", len(names), problems)
-    final = _check_snapshot(doc, "final", len(names), problems)
-
-    intervals = doc.get("intervals")
-    if not isinstance(intervals, list):
-        return _fail(problems, "intervals missing")
-    prev_cycle = baseline["cycle"] if baseline else 0
-    prev_events = baseline["events"] if baseline else 0
-    acc = list(baseline["values"]) if baseline else None
-    for i, interval in enumerate(intervals):
-        where = f"intervals[{i}]"
-        if not isinstance(interval, dict):
-            _fail(problems, f"{where} is not an object")
-            acc = None
-            continue
-        end_cycle = interval.get("end_cycle")
-        end_events = interval.get("end_events")
-        if not isinstance(end_cycle, int) or end_cycle < prev_cycle:
-            _fail(problems, f"{where}.end_cycle is not monotone")
-        else:
-            prev_cycle = end_cycle
-        if not isinstance(end_events, int) or end_events < prev_events:
-            _fail(problems, f"{where}.end_events is not monotone")
-        else:
-            prev_events = end_events
-        deltas = interval.get("deltas")
-        if (not isinstance(deltas, list)
-                or len(deltas) != len(names)
-                or not all(isinstance(v, (int, float))
-                           for v in deltas)):
-            _fail(problems,
-                  f"{where}.deltas not numeric or wrong length")
-            acc = None
-            continue
-        if acc is not None:
-            acc = [a + d for a, d in zip(acc, deltas)]
-    # The telescoping invariant: deltas must sum to the final
-    # snapshot *exactly* — counters are uint64-backed and < 2^53.
-    if acc is not None and final is not None:
-        for name, got, want in zip(names, acc, final["values"]):
-            if got != want:
-                _fail(problems,
-                      f"delta closure violated for {name!r}: "
-                      f"baseline+deltas={got}, final={want}")
-    if final is not None and intervals and acc is not None:
-        last = intervals[-1]
-        if (isinstance(last, dict)
-                and last.get("end_cycle") != final["cycle"]):
-            _fail(problems,
-                  "last interval end_cycle != final.cycle")
     return problems
 
 
@@ -744,7 +640,6 @@ def validate(path):
     handlers = {
         SUITE_SCHEMA: validate_suite,
         TABLE_SCHEMA: validate_table,
-        INTERVAL_SCHEMA: validate_interval_series,
         LATENCY_SCHEMA: validate_latency,
         SPAN_SCHEMA: validate_span,
     }
