@@ -407,7 +407,7 @@ OoOCore::run(const Workload &workload)
         if (pacer_)
             pacer_->eventHandlerType(idx, event.handlerType);
         curFetchBlock_ = ~Addr{0};
-        // Assemble ops by value from the SoA lanes; skip the per-op
+        // Rebuild ops by value from the packed records; skip the per-op
         // virtual hook when the engine declared itself passive for
         // this event (the answer only changes at event boundaries).
         const OpSequence &ops = event.ops;

@@ -51,7 +51,7 @@ class EventTrace
     /** Address of the argument object passed to the handler (§4.1). */
     Addr argObjectAddr = 0;
 
-    /** Normal-view dynamic instruction stream (SoA layout). */
+    /** Normal-view dynamic instruction stream (packed records). */
     OpSequence ops;
 
     /**
@@ -86,7 +86,7 @@ class EventTrace
 
     /**
      * Op at index @p idx as seen by a speculative pre-execution,
-     * assembled by value from the SoA storage. Inline: the spec
+     * rebuilt by value from the packed storage. Inline: the spec
      * pre-execution loop calls this once per op.
      * @pre idx < speculativeSize()
      */

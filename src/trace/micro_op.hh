@@ -7,13 +7,13 @@
  * address, control-flow outcome, and register operands (the latter let
  * runahead track which instructions are invalid after a missing load).
  *
- * The struct is packed to 24 bytes so the decode/issue loop streams
- * three cache lines per eight ops instead of four: the branch target
- * lives in 32 bits (every code address the workload layout can emit —
- * generator.hh bases — fits; the setter checks), and the op type
- * shares a byte with the taken flag. Only `pc`, `memAddr` and the
- * register ids remain directly-addressable fields; type, taken and
- * branchTarget go through accessors.
+ * The struct is 24 bytes: the branch target lives in 32 bits (every
+ * code address the workload layout can emit — generator.hh bases —
+ * fits; the setter checks), and the op type shares a byte with the
+ * taken flag. Only `pc`, `memAddr` and the register ids remain
+ * directly-addressable fields; type, taken and branchTarget go through
+ * accessors. Stored traces pack each op further, into 16 bytes (see
+ * OpSequence in op_sequence.hh).
  */
 
 #ifndef ESPSIM_TRACE_MICRO_OP_HH
@@ -50,6 +50,8 @@ struct MicroOp
     std::uint8_t typeTaken_ = 0;
 
     static constexpr std::uint8_t takenBit = 0x80;
+
+    friend class OpSequence; // packs and unpacks the private fields
 
   public:
     /** Source register operands (noReg if unused). */
@@ -103,33 +105,9 @@ struct MicroOp
     bool isLoad() const { return type() == OpType::Load; }
     bool isStore() const { return type() == OpType::Store; }
 
-    /** @name SoA transport
-     * OpSequence (op_sequence.hh) stores ops as three parallel 64-bit
-     * lanes: pc, memAddr, and this packed metadata word.
-     * @{ */
-    std::uint64_t
-    metaLane() const
-    {
-        return std::uint64_t{target32_} |
-            (std::uint64_t{typeTaken_} << 32) |
-            (std::uint64_t{srcA} << 40) | (std::uint64_t{srcB} << 48) |
-            (std::uint64_t{dest} << 56);
-    }
-
-    static MicroOp
-    fromLanes(Addr pc, Addr mem_addr, std::uint64_t meta)
-    {
-        MicroOp op;
-        op.pc = pc;
-        op.memAddr = mem_addr;
-        op.target32_ = static_cast<std::uint32_t>(meta);
-        op.typeTaken_ = static_cast<std::uint8_t>(meta >> 32);
-        op.srcA = static_cast<std::uint8_t>(meta >> 40);
-        op.srcB = static_cast<std::uint8_t>(meta >> 48);
-        op.dest = static_cast<std::uint8_t>(meta >> 56);
-        return op;
-    }
-    /** @} */
+    /** Field-by-field equality (every field, including the private
+     *  ones). */
+    bool operator==(const MicroOp &) const = default;
 };
 
 static_assert(sizeof(MicroOp) == 24,

@@ -1,15 +1,23 @@
 /**
  * @file
- * Structure-of-arrays storage for a dynamic instruction stream.
+ * Packed storage for a dynamic instruction stream.
  *
- * The decode/issue loop touches every op's pc and metadata but only a
- * memory op's effective address. Storing an event's ops as three
- * parallel 64-bit lanes (pc / memAddr / packed meta) lets that loop
- * stream two dense arrays and pick from the third on demand, instead
- * of striding through 24-byte records; it also keeps each lane
- * trivially prefetchable. MicroOp remains the exchange currency:
- * operator[] assembles one by value, and const-reference bindings at
- * existing call sites keep working through lifetime extension.
+ * ESP pre-executes upcoming events from their recorded streams, so
+ * every event's ops stay resident for the whole run and their storage
+ * dominates the process footprint. OpSequence therefore keeps each op
+ * in one 16-byte record instead of a 24-byte MicroOp:
+ *
+ *  - word 0: the 32-bit pc (low half), then the type/taken byte and
+ *    the srcA, srcB and dest register ids;
+ *  - word 1: the payload, which is the memory address of a load or
+ *    store, the zero-extended branch target of a control op, and 0
+ *    for every other op.
+ *
+ * push_back() panics on an op the record cannot hold: a pc at or
+ * above 2^32, a memory address on a non-memory op, or a branch target
+ * on a non-control op. MicroOp remains the exchange currency:
+ * operator[] rebuilds one by value, and const-reference bindings at
+ * call sites keep working through lifetime extension.
  */
 
 #ifndef ESPSIM_TRACE_OP_SEQUENCE_HH
@@ -22,12 +30,13 @@
 #include <iterator>
 #include <vector>
 
+#include "common/logging.hh"
 #include "trace/micro_op.hh"
 
 namespace espsim
 {
 
-/** SoA container of MicroOps with vector-like surface. */
+/** Packed container of MicroOps with vector-like surface. */
 class OpSequence
 {
   public:
@@ -40,59 +49,37 @@ class OpSequence
             push_back(op);
     }
 
-    std::size_t size() const { return pc_.size(); }
-    bool empty() const { return pc_.empty(); }
+    std::size_t size() const { return records_.size(); }
+    bool empty() const { return records_.empty(); }
+    void reserve(std::size_t n) { records_.reserve(n); }
+    void clear() { records_.clear(); }
 
-    void
-    reserve(std::size_t n)
+    /** True if the packed record can hold @p op: a 32-bit pc, and a
+     *  memory address only on a load or store and a branch target
+     *  only on a control op. */
+    static bool
+    holds(const MicroOp &op)
     {
-        pc_.reserve(n);
-        mem_.reserve(n);
-        meta_.reserve(n);
+        return !(op.pc >> 32) && (!op.memAddr || op.isMemoryOp()) &&
+            (!op.target32_ || op.isBranchOp());
     }
 
-    void
-    clear()
-    {
-        pc_.clear();
-        mem_.clear();
-        meta_.clear();
-    }
-
+    /** Append @p op; panics if the packed record cannot hold it. */
     void
     push_back(const MicroOp &op)
     {
-        pc_.push_back(op.pc);
-        mem_.push_back(op.memAddr);
-        meta_.push_back(op.metaLane());
+        if (!holds(op))
+            rejectUnpackable(op);
+        records_.push_back(pack(op));
     }
 
-    /** Assemble the op at @p i by value. */
+    /** Rebuild the op at @p i by value. */
     MicroOp
     operator[](std::size_t i) const
     {
         assert(i < size());
-        return MicroOp::fromLanes(pc_[i], mem_[i], meta_[i]);
+        return unpack(records_[i]);
     }
-
-    /** Overwrite the op at @p i. */
-    void
-    set(std::size_t i, const MicroOp &op)
-    {
-        assert(i < size());
-        pc_[i] = op.pc;
-        mem_[i] = op.memAddr;
-        meta_[i] = op.metaLane();
-    }
-
-    /** @name Lane accessors for the hot decode/issue loop. @{ */
-    Addr pc(std::size_t i) const { return pc_[i]; }
-    Addr memAddr(std::size_t i) const { return mem_[i]; }
-    std::uint64_t metaLane(std::size_t i) const { return meta_[i]; }
-    const Addr *pcLane() const { return pc_.data(); }
-    const Addr *memLane() const { return mem_.data(); }
-    const std::uint64_t *metaLaneData() const { return meta_.data(); }
-    /** @} */
 
     /** Input iterator yielding MicroOps by value (range-for support;
      *  `const MicroOp &` bindings live through lifetime extension). */
@@ -140,9 +127,65 @@ class OpSequence
     const_iterator end() const { return {this, size()}; }
 
   private:
-    std::vector<Addr> pc_;
-    std::vector<Addr> mem_;
-    std::vector<std::uint64_t> meta_;
+    /** One op: the header word and the payload word. */
+    struct Record
+    {
+        std::uint64_t head;
+        std::uint64_t payload;
+    };
+
+    static_assert(sizeof(Record) == 16, "an op must pack into 16 bytes");
+
+    /** @pre holds(op), so at most one of memAddr and the target is
+     *  non-zero. */
+    static Record
+    pack(const MicroOp &op)
+    {
+        return {op.pc | (std::uint64_t{op.typeTaken_} << 32) |
+                    (std::uint64_t{op.srcA} << 40) |
+                    (std::uint64_t{op.srcB} << 48) |
+                    (std::uint64_t{op.dest} << 56),
+                op.memAddr | op.target32_};
+    }
+
+    static MicroOp
+    unpack(const Record &r)
+    {
+        MicroOp op;
+        op.pc = static_cast<std::uint32_t>(r.head);
+        op.typeTaken_ = static_cast<std::uint8_t>(r.head >> 32);
+        op.srcA = static_cast<std::uint8_t>(r.head >> 40);
+        op.srcB = static_cast<std::uint8_t>(r.head >> 48);
+        op.dest = static_cast<std::uint8_t>(r.head >> 56);
+        // All ones for a load or store, zero otherwise: the payload
+        // goes to exactly one of the two fields without a branch.
+        const std::uint64_t mem_mask =
+            0 - std::uint64_t{isMemory(op.type())};
+        op.memAddr = r.payload & mem_mask;
+        op.target32_ = static_cast<std::uint32_t>(r.payload & ~mem_mask);
+        return op;
+    }
+
+    [[noreturn]] static void
+    rejectUnpackable(const MicroOp &op)
+    {
+        if (op.pc >> 32) {
+            panic("OpSequence: pc %#llx exceeds the 32-bit code address "
+                  "space of the packed record",
+                  static_cast<unsigned long long>(op.pc));
+        }
+        if (op.memAddr && !op.isMemoryOp()) {
+            panic("OpSequence: memory address %#llx on non-memory op "
+                  "type %u",
+                  static_cast<unsigned long long>(op.memAddr),
+                  static_cast<unsigned>(op.type()));
+        }
+        panic("OpSequence: branch target %#llx on non-control op type %u",
+              static_cast<unsigned long long>(op.branchTarget()),
+              static_cast<unsigned>(op.type()));
+    }
+
+    std::vector<Record> records_;
 };
 
 } // namespace espsim

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "common/logging.hh"
+#include "trace/op_sequence.hh"
 
 namespace espsim
 {
@@ -74,7 +75,10 @@ getOp(std::istream &in, MicroOp &op)
     op.srcA = a;
     op.srcB = b;
     op.dest = d;
-    return true;
+    // Likewise reject an op the packed trace storage cannot hold (a
+    // wide pc, an address on a non-memory op, a target on a
+    // non-control op), which OpSequence::push_back would panic on.
+    return OpSequence::holds(op);
 }
 
 } // namespace

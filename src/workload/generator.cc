@@ -108,10 +108,12 @@ class WalkEngine
   public:
     explicit WalkEngine(const AppProfile &p) : p_(p) {}
 
-    /** Run a walk until it reaches its target length. */
+    /** Run a walk until it reaches its target length. step() emits
+     *  exactly one op per call, so the reservation is exact. */
     void
     run(Walk &st) const
     {
+        st.out.reserve(st.targetLen);
         while (st.out.size() < st.targetLen)
             step(st);
     }

@@ -37,9 +37,9 @@ StreamingWorkload::event(std::size_t idx) const
     if (it == cache_.end() || it->first != idx) {
         std::shared_ptr<EventTrace> slot;
         if (!freeList_.empty()) {
-            // Reuse a retired trace: move-assignment recycles its
-            // OpSequence arrays, so steady-state generation allocates
-            // only growth beyond the recycled capacity.
+            // Reuse a retired trace's slot, saving its shared
+            // allocation. The move replaces the slot's OpSequence
+            // arrays with the new event's; it does not reuse them.
             slot = std::move(freeList_.back());
             freeList_.pop_back();
             *slot = source_->makeEvent(idx);

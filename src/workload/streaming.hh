@@ -10,13 +10,14 @@
  * id -> EventTrace function can feed the simulator, including the
  * request-serving profiles in src/server/.
  *
- * Retired traces are recycled through a small free list: the
- * EventTrace (and its OpSequence arrays) is move-assigned into, so in
- * steady state the per-event allocations are only what trace
- * generation itself needs beyond the recycled capacity — the
- * window-advance boundary is the only place the streaming loop
- * allocates (see tests/test_zero_alloc.cc for the allocation-count
- * assertions).
+ * Retired traces are recycled through a small free list: a new
+ * EventTrace is move-assigned into a retired slot, which saves the
+ * slot's shared allocation. The move replaces the slot's OpSequence
+ * arrays with the freshly generated ones; it does not reuse them. In
+ * steady state the per-event allocations are therefore what trace
+ * generation itself needs, and the window-advance boundary is the only
+ * place the streaming loop allocates (see tests/test_zero_alloc.cc for
+ * the allocation-count assertions).
  *
  * Concurrency contract is identical to the old LazyWorkload: safe to
  * share across concurrently replaying simulators; the cache is

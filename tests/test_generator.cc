@@ -17,20 +17,6 @@
 
 using namespace espsim;
 
-namespace
-{
-
-bool
-sameOp(const MicroOp &a, const MicroOp &b)
-{
-    return a.pc == b.pc && a.memAddr == b.memAddr &&
-        a.branchTarget() == b.branchTarget() && a.type() == b.type() &&
-        a.taken() == b.taken() && a.srcA == b.srcA && a.srcB == b.srcB &&
-        a.dest == b.dest;
-}
-
-} // namespace
-
 TEST(Generator, EventRegeneratesBitIdentically)
 {
     SyntheticGenerator gen(AppProfile::testProfile());
@@ -39,7 +25,7 @@ TEST(Generator, EventRegeneratesBitIdentically)
         const EventTrace b = gen.generateEvent(id);
         ASSERT_EQ(a.size(), b.size());
         for (std::size_t i = 0; i < a.size(); ++i)
-            ASSERT_TRUE(sameOp(a.ops[i], b.ops[i])) << "op " << i;
+            ASSERT_TRUE(a.ops[i] == b.ops[i]) << "op " << i;
         ASSERT_EQ(a.divergencePoint, b.divergencePoint);
         ASSERT_EQ(a.divergedTail.size(), b.divergedTail.size());
     }
@@ -54,7 +40,7 @@ TEST(Generator, DifferentSeedsProduceDifferentTraces)
     const EventTrace b = SyntheticGenerator(p2).generateEvent(0);
     bool differs = a.size() != b.size();
     for (std::size_t i = 0; !differs && i < a.size(); ++i)
-        differs = !sameOp(a.ops[i], b.ops[i]);
+        differs = a.ops[i] != b.ops[i];
     EXPECT_TRUE(differs);
 }
 

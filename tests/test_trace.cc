@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for event traces, the speculative view, workload
- * containers, and the WorkloadBuilder public API.
+ * Unit tests for the packed op storage, event traces, the speculative
+ * view, workload containers, and the WorkloadBuilder public API.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "trace/event_trace.hh"
 #include "trace/workload.hh"
@@ -28,6 +30,87 @@ makeTrace(std::size_t n)
 }
 
 } // namespace
+
+TEST(OpSequence, PackingRoundTripsEveryRepresentableOp)
+{
+    const std::uint8_t regs[] = {0, numArchRegs - 1, noReg};
+    const Addr pcs[] = {0, (Addr{1} << 32) - 4};
+    const Addr data_addr = (Addr{1} << 40) + 0x2345'6780;
+    const Addr target = 0xffff'ffff;
+    const Addr payloads[] = {0, data_addr, target};
+    const unsigned num_types = static_cast<unsigned>(OpType::Return) + 1;
+
+    // Every field combination the 16-byte record can hold, against a
+    // plain vector of the same MicroOps. `combo` counts in mixed radix
+    // over type x taken x srcA x srcB x dest x pc x payload.
+    OpSequence seq;
+    std::vector<MicroOp> ref;
+    for (unsigned combo = 0; combo < num_types * 2 * 3 * 3 * 3 * 2 * 3;
+         ++combo) {
+        unsigned rest = combo;
+        const auto pick = [&rest](unsigned n) {
+            const unsigned digit = rest % n;
+            rest /= n;
+            return digit;
+        };
+        const OpType type = static_cast<OpType>(pick(num_types));
+        MicroOp op;
+        op.setType(type);
+        op.setTaken(pick(2) != 0);
+        op.srcA = regs[pick(3)];
+        op.srcB = regs[pick(3)];
+        op.dest = regs[pick(3)];
+        op.pc = pcs[pick(2)];
+        const Addr payload = payloads[pick(3)];
+        if (payload == data_addr) {
+            if (!isMemory(type))
+                continue;
+            op.memAddr = payload;
+        } else if (payload == target) {
+            if (!isBranch(type))
+                continue;
+            op.setBranchTarget(payload);
+        }
+        seq.push_back(op);
+        ref.push_back(op);
+    }
+
+    // MicroOp's defaulted == compares every field, private ones too.
+    ASSERT_EQ(seq.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_TRUE(seq[i] == ref[i]) << "op " << i;
+    std::size_t i = 0;
+    for (const MicroOp &op : seq)
+        ASSERT_TRUE(op == ref[i++]) << "iterated op " << i - 1;
+    EXPECT_EQ(i, ref.size());
+}
+
+TEST(OpSequenceDeathTest, PcBeyondThirtyTwoBitsPanics)
+{
+    OpSequence seq;
+    MicroOp op;
+    op.pc = Addr{1} << 32;
+    EXPECT_DEATH(seq.push_back(op), "pc 0x100000000 exceeds");
+}
+
+TEST(OpSequenceDeathTest, AddressOnNonMemoryOpPanics)
+{
+    OpSequence seq;
+    MicroOp op;
+    op.setType(OpType::BranchCond);
+    op.memAddr = 0x5000;
+    EXPECT_DEATH(seq.push_back(op), "memory address 0x5000 on non-memory");
+}
+
+TEST(OpSequenceDeathTest, TargetOnNonControlOpPanics)
+{
+    OpSequence seq;
+    MicroOp op;
+    op.setType(OpType::Load);
+    op.memAddr = 0x5000;
+    op.setBranchTarget(0x1100);
+    EXPECT_DEATH(seq.push_back(op), "branch target 0x1100 on non-control");
+}
 
 TEST(EventTrace, IndependentSpecViewIsIdentity)
 {

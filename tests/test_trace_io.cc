@@ -19,15 +19,6 @@ using namespace espsim;
 namespace
 {
 
-bool
-sameOp(const MicroOp &a, const MicroOp &b)
-{
-    return a.pc == b.pc && a.memAddr == b.memAddr &&
-        a.branchTarget() == b.branchTarget() && a.type() == b.type() &&
-        a.taken() == b.taken() && a.srcA == b.srcA && a.srcB == b.srcB &&
-        a.dest == b.dest;
-}
-
 void
 expectEqualWorkloads(const Workload &a, const Workload &b)
 {
@@ -49,10 +40,32 @@ expectEqualWorkloads(const Workload &a, const Workload &b)
         EXPECT_EQ(x.divergencePoint, y.divergencePoint);
         ASSERT_EQ(x.divergedTail.size(), y.divergedTail.size());
         for (std::size_t i = 0; i < x.size(); ++i)
-            ASSERT_TRUE(sameOp(x.ops[i], y.ops[i]));
+            ASSERT_TRUE(x.ops[i] == y.ops[i]);
         for (std::size_t i = 0; i < x.divergedTail.size(); ++i)
-            ASSERT_TRUE(sameOp(x.divergedTail[i], y.divergedTail[i]));
+            ASSERT_TRUE(x.divergedTail[i] == y.divergedTail[i]);
     }
+}
+
+/** Serialized size of one op: pc, memAddr, target, then five bytes. */
+constexpr std::size_t opRecordBytes = 29;
+
+/**
+ * Serialize the one-op workload @p w, set bit 0 of byte @p field_byte
+ * of its op record (pc at 0, memAddr at 8, target at 16) and read the
+ * result back. The clean bytes must load, so a rejection is the
+ * corruption's doing.
+ */
+std::unique_ptr<InMemoryWorkload>
+readWithOpByteSet(const Workload &w, std::size_t field_byte)
+{
+    std::stringstream buf;
+    writeWorkload(buf, w);
+    std::string bytes = buf.str();
+    std::stringstream clean(bytes);
+    EXPECT_NE(readWorkload(clean), nullptr);
+    bytes[bytes.size() - opRecordBytes + field_byte] |= 0x01;
+    std::stringstream bad(bytes);
+    return readWorkload(bad);
 }
 
 } // namespace
@@ -150,6 +163,28 @@ TEST(TraceIo, RejectsCorruptOpType)
     bytes[bytes.size() - 5] = 0x66; // op-type byte of the only op
     std::stringstream bad(bytes);
     EXPECT_EQ(readWorkload(bad), nullptr);
+}
+
+TEST(TraceIo, RejectsPcBeyondThirtyTwoBits)
+{
+    WorkloadBuilder b;
+    b.beginEvent(0x1000).alu(0x1000);
+    // Byte 4 of the pc: the op claims pc 0x1'0000'1000.
+    EXPECT_EQ(readWithOpByteSet(*b.build("pc"), 4), nullptr);
+}
+
+TEST(TraceIo, RejectsAddressOnNonMemoryOp)
+{
+    WorkloadBuilder b;
+    b.beginEvent(0x1000).branch(0x1000, true, 0x1100);
+    EXPECT_EQ(readWithOpByteSet(*b.build("mem"), 8), nullptr);
+}
+
+TEST(TraceIo, RejectsTargetOnNonControlOp)
+{
+    WorkloadBuilder b;
+    b.beginEvent(0x1000).load(0x1000, 0x5000);
+    EXPECT_EQ(readWithOpByteSet(*b.build("tgt"), 16), nullptr);
 }
 
 TEST(TraceIo, RejectsInsaneDivergencePoint)
