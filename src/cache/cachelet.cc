@@ -30,7 +30,7 @@ Cachelet::invalidateFor(EspDepth depth)
     waysFor(depth, lo, hi);
     for (std::size_t set = 0; set < numSets_; ++set) {
         for (unsigned w = lo; w <= hi; ++w)
-            lines_[set * geometry_.assoc + w] = Line{};
+            invalidateWay(static_cast<Way>(set * geometry_.assoc + w));
     }
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Open-addressed hash map/set keyed by block-aligned addresses.
+ * Open-addressed hash map keyed by block-aligned addresses.
  *
- * The prefetch trackers sit on the per-access path of the memory
- * hierarchy: every demand access probes (and often mutates) them.
+ * The in-flight prefetch buffer sits on the per-access path of the
+ * memory hierarchy: every demand access with prefetches outstanding
+ * probes (and often mutates) it.
  * `std::unordered_map` pays a heap node per entry, a div-based bucket
  * index, and pointer chasing per probe. Addresses are already
  * well-distributed after a Fibonacci multiply, so a linear-probing
@@ -179,26 +180,6 @@ class AddrMap
     std::vector<V> vals_;
     std::size_t mask_ = 0;
     std::size_t size_ = 0;
-};
-
-/** Open-addressed set of block addresses (AddrMap with no payload). */
-class AddrSet
-{
-  public:
-    explicit AddrSet(std::size_t initial_capacity = 64)
-        : map_(initial_capacity)
-    {
-    }
-
-    std::size_t size() const { return map_.size(); }
-    bool empty() const { return map_.empty(); }
-    bool contains(Addr key) const { return map_.contains(key); }
-    bool insert(Addr key) { return map_.insertOrAssign(key, 0); }
-    bool erase(Addr key) { return map_.erase(key); }
-    void clear() { map_.clear(); }
-
-  private:
-    AddrMap<char> map_;
 };
 
 } // namespace espsim

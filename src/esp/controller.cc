@@ -510,8 +510,7 @@ EspController::drainPrefetches(std::size_t op_idx, Cycle now)
             for (unsigned k = 0; k <= rec.runLength; ++k) {
                 const Addr addr = rec.blockAddr + k * blockBytes;
                 if (config_.ideal) {
-                    mem_.l2().insert(addr);
-                    mem_.l1i().insert(addr);
+                    mem_.installInstr(addr);
                 } else {
                     mem_.prefetchInstr(addr, now,
                                        PrefetchSource::EspIList);
@@ -527,8 +526,7 @@ EspController::drainPrefetches(std::size_t op_idx, Cycle now)
             for (unsigned k = 0; k <= rec.runLength; ++k) {
                 const Addr addr = rec.blockAddr + k * blockBytes;
                 if (config_.ideal) {
-                    mem_.l2().insert(addr);
-                    mem_.l1d().insert(addr);
+                    mem_.installData(addr);
                 } else {
                     mem_.prefetchData(addr, now,
                                       PrefetchSource::EspDList);

@@ -23,20 +23,17 @@ prefetchSourceName(PrefetchSource source)
 void
 PrefetchLifecycleTracker::finalize()
 {
-    live_.forEach([this](Addr, LiveEntry &entry) {
-        if (!entry.used)
-            ++stats_[static_cast<std::size_t>(entry.source)].useless;
-    });
-    live_.clear();
-    demandLive_.clear();
-}
-
-void
-PrefetchLifecycleTracker::clear()
-{
-    stats_ = {};
-    live_.clear();
-    demandLive_.clear();
+    const auto score = [this](const WayRecord &rec) {
+        if ((rec.flags & (WayRecord::prefetched | WayRecord::used)) ==
+            WayRecord::prefetched)
+            ++stats_[static_cast<std::size_t>(rec.source)].useless;
+    };
+    for (WayRecord &rec : ways_) {
+        score(rec);
+        rec = WayRecord{};
+    }
+    orphans_.forEach([&score](Addr, WayRecord &rec) { score(rec); });
+    orphans_.clear();
 }
 
 void
