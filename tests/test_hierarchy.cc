@@ -111,6 +111,23 @@ TEST(Hierarchy, PrefetchOfResidentBlockIsNoOp)
     EXPECT_EQ(mem.prefetchesIssued(), 0u);
 }
 
+TEST(Hierarchy, PrefetchOfInFlightBlockIsNoOpAtAnyOffset)
+{
+    MemoryHierarchy mem(smallConfig());
+    // L1-D is 2-way x 8 sets: blocks 512 B apart share a set.
+    constexpr Addr setStride = 8 * blockBytes;
+    const Addr b = 0x3000;
+    ASSERT_TRUE(mem.prefetchData(b, 0)); // in flight until cycle 124
+    mem.accessData(b + setStride, false, 1);
+    mem.accessData(b + 2 * setStride, false, 2); // evicts b from L1
+    ASSERT_EQ(mem.probeData(b).level, HitLevel::L2);
+    // b's block is still in flight, so an unaligned prefetch into it
+    // issues nothing.
+    EXPECT_FALSE(mem.prefetchData(b + 8, 3));
+    EXPECT_EQ(mem.prefetchesIssued(), 1u);
+    EXPECT_EQ(mem.prefetchLifecycle(PrefetchSource::Other).issued, 1u);
+}
+
 TEST(Hierarchy, PerfectL1INeverMisses)
 {
     HierarchyConfig c = smallConfig();
