@@ -23,7 +23,6 @@
 #ifndef ESPSIM_COMMON_JOB_POOL_HH
 #define ESPSIM_COMMON_JOB_POOL_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -35,38 +34,6 @@
 
 namespace espsim
 {
-
-/**
- * Host-side utilization counters for one pool, accumulated since
- * construction. Wall time spans first submit to last job completion;
- * busy time sums per-job wall times across workers, so busyFraction()
- * reads as "how much of the pool's capacity did the sweep keep fed".
- */
-struct JobPoolUsage
-{
-    std::size_t jobsCompleted = 0;
-    /** Deepest the queue ever got (0 for inline pools). */
-    std::size_t queueDepthHighWater = 0;
-    double busyMs = 0;
-    double wallMs = 0;
-    unsigned threads = 1;
-
-    double
-    busyFraction() const
-    {
-        return wallMs <= 0.0
-            ? 0.0
-            : busyMs / (wallMs * static_cast<double>(threads));
-    }
-
-    double
-    jobsPerSec() const
-    {
-        return wallMs <= 0.0
-            ? 0.0
-            : static_cast<double>(jobsCompleted) * 1000.0 / wallMs;
-    }
-};
 
 /** Fixed thread pool; see file comment for the determinism contract. */
 class JobPool
@@ -97,18 +64,8 @@ class JobPool
     /** Degree of parallelism this pool runs at (>= 1). */
     unsigned threadCount() const { return threads_; }
 
-    /**
-     * Soft per-job timeout: jobs whose wall time exceeds @p timeout
-     * get a warn() naming the overrun when they finish (detection is
-     * post-hoc — the job is never killed). Zero (default) disables.
-     */
-    void setSoftTimeout(std::chrono::milliseconds timeout);
-
     /** Jobs that threw beyond the first captured exception. */
     std::size_t droppedExceptions() const;
-
-    /** Utilization counters accumulated since construction. */
-    JobPoolUsage usage() const;
 
     /**
      * The sweep-wide default degree of parallelism: the ESPSIM_JOBS
@@ -119,7 +76,7 @@ class JobPool
 
   private:
     void workerLoop();
-    /** Run @p job guarded: capture its exception, time it. */
+    /** Run @p job guarded: capture its exception. */
     void runGuarded(std::function<void()> &job);
     /** Block until the queue is empty and nothing is in flight. */
     void drain();
@@ -136,15 +93,6 @@ class JobPool
 
     std::exception_ptr firstError_;   //!< first job exception, if any
     std::size_t droppedErrors_ = 0;   //!< throws after the first
-    std::chrono::milliseconds softTimeout_{0};
-
-    // Utilization accounting (all guarded by mutex_).
-    std::size_t jobsCompleted_ = 0;
-    std::size_t queueHighWater_ = 0;
-    double busyMs_ = 0;
-    bool sawWork_ = false;
-    std::chrono::steady_clock::time_point firstSubmit_;
-    std::chrono::steady_clock::time_point lastDone_;
 };
 
 } // namespace espsim

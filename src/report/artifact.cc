@@ -3,7 +3,6 @@
 #include <fstream>
 
 #include "common/version.hh"
-#include "report/host_profile.hh"
 #include "report/json_writer.hh"
 
 namespace espsim
@@ -187,8 +186,7 @@ writeManifest(JsonWriter &w, const ArtifactManifest &manifest,
 std::string
 renderSuiteArtifactJson(const ArtifactManifest &manifest,
                         const std::vector<SimConfig> &configs,
-                        const std::vector<SuiteRow> &rows,
-                        const JobPoolUsage *pool_usage)
+                        const std::vector<SuiteRow> &rows)
 {
     JsonWriter w;
     w.beginObject();
@@ -232,22 +230,6 @@ renderSuiteArtifactJson(const ArtifactManifest &manifest,
             }
         }
         w.endArray();
-    }
-    // Host self-profile (espsim suite --profile only): wall-clock
-    // facts about this machine, never present in clean artifacts.
-    if (pool_usage) {
-        w.key("host").beginObject();
-        w.key("jobs").value(pool_usage->threads);
-        w.key("jobs_completed")
-            .value(std::uint64_t{pool_usage->jobsCompleted});
-        w.key("queue_depth_high_water")
-            .value(std::uint64_t{pool_usage->queueDepthHighWater});
-        w.key("busy_ms").value(pool_usage->busyMs);
-        w.key("wall_ms").value(pool_usage->wallMs);
-        w.key("busy_fraction").value(pool_usage->busyFraction());
-        w.key("jobs_per_sec").value(pool_usage->jobsPerSec());
-        w.key("peak_rss_mb").value(peakRssMb());
-        w.endObject();
     }
     w.endObject();
     return w.str();

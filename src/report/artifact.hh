@@ -56,20 +56,10 @@ struct ArtifactManifest
  */
 std::string configsHash(const std::vector<SimConfig> &configs);
 
-/**
- * Render the canonical JSON artifact for one suite sweep.
- *
- * @p pool_usage (profiling runs only) appends a top-level `host`
- * block with the JobPool utilization and process peak RSS. It MUST
- * stay null for deterministic artifacts: host facts are wall-clock
- * measurements of this machine and would break byte-identity. The
- * default keeps clean artifacts bit-for-bit unchanged.
- */
-std::string renderSuiteArtifactJson(
-    const ArtifactManifest &manifest,
-    const std::vector<SimConfig> &configs,
-    const std::vector<SuiteRow> &rows,
-    const JobPoolUsage *pool_usage = nullptr);
+/** Render the canonical JSON artifact for one suite sweep. */
+std::string renderSuiteArtifactJson(const ArtifactManifest &manifest,
+                                    const std::vector<SimConfig> &configs,
+                                    const std::vector<SuiteRow> &rows);
 
 /**
  * Render the flat CSV view: `app,config,stat,value` rows, preceded by

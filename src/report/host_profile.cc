@@ -19,15 +19,4 @@ peakRssMb()
 #endif
 }
 
-void
-mergeHostStats(StatGroup &stats, const HostCellProfile &profile)
-{
-    stats.set("host.gen_ms", profile.genMs);
-    stats.set("host.warmup_ms", profile.warmupMs);
-    stats.set("host.sim_ms", profile.simMs);
-    stats.set("host.report_ms", profile.reportMs);
-    stats.set("host.total_ms", profile.totalMs());
-    stats.set("host.peak_rss_mb", peakRssMb());
-}
-
 } // namespace espsim

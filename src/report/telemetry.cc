@@ -1,9 +1,6 @@
 #include "report/telemetry.hh"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
-#include <thread>
 #include <utility>
 
 #include "report/json_writer.hh"
@@ -14,32 +11,6 @@ namespace espsim
 
 namespace
 {
-
-/**
- * Parse ESPSIM_STALL_INJECT="<event>:<ms>". Returns true and fills
- * the outputs when the variable is present and well-formed; a
- * malformed value is ignored (telemetry must never take a run down).
- */
-bool
-stallInjectRequested(std::uint64_t *event, unsigned *ms)
-{
-    const char *spec = std::getenv("ESPSIM_STALL_INJECT");
-    if (spec == nullptr || *spec == '\0')
-        return false;
-    const char *colon = std::strchr(spec, ':');
-    if (colon == nullptr)
-        return false;
-    char *end = nullptr;
-    const unsigned long long ev = std::strtoull(spec, &end, 10);
-    if (end != colon)
-        return false;
-    const unsigned long sleep_ms = std::strtoul(colon + 1, &end, 10);
-    if (end == colon + 1 || *end != '\0')
-        return false;
-    *event = ev;
-    *ms = static_cast<unsigned>(sleep_ms);
-    return true;
-}
 
 /** The first multiple-of-@p period step of @p next past @p reached
  *  (@p next itself while not yet reached, or with the pace off). */
@@ -146,7 +117,6 @@ CounterSampler::CounterSampler(const StatRegistry &reg,
     snap_.values.resize(getters_.size(), 0.0);
     nextCycle_ = period_.cycles;
     lastWall_ = std::chrono::steady_clock::now();
-    stallArmed_ = stallInjectRequested(&stallEvent_, &stallMs_);
     writeHeader(config, workload, configHash);
     if (timeline_ != nullptr)
         timeline_->beginCounterSeries(names_);
@@ -202,14 +172,6 @@ CounterSampler::onSpan(const RequestSpan &span)
         return;
     const std::uint64_t events_retired = span.index + 1;
     const Cycle now = span.retire;
-    live_.progress.fetch_add(1, std::memory_order_relaxed);
-    if (stallArmed_ && events_retired == stallEvent_) {
-        // One-shot injected wedge: hold the retire boundary long
-        // enough for the watchdog to notice no progress.
-        stallArmed_ = false;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(stallMs_));
-    }
     bool due = period_.cycles > 0 && now >= nextCycle_;
     if (period_.wallMs > 0 && !due) {
         // The steady_clock read costs far more than a retire; check

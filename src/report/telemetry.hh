@@ -29,10 +29,8 @@
  *    the file is the way to watch a run live.
  *
  *  - **LiveTelemetry** — the record a live sampler reports into: the
- *    pacing, the stream, a snapshot count, and an atomic
- *    retire-progress counter that the stall watchdog
- *    (report/watchdog.hh) reads from its own thread. One record may
- *    serve a whole serve sweep.
+ *    pacing, the stream and a snapshot count. One record may serve a
+ *    whole serve sweep.
  *
  * Determinism: sampling is an opt-in observer. With it off, no code
  * path changes and every artifact stays byte-identical; with it on,
@@ -40,18 +38,12 @@
  * counters), and the snapshots themselves are deterministic when
  * paced purely by cycles (wall-clock pacing trades
  * determinism for a fixed real-time cadence, which is the point of a
- * live feed).
- *
- * Test hook: ESPSIM_STALL_INJECT="<event>:<ms>" (the
- * ESPSIM_FAULT_INJECT pattern) makes a live sampler sleep <ms>
- * milliseconds when event <event> retires — an injectable wedge for
- * exercising the stall watchdog end to end. See report/watchdog.hh.
+ * live feed). Everything runs on the simulation thread.
  */
 
 #ifndef ESPSIM_REPORT_TELEMETRY_HH
 #define ESPSIM_REPORT_TELEMETRY_HH
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -128,10 +120,7 @@ class TelemetryStream
     bool writeFailed_ = false;
 };
 
-/**
- * What a CounterSampler reports into. The sampler runs on the
- * simulation thread; only `progress` is read from another thread.
- */
+/** What a CounterSampler reports into. */
 struct LiveTelemetry
 {
     /** Snapshot pacing; a disabled period still takes the final
@@ -142,9 +131,6 @@ struct LiveTelemetry
     /** Config hash stamped into each block header ("" = the hash of
      *  the run's own config). */
     std::string configHash;
-    /** Events retired so far, bumped once per retire (relaxed): the
-     *  stall watchdog's liveness signal. */
-    std::atomic<std::uint64_t> progress{0};
     /** Snapshots taken so far, the final ones included. */
     std::uint64_t snapshots = 0;
 };
@@ -161,9 +147,8 @@ class CounterSampler final : public SpanSink
     /**
      * A sampler paced by @p live.period: each snapshot is counted in
      * @p live, streamed to its stream (if any) and handed to
-     * @p timeline (if any), and every retire bumps its progress. The
-     * stream's block header, naming @p config, @p workload and
-     * @p configHash, is written now.
+     * @p timeline (if any). The stream's block header, naming
+     * @p config, @p workload and @p configHash, is written now.
      */
     CounterSampler(const StatRegistry &reg, LiveTelemetry &live,
                    const std::string &config,
@@ -192,10 +177,6 @@ class CounterSampler final : public SpanSink
     std::chrono::steady_clock::time_point lastWall_;
     unsigned sinceWallCheck_ = 0;
     bool finalized_ = false;
-    //!< ESPSIM_STALL_INJECT state (testing the watchdog).
-    bool stallArmed_ = false;
-    std::uint64_t stallEvent_ = 0;
-    unsigned stallMs_ = 0;
 
     void writeHeader(const std::string &config,
                      const std::string &workload,

@@ -1,17 +1,14 @@
 #include "server/serve.hh"
 
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "common/logging.hh"
 #include "common/version.hh"
 #include "cpu/ooo_core.hh"
 #include "report/flight_recorder.hh"
-#include "report/host_profile.hh"
 #include "report/json_writer.hh"
 #include "report/telemetry.hh"
-#include "report/watchdog.hh"
 #include "workload/streaming.hh"
 
 namespace espsim
@@ -73,32 +70,6 @@ class SpikedSource final : public EventSource
     unsigned scale_;
 };
 
-/**
- * Span sink that delivers each span to @p inner under @p mu. The
- * watchdog thread reads the collector's ring under the same mutex
- * when it writes a stall dump, so the two threads never touch the
- * ring at the same time.
- */
-class LockedSpanSink final : public SpanSink
-{
-  public:
-    LockedSpanSink(SpanSink &inner, std::mutex &mu)
-        : inner_(inner), mu_(mu)
-    {
-    }
-
-    void
-    onSpan(const RequestSpan &span) override
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        inner_.onSpan(span);
-    }
-
-  private:
-    SpanSink &inner_;
-    std::mutex &mu_;
-};
-
 } // namespace
 
 ServeReport
@@ -125,24 +96,10 @@ runServe(const ServerProfile &profile,
     for (const SimConfig &c : configs)
         report.configNames.push_back(c.name);
 
-    // Live telemetry: one record, stream and watchdog span the whole
-    // sweep (the progress counter and health state are sweep-global;
-    // each config opens its own JSONL block).
+    // Live telemetry: one record and stream span the whole sweep
+    // (each config opens its own JSONL block).
     std::unique_ptr<LiveTelemetry> live;
     std::unique_ptr<TelemetryStream> stream;
-    std::unique_ptr<StallWatchdog> watchdog;
-    // The watchdog thread dumps the flight-recorder ring of whichever
-    // config is currently running. The mutex guards the target and,
-    // while a dump prefix is armed, every span delivery to the
-    // collector (see LockedSpanSink).
-    struct WatchdogTarget
-    {
-        std::mutex mu;
-        const SpanCollector *collector = nullptr;
-        std::string config;
-    };
-    auto wd_target = std::make_shared<WatchdogTarget>();
-    const std::string &wd_prefix = opts.telemetry.watchdogDumpPrefix;
     if (opts.telemetry.any()) {
         live = std::make_unique<LiveTelemetry>();
         live->period = opts.telemetry.period;
@@ -156,35 +113,6 @@ runServe(const ServerProfile &profile,
                 stream.reset();
             }
             live->stream = stream.get();
-        }
-        if (opts.telemetry.watchdogBudgetMs > 0) {
-            watchdog = std::make_unique<StallWatchdog>(
-                live->progress, opts.telemetry.watchdogBudgetMs,
-                [wd_target, &wd_prefix, &p](const StallReport &stall) {
-                    logLine(LogLevel::Warn,
-                            "# watchdog: host peak RSS %.1f MB, "
-                            "stalled %.0f ms at progress %llu",
-                            peakRssMb(), stall.stalledMs,
-                            static_cast<unsigned long long>(
-                                stall.lastProgress));
-                    std::lock_guard<std::mutex> lock(wd_target->mu);
-                    if (wd_target->collector == nullptr ||
-                        wd_prefix.empty())
-                        return;
-                    const std::string path = wd_prefix + "." +
-                        wd_target->config + ".stall.trace.json";
-                    if (writeFlightRecorderTrace(
-                            *wd_target->collector, wd_target->config,
-                            p.name, path))
-                        logLine(LogLevel::Warn,
-                                "# watchdog: wrote flight-recorder "
-                                "dump %s",
-                                path.c_str());
-                    else
-                        logLine(LogLevel::Error,
-                                "cannot write watchdog dump '%s'",
-                                path.c_str());
-                });
         }
     }
 
@@ -241,27 +169,9 @@ runServe(const ServerProfile &profile,
             inst.spans = spans.get();
         }
 
-        std::unique_ptr<LockedSpanSink> locked_spans;
-        if (live) {
-            inst.telemetry = live.get();
-            std::lock_guard<std::mutex> lock(wd_target->mu);
-            wd_target->collector = spans.get();
-            wd_target->config = config.name;
-            if (spans && watchdog && !wd_prefix.empty()) {
-                locked_spans = std::make_unique<LockedSpanSink>(
-                    *spans, wd_target->mu);
-                inst.spans = locked_spans.get();
-            }
-        }
+        inst.telemetry = live.get();
 
         const SimResult r = Simulator(config).run(workload, inst);
-
-        if (live) {
-            // Detach the watchdog's dump target before the collector
-            // dies with this scope.
-            std::lock_guard<std::mutex> lock(wd_target->mu);
-            wd_target->collector = nullptr;
-        }
 
         ServeCell cell;
         cell.config = config.name;
@@ -302,12 +212,6 @@ runServe(const ServerProfile &profile,
 
     if (live)
         report.telemetrySnapshots = live->snapshots;
-    if (watchdog) {
-        watchdog->stop();
-        report.watchdogFires = watchdog->fireCount();
-        report.degraded = watchdog->degraded();
-        report.degradedReason = watchdog->degradedReason();
-    }
     if (stream && !stream->close())
         logLine(LogLevel::Error, "telemetry stream '%s': write failed",
                 opts.telemetry.jsonlPath.c_str());
@@ -377,17 +281,6 @@ writeManifestCommon(JsonWriter &w, const ArtifactManifest &manifest,
         .value(std::uint64_t{report.arrival.thinkCycles});
     w.key("seed").value(std::uint64_t{report.arrival.seed});
     w.endObject();
-    // Opt-in like the suite artifact's `host` block: the health
-    // object only appears on degraded runs, so healthy telemetry-on
-    // artifacts stay byte-identical to telemetry-off ones.
-    if (report.degraded) {
-        w.key("health").beginObject();
-        w.key("status").value("degraded");
-        w.key("reason").value(report.degradedReason);
-        w.key("watchdog_fires")
-            .value(std::uint64_t{report.watchdogFires});
-        w.endObject();
-    }
     w.key("configs").beginArray();
     for (const std::string &name : report.configNames)
         w.value(name);

@@ -12,9 +12,10 @@
  * facts, like every other espsim artifact.
  *
  * ServeTelemetryOptions arms the live side of a sweep: one JSONL
- * snapshot stream (a block per config) and one stall watchdog, both
- * spanning the whole sweep. Only the watchdog's verdict reaches the
- * artifact, as the opt-in `health` block of a degraded run.
+ * snapshot stream spanning the whole sweep, a block per config. It
+ * never reaches the artifacts. A serve run is single-threaded; a
+ * wedged run shows as a stream that stops advancing under wall-clock
+ * pacing.
  */
 
 #ifndef ESPSIM_SERVER_SERVE_HH
@@ -63,9 +64,8 @@ struct ServeSpanOptions
 };
 
 /**
- * Live-telemetry knobs of one serve run (see report/telemetry.hh and
- * report/watchdog.hh). The JSONL snapshot stream and the stall
- * watchdog are optional and independent; neither perturbs the
+ * Live-telemetry knobs of one serve run (see report/telemetry.hh).
+ * The JSONL snapshot stream is optional and never perturbs the
  * deterministic artifacts.
  */
 struct ServeTelemetryOptions
@@ -75,20 +75,11 @@ struct ServeTelemetryOptions
     SamplePeriod period;
     /** JSONL snapshot stream path ("" = no stream). */
     std::string jsonlPath;
-    /** Stall-watchdog budget in wall-clock ms (0 = no watchdog). */
-    double watchdogBudgetMs = 0;
-    /**
-     * Flight-recorder dump path prefix for a watchdog fire; the dump
-     * is `<prefix>.<config>.stall.trace.json` and requires the span
-     * recorder to be armed. Empty = log-only.
-     */
-    std::string watchdogDumpPrefix;
 
     bool
     any() const
     {
-        return period.enabled() || !jsonlPath.empty() ||
-               watchdogBudgetMs > 0;
+        return period.enabled() || !jsonlPath.empty();
     }
 };
 
@@ -155,14 +146,8 @@ struct ServeReport
     std::string configHash;
     std::vector<ServeCell> cells;
 
-    // --- live-telemetry health (populated when telemetry.any()) ----
-    /** The stall watchdog latched a degraded state mid-run. */
-    bool degraded = false;
-    std::string degradedReason;
-    /** Total watchdog fires across the sweep (0 or 1 per config by
-     *  design). */
-    std::uint64_t watchdogFires = 0;
-    /** Telemetry snapshots streamed across the sweep. */
+    /** Telemetry snapshots streamed across the sweep (populated when
+     *  telemetry.any()). */
     std::uint64_t telemetrySnapshots = 0;
 };
 

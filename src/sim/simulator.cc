@@ -38,21 +38,16 @@ Simulator::run(const Workload &workload,
                const RunInstrumentation &inst) const
 {
     EventTimeline *timeline = inst.timeline;
-    HostCellProfile *profile = inst.hostProfile;
 
     MemoryHierarchy mem(config_.memory);
     PentiumMPredictor bp(config_.branch);
 
-    {
-        // Pre-warm the LLC with the application's standing image (the
-        // paper measures a browser session already in flight).
-        WallClockSpan warmup_span(profile ? &profile->warmupMs
-                                          : nullptr);
-        for (const AddrRange &range : workload.warmSet()) {
-            for (Addr a = blockAlign(range.first); a < range.second;
-                 a += blockBytes) {
-                mem.l2().insert(a);
-            }
+    // Pre-warm the LLC with the application's standing image (the
+    // paper measures a browser session already in flight).
+    for (const AddrRange &range : workload.warmSet()) {
+        for (Addr a = blockAlign(range.first); a < range.second;
+             a += blockBytes) {
+            mem.l2().insert(a);
         }
     }
 
@@ -108,9 +103,7 @@ Simulator::run(const Workload &workload,
 
     // The counter sampler: constructed after every pre-run counter is
     // registered (the name set freezes now; the post-run
-    // handler/derived registrations never enter a snapshot). It is
-    // attached after the span sink, so an event's spans are delivered
-    // before its progress bump reaches the stall watchdog.
+    // handler/derived registrations never enter a snapshot).
     std::unique_ptr<CounterSampler> sampler;
     if (inst.telemetry != nullptr) {
         sampler = std::make_unique<CounterSampler>(
@@ -122,20 +115,14 @@ Simulator::run(const Workload &workload,
         core.addSpanSink(sampler.get());
     }
 
-    {
-        WallClockSpan sim_span(profile ? &profile->simMs : nullptr);
-        core.run(workload);
-        // Score still-unused prefetched blocks (useless) before
-        // snapshot.
-        mem.finalizePrefetchLifecycles();
-    }
+    core.run(workload);
+    // Score still-unused prefetched blocks (useless) before snapshot.
+    mem.finalizePrefetchLifecycles();
 
     // The final snapshot follows the lifecycle finalize, so it equals
     // the end-of-run registry counter values exactly.
     if (sampler)
         sampler->finalize(core.stats().cycles, core.stats().events);
-
-    WallClockSpan report_span(profile ? &profile->reportMs : nullptr);
 
     // Per-event-type cycle attribution: register the top handlers by
     // cycles spent (bounded so artifacts stay small), aggregating the

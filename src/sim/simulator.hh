@@ -14,7 +14,6 @@
 #include "common/stats.hh"
 #include "cpu/ooo_core.hh"
 #include "energy/energy_model.hh"
-#include "report/host_profile.hh"
 #include "report/spans.hh"
 #include "report/telemetry.hh"
 #include "report/timeline.hh"
@@ -77,17 +76,15 @@ struct RunInstrumentation
 {
     /** Per-event timeline recorder (nullptr = off). */
     EventTimeline *timeline = nullptr;
-    /** Receives warmup/sim/report wall-clock spans (nullptr = off). */
-    HostCellProfile *hostProfile = nullptr;
     /** Event arrival discipline + latency probe (nullptr = saturated
      *  looper, the paper's setup). See cpu/pacer.hh. */
     EventPacer *pacer = nullptr;
     /** Per-request span sink (flight recorder / tail blame; nullptr =
      *  off). See report/spans.hh. */
     SpanSink *spans = nullptr;
-    /** Telemetry: a CounterSampler streams snapshots into it, bumps
-     *  its retire progress and, with a timeline, draws the timeline's
-     *  interval counter tracks (nullptr = off). It may outlive the run
+    /** Telemetry: a CounterSampler streams snapshots into it and,
+     *  with a timeline, draws the timeline's interval counter tracks
+     *  (nullptr = off). It may outlive the run
      *  and serve several. See report/telemetry.hh. */
     LiveTelemetry *telemetry = nullptr;
 };

@@ -85,13 +85,6 @@ SuiteRunner::run(const std::vector<SimConfig> &configs,
         rows[a].app = apps_[a].name;
         rows[a].results.resize(n_cfgs);
         rows[a].errors.resize(n_cfgs);
-        if (profiling_) {
-            rows[a].profiles.resize(n_cfgs);
-            for (std::size_t c = 0; c < n_cfgs; ++c) {
-                rows[a].profiles[c].app = apps_[a].name;
-                rows[a].profiles[c].config = configs[c].name;
-            }
-        }
         slots[a].remaining.store(n_cfgs, std::memory_order_relaxed);
     }
     if (points == 0)
@@ -119,34 +112,21 @@ SuiteRunner::run(const std::vector<SimConfig> &configs,
                         throw std::runtime_error(
                             "injected fault (ESPSIM_FAULT_INJECT)");
                     }
-                    HostCellProfile *prof = profiling_
-                        ? &rows[a].profiles[c]
-                        : nullptr;
-                    {
-                        // Generation cost lands on whichever cell ran
-                        // the call_once; cells that blocked waiting on
-                        // it accrue the wait, which is equally honest.
-                        WallClockSpan gen_span(prof ? &prof->genMs
-                                                    : nullptr);
-                        std::call_once(slot.once, [&] {
-                            if (streaming_) {
-                                slot.workload = std::make_shared<
-                                    StreamingWorkload>(
+                    std::call_once(slot.once, [&] {
+                        if (streaming_) {
+                            slot.workload =
+                                std::make_shared<StreamingWorkload>(
                                     std::make_unique<GeneratorSource>(
                                         apps_[a]));
-                            } else {
-                                slot.workload =
-                                    SyntheticGenerator(apps_[a])
-                                        .generate();
-                            }
-                        });
-                    }
+                        } else {
+                            slot.workload =
+                                SyntheticGenerator(apps_[a]).generate();
+                        }
+                    });
                     std::shared_ptr<const Workload> workload =
                         slot.workload;
-                    RunInstrumentation inst;
-                    inst.hostProfile = prof;
                     rows[a].results[c] =
-                        Simulator(configs[c]).run(*workload, inst);
+                        Simulator(configs[c]).run(*workload);
                     workload.reset();
                 } catch (const std::exception &e) {
                     rows[a].errors[c].message = e.what();
@@ -182,8 +162,6 @@ SuiteRunner::run(const std::vector<SimConfig> &configs,
         }
     }
     pool.wait();
-    if (profiling_)
-        lastUsage_ = pool.usage();
     return rows;
 }
 

@@ -50,11 +50,6 @@ struct SuiteRow
      * Empty vector (the common all-good case) means no cell failed.
      */
     std::vector<CellError> errors;
-    /**
-     * Index-aligned host wall-clock profiles; only populated when
-     * the runner was asked to profile (SuiteRunner::setProfiling).
-     */
-    std::vector<HostCellProfile> profiles;
 
     /** Did the cell for config index @p c produce a valid result? */
     bool
@@ -98,16 +93,6 @@ class SuiteRunner
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Record per-cell host wall-clock profiles (generation, warmup,
-     * simulation, reporting) into SuiteRow::profiles, and capture the
-     * JobPool's utilization counters (lastPoolUsage()). Off by
-     * default: profiled stats are wall-clock facts about this machine
-     * and must never leak into deterministic artifacts.
-     */
-    void setProfiling(bool on) { profiling_ = on; }
-    bool profiling() const { return profiling_; }
-
-    /**
      * Replay each app through the streaming workload core (bounded
      * sliding window, workload/streaming.hh) instead of materialising
      * it up front. Stats are bit-identical either way — the
@@ -117,9 +102,6 @@ class SuiteRunner
      */
     void setStreaming(bool on) { streaming_ = on; }
     bool streaming() const { return streaming_; }
-
-    /** Pool utilization of the most recent run() (profiling only). */
-    const JobPoolUsage &lastPoolUsage() const { return lastUsage_; }
 
     /**
      * Simulate every config on every app. Each app's workload is
@@ -143,9 +125,7 @@ class SuiteRunner
   private:
     std::vector<AppProfile> apps_;
     unsigned jobs_ = 0; //!< 0 = JobPool::defaultJobs()
-    bool profiling_ = false;
     bool streaming_ = false;
-    mutable JobPoolUsage lastUsage_;
 };
 
 /**

@@ -4,19 +4,27 @@
  * raw-speed engine pass: the FixedRing pipeline queues, the per-event
  * EventArena, the open-addressed AddrMap, the BlockRunSet, and the
  * end-to-end guarantees they must preserve — byte-identical suite
- * artifacts across repeated runs. The zero-allocation steady state is
- * checked in tests/test_zero_alloc.cc.
+ * artifacts across repeated runs. FixedRing, AddrMap and BlockRunSet
+ * also run in lockstep with a std-container twin (deque,
+ * unordered_map, set) on random operation streams, and every outcome
+ * must agree. The zero-allocation steady state is checked in
+ * tests/test_zero_alloc.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/addr_map.hh"
 #include "common/arena.hh"
 #include "common/block_run_set.hh"
 #include "common/ring_buffer.hh"
+#include "common/rng.hh"
 #include "report/artifact.hh"
 #include "sim/simulator.hh"
 #include "sim/stats_report.hh"
@@ -36,6 +44,18 @@ tinyProfile()
     p.numEvents = 6;
     p.avgEventLen = 3000;
     return p;
+}
+
+/** Number of maximal runs of adjacent blocks in @p blocks. */
+std::size_t
+maximalRuns(const std::set<Addr> &blocks)
+{
+    std::size_t runs = 0;
+    for (auto it = blocks.begin(); it != blocks.end(); ++it) {
+        if (it == blocks.begin() || *std::prev(it) + blockBytes != *it)
+            ++runs;
+    }
+    return runs;
 }
 
 } // namespace
@@ -95,6 +115,40 @@ TEST(FixedRing, ClearEmptiesWithoutReallocating)
     EXPECT_EQ(ring.capacity(), 8u);
     ring.push_back(42);
     EXPECT_EQ(ring.front(), 42);
+}
+
+TEST(FixedRing, MatchesDequeOverThousandsOfWraps)
+{
+    // Random pushes and pops at every occupancy from empty to full;
+    // each pop's value, the size and every at(i) must match a deque.
+    for (const std::size_t requested : {1u, 4u, 6u, 16u}) {
+        FixedRing<std::uint64_t> ring(requested);
+        std::deque<std::uint64_t> ref;
+        Rng rng(requested);
+        std::uint64_t pushed = 0;
+        for (int step = 0; step < 40000; ++step) {
+            if (rng.chance(0.001)) {
+                ring.clear();
+                ref.clear();
+            }
+            const bool push = ref.empty() ||
+                (ref.size() < ring.capacity() && rng.chance(0.5));
+            if (push) {
+                ring.push_back(pushed);
+                ref.push_back(pushed);
+                ++pushed;
+            } else {
+                ASSERT_EQ(ring.front(), ref.front()) << step;
+                ring.pop_front();
+                ref.pop_front();
+            }
+            ASSERT_EQ(ring.size(), ref.size()) << step;
+            ASSERT_EQ(ring.empty(), ref.empty()) << step;
+            for (std::size_t i = 0; i < ref.size(); ++i)
+                ASSERT_EQ(ring.at(i), ref[i]) << step << "," << i;
+        }
+        EXPECT_GE(pushed / ring.capacity(), 1000u) << requested;
+    }
 }
 
 // --------------------------------------------------------------------
@@ -185,6 +239,60 @@ TEST(AddrMap, ClearRetainsCapacityAndReuses)
     EXPECT_EQ(*map.find(0x1000), 7);
 }
 
+TEST(AddrMap, MatchesUnorderedMapNearTheGrowthPoint)
+{
+    // The table grows when an insert would pass 70% load, so a pool of
+    // 5 keys keeps 8 slots, 11 keeps 16 and 22 keeps 32: the table
+    // runs close to full, probe chains wrap the array end, and
+    // backward-shift deletes cross it. A pool of 40 also grows the
+    // table mid-stream.
+    for (const std::size_t pool : {5u, 11u, 22u, 40u}) {
+        for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+            Rng rng(seed * 1000 + pool);
+            std::vector<Addr> keys;
+            while (keys.size() < pool) {
+                const Addr key = rng.below(1u << 20) * blockBytes;
+                if (std::find(keys.begin(), keys.end(), key) ==
+                    keys.end())
+                    keys.push_back(key);
+            }
+            AddrMap<std::uint64_t> map(8);
+            std::unordered_map<Addr, std::uint64_t> ref;
+            for (int step = 0; step < 3000; ++step) {
+                const Addr key = keys[rng.below(pool)];
+                const std::uint64_t op = rng.below(100);
+                if (op < 55) {
+                    const std::uint64_t value = rng.next();
+                    ASSERT_EQ(map.insertOrAssign(key, value),
+                              ref.insert_or_assign(key, value).second)
+                        << step;
+                } else if (op < 80) {
+                    ASSERT_EQ(map.erase(key), ref.erase(key) == 1)
+                        << step;
+                } else if (op == 99) {
+                    map.clear();
+                    ref.clear();
+                }
+                ASSERT_EQ(map.size(), ref.size()) << step;
+                for (const Addr k : keys) {
+                    const std::uint64_t *v = map.find(k);
+                    const auto it = ref.find(k);
+                    ASSERT_EQ(v != nullptr, it != ref.end()) << step;
+                    if (v != nullptr) {
+                        ASSERT_EQ(*v, it->second) << step;
+                    }
+                }
+            }
+            std::size_t visited = 0;
+            map.forEach([&](Addr k, std::uint64_t &v) {
+                ++visited;
+                ASSERT_EQ(ref.at(k), v);
+            });
+            EXPECT_EQ(visited, ref.size());
+        }
+    }
+}
+
 // --------------------------------------------------------------------
 // BlockRunSet (speculative footprint sets)
 // --------------------------------------------------------------------
@@ -205,6 +313,43 @@ TEST(BlockRunSet, InsertReportsNewVsSeenAndCoalescesRuns)
     set.clear();
     EXPECT_TRUE(set.empty());
     EXPECT_FALSE(set.contains(0x1000));
+}
+
+TEST(BlockRunSet, MatchesStdSetOnRandomStreams)
+{
+    // Blocks from a 48-block range: runs extend right, extend left and
+    // merge from both sides long before the range fills, and clear()
+    // restarts the stream. After every step the set must agree with a
+    // std::set on membership across the range, size, and the number
+    // of maximal runs.
+    constexpr Addr base = 0x40000;
+    constexpr Addr span = 48;
+    std::size_t merges = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed);
+        BlockRunSet set;
+        std::set<Addr> ref;
+        for (int step = 0; step < 2000; ++step) {
+            if (rng.chance(0.01)) {
+                set.clear();
+                ref.clear();
+            }
+            const Addr block = base + rng.below(span) * blockBytes;
+            const std::size_t runs_before = set.runCount();
+            ASSERT_EQ(set.insert(block), ref.insert(block).second)
+                << seed << "," << step;
+            merges += set.runCount() < runs_before;
+            ASSERT_EQ(set.size(), ref.size()) << seed << "," << step;
+            ASSERT_EQ(set.empty(), ref.empty());
+            ASSERT_EQ(set.runCount(), maximalRuns(ref))
+                << seed << "," << step;
+            for (Addr b = base - blockBytes;
+                 b <= base + span * blockBytes; b += blockBytes)
+                ASSERT_EQ(set.contains(b), ref.count(b) != 0)
+                    << seed << "," << step;
+        }
+    }
+    EXPECT_GT(merges, 0u);
 }
 
 // --------------------------------------------------------------------

@@ -3,8 +3,8 @@
  * Tests for the parallel sweep engine: JobPool basics, bit-identical
  * suite results at any thread count, and concurrent replay of one
  * shared workload (eager and lazy) from multiple simulator threads.
- * Also the one other thread of a run: the serve stall watchdog, which
- * dumps the span flight recorder while the simulation thread runs.
+ * A simulation run itself is single-threaded; threads exist only in
+ * JobPool sweeps.
  *
  * These tests carry the "tsan" ctest label; build with
  * -DESPSIM_SANITIZE=thread and run `ctest -L tsan` to check them for
@@ -13,9 +13,7 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -24,7 +22,6 @@
 
 #include "common/job_pool.hh"
 #include "report/artifact.hh"
-#include "server/serve.hh"
 #include "sim/stats_report.hh"
 #include "workload/lazy.hh"
 
@@ -348,33 +345,4 @@ TEST(ParallelSweep, WildcardFaultInjectionHitsEveryCell)
         for (std::size_t c = 0; c < configs.size(); ++c)
             EXPECT_FALSE(row.ok(c)) << row.app << "," << c;
     }
-}
-
-TEST(ServeWatchdog, StallDumpDoesNotRaceSpanDelivery)
-{
-    // ESPSIM_STALL_INJECT wedges the retire of event 150 for 600 ms
-    // against a 100 ms budget, so the watchdog thread writes the
-    // flight-recorder dump while the simulation thread still has
-    // spans to deliver to the same collector.
-    ::setenv("ESPSIM_STALL_INJECT", "150:600", 1);
-    const std::string prefix = ::testing::TempDir() + "tsan_stall";
-    ServeOptions opts;
-    opts.events = 300;
-    opts.spans.enabled = true;
-    opts.spans.flightRecorder = 64;
-    opts.spans.anomalyThreshold = 1000.0;
-    opts.telemetry.period.cycles = 20'000;
-    opts.telemetry.watchdogBudgetMs = 100.0;
-    opts.telemetry.watchdogDumpPrefix = prefix;
-    const ServeReport report = runServe(
-        ServerProfile::testProfile(), {SimConfig::baseline()}, opts);
-    ::unsetenv("ESPSIM_STALL_INJECT");
-
-    EXPECT_EQ(report.watchdogFires, 1u);
-    EXPECT_TRUE(report.degraded);
-    ASSERT_EQ(report.cells.size(), 1u);
-    EXPECT_EQ(report.cells[0].events, 300u);
-    const std::string dump = prefix + ".base.stall.trace.json";
-    EXPECT_TRUE(std::ifstream(dump).good()) << dump;
-    std::remove(dump.c_str());
 }

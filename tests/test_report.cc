@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -19,10 +18,8 @@
 #include <map>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "report/artifact.hh"
-#include "report/host_profile.hh"
 #include "report/json_reader.hh"
 #include "report/json_writer.hh"
 #include "report/stat_registry.hh"
@@ -597,41 +594,4 @@ TEST(Timeline, StallNamesAreStable)
                  "mispredict-flush");
     EXPECT_STREQ(timelineStallName(TimelineStall::BtbMiss),
                  "btb-miss");
-}
-
-// --------------------------------------------------------------------
-// Host profiler
-// --------------------------------------------------------------------
-
-TEST(HostProfile, WallClockSpansAccumulateAndMergeAsHostStats)
-{
-    HostCellProfile profile;
-    {
-        WallClockSpan span(&profile.simMs);
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    { WallClockSpan free_span(nullptr); } // must be a no-op
-    EXPECT_GT(profile.simMs, 0.0);
-    EXPECT_EQ(profile.genMs, 0.0);
-
-    StatGroup stats;
-    mergeHostStats(stats, profile);
-    EXPECT_EQ(stats.get("host.sim_ms"), profile.simMs);
-    EXPECT_EQ(stats.get("host.total_ms"), profile.totalMs());
-    EXPECT_GE(stats.get("host.peak_rss_mb"), 0.0);
-}
-
-TEST(HostProfile, ProfiledRunFillsEveryPhaseSpan)
-{
-    const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    HostCellProfile profile;
-    RunInstrumentation inst;
-    inst.hostProfile = &profile;
-    (void)Simulator(SimConfig::espFull(true)).run(*workload, inst);
-    // Simulation always takes measurable time; warmup and reporting
-    // may round to ~0 but must never be negative.
-    EXPECT_GT(profile.simMs, 0.0);
-    EXPECT_GE(profile.warmupMs, 0.0);
-    EXPECT_GE(profile.reportMs, 0.0);
-    EXPECT_GT(profile.totalMs(), 0.0);
 }

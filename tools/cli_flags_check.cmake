@@ -1,8 +1,9 @@
 # Input-rejection gate: `espsim` must exit 2 and name the offending
 # input when it gets an unknown or retired subcommand, a flag the
 # subcommand does not take, a flag that would do nothing without
-# another one, a signed value for an unsigned option, or a non-finite
-# or negative value for a real-valued option. Each case
+# another one, a signed value for an unsigned option, a value too large
+# for an option stored in 32 bits, or a non-finite or negative value
+# for a real-valued option. Each case
 # would otherwise run with the input silently ignored, print the usage
 # text with a regression gate's exit 1, or (for a wrapped negative
 # count) abort or run effectively forever; the timeout catches that.
@@ -28,8 +29,20 @@ function(expect_rejected flag)
 endfunction()
 
 # A misspelled flag.
+expect_rejected(--telemetry-perod
+    serve --profile testsrv --events 50 --configs base
+    --telemetry --telemetry-perod 1000)
+# The retired host self-monitoring flags: the suite's per-cell host
+# profile (perfbench --trace 1 reports those phases) and the serve
+# stall monitor (a hang is caught by the ctest TIMEOUT).
+expect_rejected(--profile
+    suite --apps amazon --configs base --profile)
 expect_rejected(--watchdog-m
     serve --profile testsrv --events 50 --configs base --watchdog-m 100)
+expect_rejected(--watchdog-ms
+    serve --profile testsrv --events 50 --configs base --watchdog-ms 100)
+expect_rejected(--watchdog-dump
+    serve --profile testsrv --events 50 --configs base --watchdog-dump x)
 # The retired metrics endpoint.
 expect_rejected(--metrics-port
     serve --profile testsrv --events 50 --configs base --metrics-port 0)
@@ -56,6 +69,17 @@ expect_rejected("invalid value"
     gen --app amazon --out never_written.espw --events " -5")
 expect_rejected("invalid value"
     serve --profile testsrv --configs base --events " -1")
+
+# Options stored in an `unsigned` must reject 2^32 rather than pass the
+# range check on the 64-bit value and wrap to 0 in the cast.
+expect_rejected("invalid value"
+    serve --profile testsrv --events 50 --configs base --arrival closed
+    --concurrency 4294967296)
+expect_rejected("invalid value"
+    serve --profile testsrv --events 50 --configs base
+    --spike-event 10 --spike-scale 4294967296)
+expect_rejected("invalid value"
+    suite --apps amazon --configs base --jobs 4294967296)
 
 # strtod accepts "nan" and "inf", and a real-valued option is a gap,
 # threshold, budget or tolerance: a NaN gap once ran with a wrapped

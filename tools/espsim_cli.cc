@@ -8,8 +8,7 @@
  *                [--timeline-limit N] [--telemetry [path]]
  *                [--telemetry-period N]
  *   espsim suite --configs base,NL,ESP+NL [--jobs N] [--apps a,b]
- *                [--json [path]] [--csv [path]] [--profile]
- *                [--streaming]
+ *                [--json [path]] [--csv [path]] [--streaming]
  *   espsim serve --profile memcached --events 1000000
  *                [--configs base,ESP+NL] [--arrival poisson]
  *                [--json [path]] [--trace-spans [path]]
@@ -30,8 +29,9 @@
  * notes) goes to stderr. Exit code 0 on success, 1 on usage errors,
  * 2 on an unknown subcommand, on malformed option values (numeric
  * options go through checked helpers that reject trailing garbage, a
- * sign or leading whitespace on an unsigned value, and a non-finite or
- * negative value on a real-valued one), on a flag the
+ * sign or leading whitespace on an unsigned value, a value too large
+ * for the option, and a non-finite or negative value on a real-valued
+ * one), on a flag the
  * subcommand does not take, and on a flag that would do nothing
  * without another one (--telemetry-period without --telemetry).
  * `espsim diff` exits 0 when the artifacts agree within tolerance,
@@ -44,6 +44,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -87,7 +88,7 @@ usage()
         "[--telemetry-period N]\n"
         "               [--telemetry-wall-ms M]\n"
         "  espsim suite [--configs a,b,c] [--apps a,b] [--jobs N] "
-        "[--json [path]] [--csv [path]] [--profile] [--streaming]\n"
+        "[--json [path]] [--csv [path]] [--streaming]\n"
         "  espsim serve [--profile memcached|http|testsrv] "
         "[--configs a,b] [--events N] [--window N]\n"
         "               [--reservoir N] "
@@ -101,7 +102,6 @@ usage()
         "               [--spike-event N] [--spike-scale S]\n"
         "               [--telemetry [path]] [--telemetry-period N] "
         "[--telemetry-wall-ms M]\n"
-        "               [--watchdog-ms M] [--watchdog-dump PREFIX]\n"
         "  espsim gen   --app <name> --out <file> [--events N]\n"
         "  espsim diff  <baseline.json> <candidate.json> "
         "[--rel-tol F] [--abs-tol F]\n"
@@ -121,24 +121,28 @@ usage()
  * aborting on an uncaught std::invalid_argument or silently reading
  * a half-parsed value. Trailing garbage is rejected, and an unsigned
  * value must start with a digit: strtoul skips leading whitespace and
- * wraps a minus sign, so " -5" would otherwise read as 2^64 - 5. Every
+ * wraps a minus sign, so " -5" would otherwise read as 2^64 - 5. A
+ * value above @p max is rejected too: a flag stored in an `unsigned`
+ * passes UINT_MAX, so 2^32 cannot wrap to 0 after the check. Every
  * real-valued option is a gap, threshold, budget or tolerance, so a
  * real value must be finite and non-negative: strtod accepts "nan" and
  * "inf", and a NaN gap once ran with a wrapped cycle count.
  */
 unsigned long
-parseUnsignedOption(const std::string &value, const char *flag)
+parseUnsignedOption(const std::string &value, const char *flag,
+                    unsigned long max = ULONG_MAX)
 {
     char *end = nullptr;
     errno = 0;
     const unsigned long v = std::strtoul(value.c_str(), &end, 10);
     if (value.empty() ||
         !std::isdigit(static_cast<unsigned char>(value[0])) ||
-        end != value.c_str() + value.size() || errno == ERANGE) {
+        end != value.c_str() + value.size() || errno == ERANGE ||
+        v > max) {
         logLine(LogLevel::Error,
-                "invalid value '%s' for --%s (expected a "
-                "non-negative integer)",
-                value.c_str(), flag);
+                "invalid value '%s' for --%s (expected an integer "
+                "from 0 to %lu)",
+                value.c_str(), flag, max);
         usage();
         std::exit(2);
     }
@@ -225,15 +229,14 @@ commandFlags()
           "timeline-limit", "telemetry", "telemetry-period",
           "telemetry-wall-ms"}},
         {"suite",
-         {"configs", "apps", "jobs", "json", "csv", "profile",
-          "streaming"}},
+         {"configs", "apps", "jobs", "json", "csv", "streaming"}},
         {"serve",
          {"profile", "configs", "events", "window", "reservoir",
           "arrival", "gap", "concurrency", "think", "seed", "json",
           "trace-spans", "flight-recorder", "anomaly-threshold",
           "worst", "anomaly-min", "flight-dump", "spike-event",
           "spike-scale", "telemetry", "telemetry-period",
-          "telemetry-wall-ms", "watchdog-ms", "watchdog-dump"}},
+          "telemetry-wall-ms"}},
         {"gen", {"app", "out", "events"}},
         {"fuzz", {"runs", "seed", "verbose"}},
     };
@@ -421,37 +424,11 @@ cmdSuite(const std::map<std::string, std::string> &flags)
     SuiteRunner runner(apps);
     if (auto it = flags.find("jobs"); it != flags.end()) {
         const unsigned long jobs =
-            parseUnsignedOption(it->second, "jobs");
+            parseUnsignedOption(it->second, "jobs", UINT_MAX);
         runner.setJobs(jobs >= 1 ? static_cast<unsigned>(jobs) : 1);
     }
-    const bool profile = flags.count("profile") != 0;
-    runner.setProfiling(profile);
     runner.setStreaming(flags.count("streaming") != 0);
-    auto rows = runner.run(configs, true);
-    if (profile) {
-        for (SuiteRow &row : rows) {
-            for (std::size_t c = 0; c < configs.size(); ++c) {
-                if (!row.ok(c))
-                    continue;
-                const HostCellProfile &p = row.profiles[c];
-                mergeHostStats(row.results[c].stats, p);
-                logLine(LogLevel::Info,
-                        "# profile %s/%s: gen %.1f ms, warmup %.1f "
-                        "ms, sim %.1f ms, report %.1f ms (total %.1f "
-                        "ms)",
-                        row.app.c_str(), configs[c].name.c_str(),
-                        p.genMs, p.warmupMs, p.simMs, p.reportMs,
-                        p.totalMs());
-            }
-        }
-        const JobPoolUsage &u = runner.lastPoolUsage();
-        logLine(LogLevel::Info,
-                "# pool: %zu jobs on %u threads, queue HWM %zu, busy "
-                "%.1f%%, %.1f jobs/s, wall %.0f ms, peak RSS %.1f MiB",
-                u.jobsCompleted, u.threads, u.queueDepthHighWater,
-                100.0 * u.busyFraction(), u.jobsPerSec(), u.wallMs,
-                peakRssMb());
-    }
+    const auto rows = runner.run(configs, true);
     TextTable table("suite results (cycles; % improvement over first "
                     "config)");
     std::vector<std::string> header{"app"};
@@ -502,13 +479,8 @@ cmdSuite(const std::map<std::string, std::string> &flags)
     if (const std::string path =
             artifactPath("json", "espsim_suite.json");
         !path.empty()) {
-        // The host block rides along only under --profile; clean
-        // artifacts stay byte-identical to the deterministic baseline.
-        if (!writeTextFile(
-                path,
-                renderSuiteArtifactJson(
-                    manifest, configs, rows,
-                    profile ? &runner.lastPoolUsage() : nullptr))) {
+        if (!writeTextFile(path, renderSuiteArtifactJson(
+                                     manifest, configs, rows))) {
             logLine(LogLevel::Error, "cannot write '%s'",
                     path.c_str());
             return 1;
@@ -587,7 +559,7 @@ cmdServe(const std::map<std::string, std::string> &flags)
             parseDoubleOption(it->second, "gap");
     if (auto it = flags.find("concurrency"); it != flags.end()) {
         const unsigned long n =
-            parseUnsignedOption(it->second, "concurrency");
+            parseUnsignedOption(it->second, "concurrency", UINT_MAX);
         opts.arrival.concurrency =
             n >= 1 ? static_cast<unsigned>(n) : 1;
     }
@@ -626,11 +598,11 @@ cmdServe(const std::map<std::string, std::string> &flags)
             parseUnsignedOption(it->second, "spike-event");
     if (auto it = flags.find("spike-scale"); it != flags.end()) {
         const unsigned long s =
-            parseUnsignedOption(it->second, "spike-scale");
+            parseUnsignedOption(it->second, "spike-scale", UINT_MAX);
         opts.spans.spikeScale = s >= 2 ? static_cast<unsigned>(s) : 2;
     }
 
-    // --- live telemetry / stall watchdog -----------------------------
+    // --- live telemetry ----------------------------------------------
     const bool telemetry_on = flags.count("telemetry") != 0;
     requireWith(flags, "telemetry-period", telemetry_on, "--telemetry");
     requireWith(flags, "telemetry-wall-ms", telemetry_on, "--telemetry");
@@ -645,15 +617,6 @@ cmdServe(const std::map<std::string, std::string> &flags)
     if (auto it = flags.find("telemetry-wall-ms"); it != flags.end())
         opts.telemetry.period.wallMs =
             parseDoubleOption(it->second, "telemetry-wall-ms");
-    if (auto it = flags.find("watchdog-ms"); it != flags.end())
-        opts.telemetry.watchdogBudgetMs =
-            parseDoubleOption(it->second, "watchdog-ms");
-    if (auto it = flags.find("watchdog-dump"); it != flags.end() &&
-        it->second != "1")
-        opts.telemetry.watchdogDumpPrefix = it->second;
-    requireWith(flags, "watchdog-dump",
-                opts.telemetry.watchdogBudgetMs > 0 && opts.spans.enabled,
-                "--watchdog-ms and --trace-spans");
     // A sink without a pace would never snapshot; default to a cycle
     // grid coarse enough to be invisible in the overhead gate.
     if (telemetry_on && !opts.telemetry.period.enabled())
@@ -666,21 +629,16 @@ cmdServe(const std::map<std::string, std::string> &flags)
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - wall_start)
             .count();
-    // Always on stderr (not just under --profile): the serve_1m RSS
-    // gate parses this line from two separate process runs.
+    // Always on stderr: the serve_1m RSS gate parses this line from
+    // two separate process runs.
     logLine(LogLevel::Info, "# serve peak RSS %.1f MiB", peakRssMb());
     // Parsed by the serve_trace_overhead gate (recorder-on vs -off).
     logLine(LogLevel::Info, "# serve wall %lld ms",
             static_cast<long long>(wall_ms));
     if (opts.telemetry.any()) {
-        logLine(LogLevel::Info,
-                "# telemetry: %llu snapshots, %llu watchdog fires",
+        logLine(LogLevel::Info, "# telemetry: %llu snapshots",
                 static_cast<unsigned long long>(
-                    report.telemetrySnapshots),
-                static_cast<unsigned long long>(report.watchdogFires));
-        if (report.degraded)
-            logLine(LogLevel::Warn, "# serve run degraded: %s",
-                    report.degradedReason.c_str());
+                    report.telemetrySnapshots));
     }
 
     TextTable table("serve tail latency (cycles, '" + report.profile +

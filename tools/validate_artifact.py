@@ -52,26 +52,6 @@ def _check_manifest(doc, problems, *, want_hash):
                        for c in config_hash)):
             _fail(problems, "manifest.config_hash is not a 16-digit "
                             "lowercase hex string")
-    # The health block is opt-in: serve artifacts carry it only when
-    # the run degraded (watchdog fired), so healthy runs stay
-    # byte-identical with telemetry off. Validate it when present.
-    health = manifest.get("health")
-    if health is not None:
-        if not isinstance(health, dict):
-            _fail(problems, "manifest.health is not an object")
-        else:
-            if health.get("status") != "degraded":
-                _fail(problems,
-                      "manifest.health.status != 'degraded' (healthy "
-                      "runs omit the block entirely)")
-            reason = health.get("reason")
-            if not isinstance(reason, str) or not reason:
-                _fail(problems,
-                      "manifest.health.reason missing or empty")
-            fires = health.get("watchdog_fires")
-            if not isinstance(fires, int) or fires < 0:
-                _fail(problems, "manifest.health.watchdog_fires is "
-                                "not a non-negative integer")
     return problems
 
 
