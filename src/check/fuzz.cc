@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -18,6 +19,7 @@
 #include "sim/simulator.hh"
 #include "sim/stats_report.hh"
 #include "workload/generator.hh"
+#include "workload/streaming.hh"
 
 namespace espsim
 {
@@ -210,29 +212,26 @@ roundtripMismatch(const std::vector<SimConfig> &configs,
 
 /**
  * Oracle: the streaming workload core is a perfect stand-in for a
- * fully-materialised trace. Replaying the same profile through
- * SuiteRunner's streaming path (bounded sliding window, worker
- * threads pinning events concurrently) must yield a byte-identical
- * suite artifact — not just equal stats, the exact same serialised
- * bytes.
+ * fully-materialised trace. Replaying each config through its own
+ * StreamingWorkload (bounded sliding window, one reader) must yield a
+ * byte-identical suite artifact — not just equal stats, the exact
+ * same serialised bytes.
  */
 std::string
 streamingMismatch(const FuzzCase &c,
                   const std::vector<SimConfig> &configs,
                   const std::vector<SuiteRow> &materialized)
 {
-    SuiteRunner runner({c.profile});
-    runner.setJobs(2);
-    runner.setStreaming(true);
-    const std::vector<SuiteRow> srows = runner.run(configs);
-    if (suiteHasErrors(srows)) {
-        for (const SuiteRow &row : srows) {
-            for (std::size_t cfg = 0; cfg < configs.size(); ++cfg) {
-                if (!row.ok(cfg))
-                    return "streaming cell failed (" +
-                        configs[cfg].name + "): " +
-                        row.errors[cfg].message;
-            }
+    SuiteRow row;
+    row.app = c.profile.name;
+    for (const SimConfig &config : configs) {
+        StreamingWorkload streamed(
+            std::make_unique<GeneratorSource>(c.profile));
+        try {
+            row.results.push_back(Simulator(config).run(streamed));
+        } catch (const std::exception &e) {
+            return "streamed replay failed (" + config.name +
+                "): " + e.what();
         }
     }
     ArtifactManifest manifest;
@@ -240,7 +239,7 @@ streamingMismatch(const FuzzCase &c,
     const std::string a =
         renderSuiteArtifactJson(manifest, configs, materialized);
     const std::string b =
-        renderSuiteArtifactJson(manifest, configs, srows);
+        renderSuiteArtifactJson(manifest, configs, {row});
     if (a != b)
         return "streamed artifact bytes differ from materialised "
                "trace (same profile seed " +

@@ -117,9 +117,10 @@ runServe(const ServerProfile &profile,
     }
 
     for (const SimConfig &config : configs) {
-        // A fresh streaming workload per config: each replay starts at
-        // event 0 with an empty pin window, so resident-trace bounds
-        // (and thus peak RSS) don't accumulate across configs.
+        // A fresh streaming workload per config: a stream has one
+        // reader, and each replay starts at event 0 with an empty
+        // cache, so resident traces (and thus peak RSS) don't
+        // accumulate across configs.
         std::unique_ptr<const EventSource> source =
             std::make_unique<ServerTraceSource>(p);
         if (opts.spans.spikeEvent != noSpikeEvent) {

@@ -88,7 +88,7 @@ struct ServeOptions
 {
     /** Override profile.app.numEvents when non-zero. */
     std::size_t events = 0;
-    /** Streaming window (resident trace budget per reader). */
+    /** Traces each config's stream keeps resident (>= 4). */
     std::size_t window = 16;
     /** Latency reservoir capacity (0 = buffer every sample). */
     std::size_t reservoirCapacity = 4096;

@@ -12,7 +12,6 @@
 #include "common/logging.hh"
 #include "report/artifact.hh"
 #include "workload/generator.hh"
-#include "workload/streaming.hh"
 
 namespace espsim
 {
@@ -113,15 +112,8 @@ SuiteRunner::run(const std::vector<SimConfig> &configs,
                             "injected fault (ESPSIM_FAULT_INJECT)");
                     }
                     std::call_once(slot.once, [&] {
-                        if (streaming_) {
-                            slot.workload =
-                                std::make_shared<StreamingWorkload>(
-                                    std::make_unique<GeneratorSource>(
-                                        apps_[a]));
-                        } else {
-                            slot.workload =
-                                SyntheticGenerator(apps_[a]).generate();
-                        }
+                        slot.workload =
+                            SyntheticGenerator(apps_[a]).generate();
                     });
                     std::shared_ptr<const Workload> workload =
                         slot.workload;

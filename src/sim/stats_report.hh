@@ -93,17 +93,6 @@ class SuiteRunner
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Replay each app through the streaming workload core (bounded
-     * sliding window, workload/streaming.hh) instead of materialising
-     * it up front. Stats are bit-identical either way — the
-     * `streaming-equivalence` fuzz oracle and the diff_streaming_golden
-     * ctest hold the two paths to byte-identical artifacts — but peak
-     * memory stays flat in the event count.
-     */
-    void setStreaming(bool on) { streaming_ = on; }
-    bool streaming() const { return streaming_; }
-
-    /**
      * Simulate every config on every app. Each app's workload is
      * generated once and shared read-only across that app's config
      * jobs (and released as soon as the app's last point completes,
@@ -125,7 +114,6 @@ class SuiteRunner
   private:
     std::vector<AppProfile> apps_;
     unsigned jobs_ = 0; //!< 0 = JobPool::defaultJobs()
-    bool streaming_ = false;
 };
 
 /**

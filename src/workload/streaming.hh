@@ -5,26 +5,25 @@
  * multi-million-event runs hold only a bounded sliding window of
  * traces resident — peak RSS is flat in the stream length.
  *
- * This generalises the LazyWorkload cache (which is now a thin adapter
- * over a SyntheticGenerator-backed source): any deterministic
- * id -> EventTrace function can feed the simulator, including the
+ * Any deterministic id -> EventTrace function can feed the simulator:
+ * the synthetic browser profiles (GeneratorSource) and the
  * request-serving profiles in src/server/.
  *
  * Retired traces are recycled through a small free list: a new
  * EventTrace is move-assigned into a retired slot, which saves the
- * slot's shared allocation. The move replaces the slot's OpSequence
- * arrays with the freshly generated ones; it does not reuse them. In
- * steady state the per-event allocations are therefore what trace
- * generation itself needs, and the window-advance boundary is the only
- * place the streaming loop allocates (see tests/test_zero_alloc.cc for
- * the allocation-count assertions).
+ * slot's allocation. The move replaces the slot's OpSequence arrays
+ * with the freshly generated ones; it does not reuse them. In steady
+ * state the per-event allocations are therefore what trace generation
+ * itself needs, and the window-advance boundary is the only place the
+ * streaming loop allocates (see tests/test_zero_alloc.cc for the
+ * allocation-count assertions).
  *
- * Concurrency contract is identical to the old LazyWorkload: safe to
- * share across concurrently replaying simulators; the cache is
- * mutex-guarded and each reader thread pins its recent window, so
- * eviction by a fast thread never invalidates a reference a lagging
- * thread still holds. The Workload reference-validity contract
- * (valid until idx + 3 is requested) is honoured per calling thread.
+ * One reader, not thread-safe: a StreamingWorkload serves exactly one
+ * replay. `espsim serve` builds a fresh one per config; a sweep that
+ * replays one app under several configs at once shares the resident
+ * InMemoryWorkload instead. A returned reference stays valid until the
+ * reader requests an index window - 1 past it, which covers the
+ * Workload contract (valid until idx + 3 is requested).
  */
 
 #ifndef ESPSIM_WORKLOAD_STREAMING_HH
@@ -32,8 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -46,8 +43,8 @@ namespace espsim
 /**
  * A deterministic event-trace producer: makeEvent(id) must return a
  * bit-identical trace for the same id every time it is called (the
- * streaming cache regenerates evicted events on re-request, e.g. when
- * a second simulator replays the same shared workload).
+ * streaming cache regenerates an evicted event when it is requested
+ * again).
  */
 class EventSource
 {
@@ -100,7 +97,10 @@ class GeneratorSource : public EventSource
 class StreamingWorkload : public Workload
 {
   public:
-    /** @p window traces are kept resident (>= 4 per the contract). */
+    /** The smallest window that honours the contract (idx .. idx + 3). */
+    static constexpr std::size_t minWindow = 4;
+
+    /** @p window traces are kept resident (clamped to minWindow). */
     explicit StreamingWorkload(std::unique_ptr<const EventSource> source,
                                std::size_t window = 8);
 
@@ -110,11 +110,11 @@ class StreamingWorkload : public Workload
     std::vector<AddrRange> warmSet() const override;
 
     /** Traces currently materialised (tests / memory accounting). */
-    std::size_t residentTraces() const;
+    std::size_t residentTraces() const { return cache_.size(); }
     /** Total events generated over the lifetime (cache misses). */
-    std::uint64_t generations() const;
+    std::uint64_t generations() const { return generations_; }
     /** Generations that reused a retired trace's storage. */
-    std::uint64_t recycled() const;
+    std::uint64_t recycled() const { return recycled_; }
 
     const EventSource &source() const { return *source_; }
 
@@ -124,41 +124,17 @@ class StreamingWorkload : public Workload
     std::size_t numEvents_;
     std::size_t window_;
 
-    /** One cached trace, keyed by event index. */
-    using Entry = std::pair<std::size_t, std::shared_ptr<EventTrace>>;
+    /** One cached trace, keyed by event index. The trace is owned
+     *  through a pointer so references survive vector inserts. */
+    using Entry = std::pair<std::size_t, std::unique_ptr<EventTrace>>;
 
-    mutable std::mutex mutex_;
-    /** Sorted by event index; binary-searched. The window is small
-     *  (a handful of entries per reader), so a flat vector beats a
-     *  node-per-entry map. */
+    /** Sorted by event index; binary-searched. The window is small,
+     *  so a flat vector beats a node-per-entry map. */
     mutable std::vector<Entry> cache_;
-    /**
-     * Traces handed to each reader thread recently, keyed by event
-     * index (sorted). A pin keeps its trace alive (shared_ptr) even
-     * after cache eviction, and is released only once the thread
-     * requests an index window_ ahead — so returned references honour
-     * the validity contract no matter how many event() calls the
-     * thread makes in between (ESP re-requests its lookahead events on
-     * every stall episode).
-     */
-    struct PinWindow
-    {
-        std::thread::id tid;
-        std::vector<Entry> pins; //!< sorted by event index
-    };
-    mutable std::vector<PinWindow> pins_;
-    /**
-     * Retired traces awaiting reuse. Only traces whose shared_ptr is
-     * unique land here, so move-assigning the next generated event
-     * into one can never mutate a trace a reader still references.
-     */
-    mutable std::vector<std::shared_ptr<EventTrace>> freeList_;
+    /** Retired traces awaiting reuse (at most window_ of them). */
+    mutable std::vector<std::unique_ptr<EventTrace>> freeList_;
     mutable std::uint64_t generations_ = 0;
     mutable std::uint64_t recycled_ = 0;
-
-    /** Sorted-vector lower bound on the event-index key. */
-    static std::vector<Entry>::iterator
-    findAt(std::vector<Entry> &entries, std::size_t idx);
 };
 
 } // namespace espsim

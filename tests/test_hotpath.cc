@@ -4,10 +4,10 @@
  * raw-speed engine pass: the FixedRing pipeline queues, the per-event
  * EventArena, the open-addressed AddrMap, the BlockRunSet, and the
  * end-to-end guarantees they must preserve — byte-identical suite
- * artifacts across repeated runs. FixedRing, AddrMap and BlockRunSet
- * also run in lockstep with a std-container twin (deque,
- * unordered_map, set) on random operation streams, and every outcome
- * must agree. The zero-allocation steady state is checked in
+ * artifacts across repeated runs. FixedRing, EventArena, AddrMap and
+ * BlockRunSet also run in lockstep with a std-container twin (deque,
+ * vector, unordered_map, set) on random operation streams, and every
+ * outcome must agree. The zero-allocation steady state is checked in
  * tests/test_zero_alloc.cc.
  */
 
@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <set>
 #include <unordered_map>
@@ -56,6 +57,57 @@ maximalRuns(const std::set<Addr> &blocks)
             ++runs;
     }
     return runs;
+}
+
+/** One live arena span and a byte copy of what it must hold. */
+struct ArenaSpan
+{
+    std::size_t align;
+    const void *data;
+    std::vector<std::uint8_t> want;
+
+    /** Aligned for its type and still holding its twin's bytes. */
+    bool
+    intact() const
+    {
+        return reinterpret_cast<std::uintptr_t>(data) % align == 0 &&
+            (want.empty() ||
+             std::memcmp(data, want.data(), want.size()) == 0);
+    }
+};
+
+/** Allocate (or copy) @p n random T from @p arena. */
+template <typename T>
+ArenaSpan
+fillArenaSpan(EventArena &arena, Rng &rng, std::size_t n)
+{
+    std::vector<T> src(n);
+    for (T &v : src)
+        v = static_cast<T>(rng.next());
+    T *p = nullptr;
+    if (rng.chance(0.5)) {
+        p = arena.copy(src.data(), n);
+    } else {
+        p = arena.allocate<T>(n);
+        std::copy(src.begin(), src.end(), p);
+    }
+    const auto *bytes = reinterpret_cast<const std::uint8_t *>(src.data());
+    return {alignof(T), p, {bytes, bytes + n * sizeof(T)}};
+}
+
+/** @p n elements of uint8, uint32 or uint64 as @p width picks. */
+ArenaSpan
+randomArenaSpan(EventArena &arena, Rng &rng, std::uint64_t width,
+                std::size_t n)
+{
+    switch (width) {
+    case 0:
+        return fillArenaSpan<std::uint8_t>(arena, rng, n);
+    case 1:
+        return fillArenaSpan<std::uint32_t>(arena, rng, n);
+    default:
+        return fillArenaSpan<std::uint64_t>(arena, rng, n);
+    }
 }
 
 } // namespace
@@ -200,6 +252,52 @@ TEST(EventArena, CopyRoundTripsAndResetReclaims)
     EXPECT_GT(arena.usedBytes(), 0u);
     arena.reset();
     EXPECT_EQ(arena.usedBytes(), 0u);
+}
+
+TEST(EventArena, MatchesVectorTwinOnRandomEvents)
+{
+    // Random allocate/copy sequences over three element widths, from
+    // a 16-byte first chunk so events overflow into chained chunks,
+    // with reset() between events. After every step each live span
+    // must be aligned for its type and still hold its twin's bytes
+    // (so no two spans overlap), and usedBytes() <= peakBytes().
+    const auto event = [](EventArena &arena, Rng &rng) {
+        std::vector<ArenaSpan> live;
+        const std::size_t allocs = 1 + rng.below(12);
+        for (std::size_t a = 0; a < allocs; ++a) {
+            live.push_back(
+                randomArenaSpan(arena, rng, rng.below(3), rng.below(41)));
+            for (const ArenaSpan &span : live)
+                ASSERT_TRUE(span.intact()) << "allocation " << a;
+            ASSERT_LE(arena.usedBytes(), arena.peakBytes());
+        }
+        arena.reset();
+        ASSERT_EQ(arena.usedBytes(), 0u);
+    };
+    std::size_t overflows = 0;
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        EventArena arena(16);
+        for (int e = 0; e < 40; ++e) {
+            const std::size_t before = arena.capacityBytes();
+            event(arena, rng);
+            overflows += arena.capacityBytes() > before;
+        }
+        // One event shape, repeated: once warmed up, capacity settles.
+        EventArena fresh(16);
+        std::size_t settled = 0;
+        for (int repeat = 0; repeat < 20; ++repeat) {
+            Rng same(seed + 1000);
+            event(fresh, same);
+            if (repeat == 2) {
+                settled = fresh.capacityBytes();
+            } else if (repeat > 2) {
+                EXPECT_EQ(fresh.capacityBytes(), settled);
+            }
+        }
+    }
+    EXPECT_GT(overflows, 0u);
 }
 
 // --------------------------------------------------------------------

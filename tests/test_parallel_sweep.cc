@@ -2,7 +2,7 @@
  * @file
  * Tests for the parallel sweep engine: JobPool basics, bit-identical
  * suite results at any thread count, and concurrent replay of one
- * shared workload (eager and lazy) from multiple simulator threads.
+ * shared resident workload from multiple simulator threads.
  * A simulation run itself is single-threaded; threads exist only in
  * JobPool sweeps.
  *
@@ -23,7 +23,7 @@
 #include "common/job_pool.hh"
 #include "report/artifact.hh"
 #include "sim/stats_report.hh"
-#include "workload/lazy.hh"
+#include "workload/generator.hh"
 
 using namespace espsim;
 
@@ -163,58 +163,6 @@ TEST(ParallelSweep, SharedEagerWorkloadConcurrentReplay)
     EXPECT_EQ(par_a.ipc, ref_a.ipc);
     EXPECT_EQ(par_b.cycles, ref_b.cycles);
     EXPECT_EQ(par_b.ipc, ref_b.ipc);
-}
-
-TEST(ParallelSweep, SharedLazyWorkloadConcurrentReplay)
-{
-    AppProfile p = AppProfile::testProfile();
-    p.numEvents = 30;
-
-    // Serial references from a private lazy workload.
-    LazyWorkload ref_workload(p);
-    const SimResult ref_a =
-        Simulator(SimConfig::espFull(true)).run(ref_workload);
-    const SimResult ref_b =
-        Simulator(SimConfig::nextLineStride()).run(ref_workload);
-
-    // Two simulators race over ONE lazy workload: the cache must not
-    // let one thread's eviction invalidate the other's references.
-    LazyWorkload shared(p);
-    SimResult par_a, par_b;
-    std::thread ta([&] {
-        par_a = Simulator(SimConfig::espFull(true)).run(shared);
-    });
-    std::thread tb([&] {
-        par_b = Simulator(SimConfig::nextLineStride()).run(shared);
-    });
-    ta.join();
-    tb.join();
-
-    EXPECT_EQ(par_a.cycles, ref_a.cycles);
-    EXPECT_EQ(par_a.ipc, ref_a.ipc);
-    EXPECT_EQ(par_b.cycles, ref_b.cycles);
-    EXPECT_EQ(par_b.ipc, ref_b.ipc);
-}
-
-TEST(ParallelSweep, LazyCacheStaysBoundedUnderConcurrency)
-{
-    AppProfile p = AppProfile::testProfile();
-    p.numEvents = 40;
-    LazyWorkload shared(p, 6);
-
-    auto scan = [&shared] {
-        for (std::size_t i = 0; i < shared.numEvents(); ++i)
-            (void)shared.event(i);
-    };
-    std::thread ta(scan);
-    std::thread tb(scan);
-    ta.join();
-    tb.join();
-
-    // Bounded by one window per reader thread plus the last caller's
-    // live window — nowhere near the 40 events generated.
-    EXPECT_LE(shared.residentTraces(), 3 * 6);
-    EXPECT_GE(shared.generations(), shared.numEvents());
 }
 
 TEST(JobPool, ThrowingJobPropagatesFromWait)

@@ -114,7 +114,7 @@ TEST(Streaming, SteadyStateReRequestDoesNotAllocate)
     StreamingWorkload w(std::make_unique<GeneratorSource>(p), 8);
     for (std::size_t i = 0; i <= 30; ++i)
         (void)w.event(i);
-    // Cache hits inside the pinned window are pure lookups.
+    // Cache hits inside the resident window are pure lookups.
     const std::uint64_t before = allocCount();
     (void)w.event(28);
     (void)w.event(29);

@@ -2,8 +2,8 @@
 # input when it gets an unknown or retired subcommand, a flag the
 # subcommand does not take, a flag that would do nothing without
 # another one, a signed value for an unsigned option, a value too large
-# for an option stored in 32 bits, or a non-finite or negative value
-# for a real-valued option. Each case
+# for an option stored in 32 bits or below an option's floor, or a
+# non-finite or negative value for a real-valued option. Each case
 # would otherwise run with the input silently ignored, print the usage
 # text with a regression gate's exit 1, or (for a wrapped negative
 # count) abort or run effectively forever; the timeout catches that.
@@ -28,6 +28,20 @@ function(expect_rejected flag)
     endif()
 endfunction()
 
+# The accepting side of a bound: @p ARGN must run and exit 0.
+function(expect_accepted)
+    execute_process(
+        COMMAND ${ESPSIM_CLI} ${ARGN}
+        RESULT_VARIABLE rc
+        ERROR_VARIABLE err
+        OUTPUT_QUIET
+        TIMEOUT 60)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR
+            "espsim ${ARGN}: expected exit 0, got ${rc}: ${err}")
+    endif()
+endfunction()
+
 # A misspelled flag.
 expect_rejected(--telemetry-perod
     serve --profile testsrv --events 50 --configs base
@@ -37,6 +51,10 @@ expect_rejected(--telemetry-perod
 # stall monitor (a hang is caught by the ctest TIMEOUT).
 expect_rejected(--profile
     suite --apps amazon --configs base --profile)
+# The retired streaming sweep: a stream has one reader, so the suite
+# shares only the resident workload across its config jobs.
+expect_rejected(--streaming
+    suite --apps amazon --configs base --streaming)
 expect_rejected(--watchdog-m
     serve --profile testsrv --events 50 --configs base --watchdog-m 100)
 expect_rejected(--watchdog-ms
@@ -80,6 +98,13 @@ expect_rejected("invalid value"
     --spike-event 10 --spike-scale 4294967296)
 expect_rejected("invalid value"
     suite --apps amazon --configs base --jobs 4294967296)
+
+# The streaming window's floor: below 4 the workload would clamp the
+# window while the latency artifact recorded the value asked for.
+expect_rejected("invalid value"
+    serve --profile testsrv --events 50 --configs base --window 3)
+expect_accepted(
+    serve --window 4 --events 50 --profile testsrv --configs base)
 
 # strtod accepts "nan" and "inf", and a real-valued option is a gap,
 # threshold, budget or tolerance: a NaN gap once ran with a wrapped

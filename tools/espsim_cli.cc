@@ -8,7 +8,7 @@
  *                [--timeline-limit N] [--telemetry [path]]
  *                [--telemetry-period N]
  *   espsim suite --configs base,NL,ESP+NL [--jobs N] [--apps a,b]
- *                [--json [path]] [--csv [path]] [--streaming]
+ *                [--json [path]] [--csv [path]]
  *   espsim serve --profile memcached --events 1000000
  *                [--configs base,ESP+NL] [--arrival poisson]
  *                [--json [path]] [--trace-spans [path]]
@@ -71,6 +71,7 @@
 #include "sim/stats_report.hh"
 #include "trace/trace_io.hh"
 #include "workload/generator.hh"
+#include "workload/streaming.hh"
 
 using namespace espsim;
 
@@ -88,7 +89,7 @@ usage()
         "[--telemetry-period N]\n"
         "               [--telemetry-wall-ms M]\n"
         "  espsim suite [--configs a,b,c] [--apps a,b] [--jobs N] "
-        "[--json [path]] [--csv [path]] [--streaming]\n"
+        "[--json [path]] [--csv [path]]\n"
         "  espsim serve [--profile memcached|http|testsrv] "
         "[--configs a,b] [--events N] [--window N]\n"
         "               [--reservoir N] "
@@ -123,14 +124,17 @@ usage()
  * value must start with a digit: strtoul skips leading whitespace and
  * wraps a minus sign, so " -5" would otherwise read as 2^64 - 5. A
  * value above @p max is rejected too: a flag stored in an `unsigned`
- * passes UINT_MAX, so 2^32 cannot wrap to 0 after the check. Every
+ * passes UINT_MAX, so 2^32 cannot wrap to 0 after the check. A value
+ * below @p min is rejected rather than clamped: `serve --window 0`
+ * once ran at the streaming minimum of 4 but recorded 0. Every
  * real-valued option is a gap, threshold, budget or tolerance, so a
  * real value must be finite and non-negative: strtod accepts "nan" and
  * "inf", and a NaN gap once ran with a wrapped cycle count.
  */
 unsigned long
 parseUnsignedOption(const std::string &value, const char *flag,
-                    unsigned long max = ULONG_MAX)
+                    unsigned long max = ULONG_MAX,
+                    unsigned long min = 0)
 {
     char *end = nullptr;
     errno = 0;
@@ -138,11 +142,11 @@ parseUnsignedOption(const std::string &value, const char *flag,
     if (value.empty() ||
         !std::isdigit(static_cast<unsigned char>(value[0])) ||
         end != value.c_str() + value.size() || errno == ERANGE ||
-        v > max) {
+        v > max || v < min) {
         logLine(LogLevel::Error,
                 "invalid value '%s' for --%s (expected an integer "
-                "from 0 to %lu)",
-                value.c_str(), flag, max);
+                "from %lu to %lu)",
+                value.c_str(), flag, min, max);
         usage();
         std::exit(2);
     }
@@ -228,8 +232,7 @@ commandFlags()
          {"app", "trace", "config", "stats", "timeline",
           "timeline-limit", "telemetry", "telemetry-period",
           "telemetry-wall-ms"}},
-        {"suite",
-         {"configs", "apps", "jobs", "json", "csv", "streaming"}},
+        {"suite", {"configs", "apps", "jobs", "json", "csv"}},
         {"serve",
          {"profile", "configs", "events", "window", "reservoir",
           "arrival", "gap", "concurrency", "think", "seed", "json",
@@ -427,7 +430,6 @@ cmdSuite(const std::map<std::string, std::string> &flags)
             parseUnsignedOption(it->second, "jobs", UINT_MAX);
         runner.setJobs(jobs >= 1 ? static_cast<unsigned>(jobs) : 1);
     }
-    runner.setStreaming(flags.count("streaming") != 0);
     const auto rows = runner.run(configs, true);
     TextTable table("suite results (cycles; % improvement over first "
                     "config)");
@@ -540,7 +542,8 @@ cmdServe(const std::map<std::string, std::string> &flags)
             parseUnsignedOption(it->second, "events"));
     if (auto it = flags.find("window"); it != flags.end())
         opts.window = static_cast<std::size_t>(
-            parseUnsignedOption(it->second, "window"));
+            parseUnsignedOption(it->second, "window", ULONG_MAX,
+                                StreamingWorkload::minWindow));
     if (auto it = flags.find("reservoir"); it != flags.end())
         opts.reservoirCapacity = static_cast<std::size_t>(
             parseUnsignedOption(it->second, "reservoir"));

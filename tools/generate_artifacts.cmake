@@ -53,15 +53,3 @@ if(NOT intervals_rc EQUAL 0)
     message(FATAL_ERROR
         "espsim run --telemetry failed (${intervals_rc})")
 endif()
-
-# The same golden-gate matrix replayed through the streaming workload
-# core; diff_streaming_golden holds it to the committed golden, so the
-# bounded-window path can never drift from the materialised one.
-execute_process(
-    COMMAND ${ESPSIM_CLI} suite --streaming --apps amazon,bing
-        --configs base,ESP+NL --jobs 2
-        --json ${ARTIFACT_DIR}/suite_streaming.json
-    RESULT_VARIABLE streaming_rc)
-if(NOT streaming_rc EQUAL 0)
-    message(FATAL_ERROR "espsim suite --streaming failed (${streaming_rc})")
-endif()
