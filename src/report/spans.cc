@@ -1,7 +1,6 @@
 #include "report/spans.hh"
 
 #include <algorithm>
-#include <bit>
 
 namespace espsim
 {
@@ -19,54 +18,20 @@ worstHeapLess(const RequestSpan &a, const RequestSpan &b)
     return ta != tb ? ta > tb : a.index < b.index;
 }
 
-std::size_t
-latencyBucket(Cycle total)
-{
-    if (total == 0)
-        return 0;
-    return std::min<std::size_t>(
-        static_cast<std::size_t>(std::bit_width(std::uint64_t{total}) -
-                                 1),
-        spanHistBuckets - 1);
-}
-
 } // namespace
 
-SpanCollector::SpanCollector(const SpanCollectorConfig &config)
-    : config_(config)
+SpanCollector::SpanCollector(std::size_t worstK) : worstK_(worstK)
 {
-    ring_.reset(config_.ringCapacity == 0 ? 1 : config_.ringCapacity);
-    worst_.reserve(config_.worstK);
-    anomalies_.reserve(config_.maxAnomalyRecords);
-}
-
-double
-SpanCollector::runningP99() const
-{
-    if (spansRecorded_ == 0)
-        return 0.0;
-    // Nearest-rank over the pow2 histogram; the estimate is the
-    // bucket's upper edge, so it rounds the true p99 *up* — the
-    // detector errs toward fewer, larger anomalies.
-    const std::uint64_t rank = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               0.99 * static_cast<double>(spansRecorded_) + 0.5));
-    std::uint64_t seen = 0;
-    for (std::size_t b = 0; b < spanHistBuckets; ++b) {
-        seen += hist_[b];
-        if (seen >= rank)
-            return static_cast<double>((std::uint64_t{2} << b) - 1);
-    }
-    return static_cast<double>((std::uint64_t{2} << (spanHistBuckets - 1)) -
-                               1);
+    worst_.reserve(worstK_);
 }
 
 void
-SpanCollector::noteWorst(const RequestSpan &span)
+SpanCollector::onSpan(const RequestSpan &span)
 {
-    if (config_.worstK == 0)
+    ++spansRecorded_;
+    if (worstK_ == 0)
         return;
-    if (worst_.size() < config_.worstK) {
+    if (worst_.size() < worstK_) {
         worst_.push_back(span); // within reserve(): no allocation
         std::push_heap(worst_.begin(), worst_.end(), worstHeapLess);
         return;
@@ -78,52 +43,11 @@ SpanCollector::noteWorst(const RequestSpan &span)
     }
 }
 
-void
-SpanCollector::onSpan(const RequestSpan &span)
-{
-    // Flight recorder: overwrite the oldest entry when full, so the
-    // ring always holds the most recent window — including, below,
-    // the span that trips the detector.
-    if (ring_.size() == ring_.capacity())
-        ring_.pop_front();
-    ring_.push_back(span);
-    noteWorst(span);
-
-    // Detector: compare against the estimate formed by *previous*
-    // spans only (a lone spike must not raise its own bar).
-    const Cycle total = span.totalCycles();
-    if (spansRecorded_ >= config_.anomalyMinSamples) {
-        const double p99 = runningP99();
-        if (p99 > 0.0 &&
-            static_cast<double>(total) >
-                config_.anomalyThreshold * p99) {
-            if (anomalies_.size() < config_.maxAnomalyRecords)
-                anomalies_.push_back(AnomalyRecord{span, p99});
-            else
-                ++anomalyOverflow_;
-            if (!dumpTriggered_) {
-                dumpTriggered_ = true;
-                dumpEvent_ = span.index;
-                if (onAnomaly_)
-                    onAnomaly_(*this, span);
-            }
-        }
-    }
-
-    ++hist_[latencyBucket(total)];
-    ++spansRecorded_;
-}
-
 std::vector<RequestSpan>
 SpanCollector::worstSpans() const
 {
     std::vector<RequestSpan> out = worst_;
-    std::sort(out.begin(), out.end(),
-              [](const RequestSpan &a, const RequestSpan &b) {
-                  const Cycle ta = a.totalCycles();
-                  const Cycle tb = b.totalCycles();
-                  return ta != tb ? ta > tb : a.index < b.index;
-              });
+    std::sort(out.begin(), out.end(), worstHeapLess);
     return out;
 }
 

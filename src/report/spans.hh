@@ -16,13 +16,11 @@
  * is empty. Every per-event observer is such a sink: the timeline
  * (report/timeline.hh), the counter sampler behind the telemetry
  * stream (report/telemetry.hh), and SpanCollector.
- * SpanCollector is the standard request-tracing sink: a preallocated
- * flight-recorder ring of the most recent spans, a bounded worst-K
- * table, and an online tail-anomaly detector over a power-of-two
- * latency histogram. Steady state allocates nothing (see
- * tests/test_zero_alloc.cc for the allocation-count assertions); only
- * the one-shot anomaly callback — which dumps the ring as a Perfetto
- * trace via report/flight_recorder.hh — is allowed to touch the heap.
+ * SpanCollector is the standard request-tracing sink: a span count
+ * and a bounded worst-K table. Steady state allocates nothing (see
+ * tests/test_zero_alloc.cc for the allocation-count assertion). Runs
+ * are deterministic, so a slow request from the worst-K table is
+ * inspected by re-running it with a timeline attached.
  *
  * Span cycle deltas close exactly against core accounting:
  *   Σ span.buckets == span.retire - span.startCycle
@@ -36,10 +34,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "common/ring_buffer.hh"
 #include "common/types.hh"
 #include "cpu/ooo_core.hh"
 #include "prefetch/inflight.hh"
@@ -56,7 +52,7 @@ struct SpanPrefetchDelta
     std::uint64_t harmful = 0;
 };
 
-/** One served request's causal record (POD; copied into the ring). */
+/** One served request's causal record (POD). */
 struct RequestSpan
 {
     std::size_t index = 0;          //!< event sequence number
@@ -103,97 +99,31 @@ class SpanSink
     virtual void onSpan(const RequestSpan &span) = 0;
 };
 
-/** Power-of-two total-latency buckets for the running-p99 estimate. */
-constexpr std::size_t spanHistBuckets = 48;
-
-/** Knobs of one SpanCollector. */
-struct SpanCollectorConfig
-{
-    /** Flight-recorder ring capacity (rounded up to a power of two). */
-    std::size_t ringCapacity = 256;
-    /** Worst-request table size (largest total latency). */
-    std::size_t worstK = 8;
-    /** Anomaly: total latency > threshold x running p99 estimate. */
-    double anomalyThreshold = 8.0;
-    /** Detector warmup: no triggers before this many spans. */
-    std::uint64_t anomalyMinSamples = 64;
-    /** Structured anomaly records kept (overflow is counted). */
-    std::size_t maxAnomalyRecords = 32;
-};
-
-/** One detector firing: the trigger span and the estimate it beat. */
-struct AnomalyRecord
-{
-    RequestSpan span;
-    double runningP99 = 0.0;
-};
-
 /**
- * The standard SpanSink: flight-recorder ring + worst-K table +
- * online tail-anomaly detector. All storage is preallocated in the
- * constructor; onSpan() never allocates.
+ * The standard SpanSink: a span count and a worst-K table. All
+ * storage is preallocated in the constructor; onSpan() never
+ * allocates.
  */
 class SpanCollector final : public SpanSink
 {
   public:
-    using AnomalyCallback =
-        std::function<void(const SpanCollector &, const RequestSpan &)>;
-
-    explicit SpanCollector(const SpanCollectorConfig &config);
+    /** @param worstK worst-request table size (largest total
+     *  latency). */
+    explicit SpanCollector(std::size_t worstK);
 
     void onSpan(const RequestSpan &span) override;
 
-    /**
-     * Invoked exactly once, on the *first* anomaly, while the ring
-     * still holds the window around the trigger span (the trigger is
-     * the ring's newest entry). The callback may allocate — it is off
-     * the steady-state path by construction.
-     */
-    void
-    setAnomalyCallback(AnomalyCallback callback)
-    {
-        onAnomaly_ = std::move(callback);
-    }
-
-    const SpanCollectorConfig &config() const { return config_; }
-
-    /** The flight-recorder ring, oldest span first. */
-    const FixedRing<RequestSpan> &ring() const { return ring_; }
-
-    /** Spans observed over the whole run (ring overwrites count). */
+    /** Spans observed over the whole run. */
     std::uint64_t spansRecorded() const { return spansRecorded_; }
 
-    /** Worst-K spans, sorted by descending total latency. */
+    /** Worst-K spans, sorted by descending total latency, the older
+     *  request first on a tie. */
     std::vector<RequestSpan> worstSpans() const;
 
-    const std::vector<AnomalyRecord> &anomalies() const
-    {
-        return anomalies_;
-    }
-    /** Anomalies past maxAnomalyRecords (counted, not stored). */
-    std::uint64_t anomalyOverflow() const { return anomalyOverflow_; }
-
-    /** Current running-p99 estimate (pow2-bucket upper edge). */
-    double runningP99() const;
-
-    /** True once the one-shot anomaly callback fired. */
-    bool dumpTriggered() const { return dumpTriggered_; }
-    /** Event index of the span that fired the callback. */
-    std::size_t dumpEvent() const { return dumpEvent_; }
-
   private:
-    SpanCollectorConfig config_;
-    FixedRing<RequestSpan> ring_;
+    std::size_t worstK_;
     std::vector<RequestSpan> worst_; //!< min-heap by total latency
-    std::vector<AnomalyRecord> anomalies_;
-    std::array<std::uint64_t, spanHistBuckets> hist_{};
     std::uint64_t spansRecorded_ = 0;
-    std::uint64_t anomalyOverflow_ = 0;
-    bool dumpTriggered_ = false;
-    std::size_t dumpEvent_ = 0;
-    AnomalyCallback onAnomaly_;
-
-    void noteWorst(const RequestSpan &span);
 };
 
 } // namespace espsim

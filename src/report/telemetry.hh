@@ -2,7 +2,7 @@
  * @file
  * Counter sampling and the live telemetry stream.
  *
- * Artifacts, spans and flight-recorder dumps land after the run ends.
+ * Artifacts and span tables land after the run ends.
  * Phase plots and a multi-minute `espsim serve` run streaming
  * millions of events need counters *during* the run. The telemetry
  * stream is the one counter time series, in three pieces:

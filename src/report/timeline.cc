@@ -383,8 +383,6 @@ EventTimeline::renderFooter(JsonWriter &w) const
         .value(std::uint64_t{timelineFormatVersion});
     w.key("config").value(configName_);
     w.key("workload").value(workloadName_);
-    if (!traceKind_.empty())
-        w.key("trace_kind").value(traceKind_);
     w.key("cycles_per_us").value(std::uint64_t{1});
     if (droppedEvents_ > 0)
         w.key("dropped_events").value(std::uint64_t{droppedEvents_});

@@ -14,9 +14,7 @@
  * writeChromeTrace() serializes it all in the Chrome trace_event JSON
  * format, which loads directly in Perfetto (https://ui.perfetto.dev)
  * or chrome://tracing — fitting, given the paper's workloads are
- * Chromium's renderer events. Replaying a span ring through onSpan()
- * is how the flight recorder (report/flight_recorder.hh) draws its
- * dumps.
+ * Chromium's renderer events.
  *
  * Cycle-to-time mapping: 1 simulated cycle = 1 microsecond of trace
  * time (`ts`/`dur` are microseconds in the trace_event spec), so a
@@ -129,13 +127,6 @@ class EventTimeline final : public SpanSink
                     const std::string &workload_name);
 
     /**
-     * Label the trace's provenance in otherData.trace_kind (e.g.
-     * "flight-recorder" for anomaly dumps); empty = omitted, which is
-     * what live full-run timelines write.
-     */
-    void setTraceKind(const std::string &kind) { traceKind_ = kind; }
-
-    /**
      * Record at most @p max_events events (0 = unlimited). Events
      * beyond the cap are dropped and counted; finalizing the trace
      * warns on stderr when anything was dropped.
@@ -231,7 +222,6 @@ class EventTimeline final : public SpanSink
     std::vector<double> prevCounters_; //!< the series' last snapshot
     std::string configName_;
     std::string workloadName_;
-    std::string traceKind_;
     std::size_t eventLimit_ = 0;
     std::size_t droppedEvents_ = 0;
 

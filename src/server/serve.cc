@@ -6,71 +6,12 @@
 #include "common/logging.hh"
 #include "common/version.hh"
 #include "cpu/ooo_core.hh"
-#include "report/flight_recorder.hh"
 #include "report/json_writer.hh"
 #include "report/telemetry.hh"
 #include "workload/streaming.hh"
 
 namespace espsim
 {
-
-namespace
-{
-
-/**
- * EventSource decorator that amplifies one event's op stream by an
- * integer factor: a deterministic, injectable service-time spike for
- * exercising the tail-anomaly detector end to end. Every other event
- * passes through bit-identically, so the surrounding latency
- * distribution is untouched.
- */
-class SpikedSource final : public EventSource
-{
-  public:
-    SpikedSource(std::unique_ptr<const EventSource> inner,
-                 std::uint64_t spikeEvent, unsigned scale)
-        : inner_(std::move(inner)), spikeEvent_(spikeEvent),
-          scale_(scale < 2 ? 2 : scale)
-    {
-    }
-
-    const std::string &name() const override { return inner_->name(); }
-    std::size_t numEvents() const override
-    {
-        return inner_->numEvents();
-    }
-    std::vector<AddrRange> warmSet() const override
-    {
-        return inner_->warmSet();
-    }
-
-    EventTrace
-    makeEvent(std::uint64_t id) const override
-    {
-        EventTrace trace = inner_->makeEvent(id);
-        if (id != spikeEvent_)
-            return trace;
-        OpSequence amplified;
-        amplified.reserve(trace.ops.size() * scale_);
-        for (unsigned r = 0; r < scale_; ++r) {
-            for (std::size_t i = 0; i < trace.ops.size(); ++i)
-                amplified.push_back(trace.ops[i]);
-        }
-        trace.ops = std::move(amplified);
-        // The replicated stream invalidates any recorded divergence
-        // index; treat the spiked event as independent.
-        trace.divergencePoint = noDivergence;
-        trace.divergedTail.clear();
-        return trace;
-    }
-
-  private:
-    std::unique_ptr<const EventSource> inner_;
-    std::uint64_t spikeEvent_;
-    unsigned scale_;
-};
-
-} // namespace
 
 ServeReport
 runServe(const ServerProfile &profile,
@@ -121,14 +62,8 @@ runServe(const ServerProfile &profile,
         // reader, and each replay starts at event 0 with an empty
         // cache, so resident traces (and thus peak RSS) don't
         // accumulate across configs.
-        std::unique_ptr<const EventSource> source =
-            std::make_unique<ServerTraceSource>(p);
-        if (opts.spans.spikeEvent != noSpikeEvent) {
-            source = std::make_unique<SpikedSource>(
-                std::move(source), opts.spans.spikeEvent,
-                opts.spans.spikeScale);
-        }
-        StreamingWorkload workload(std::move(source), opts.window);
+        StreamingWorkload workload(std::make_unique<ServerTraceSource>(p),
+                                   opts.window);
         ServePacer pacer(makeArrivalProcess(opts.arrival),
                          opts.reservoirCapacity, opts.arrival.seed,
                          p.app.numHandlerTypes);
@@ -136,37 +71,8 @@ runServe(const ServerProfile &profile,
         inst.pacer = &pacer;
 
         std::unique_ptr<SpanCollector> spans;
-        std::string dump_path;
         if (opts.spans.enabled) {
-            SpanCollectorConfig scfg;
-            scfg.ringCapacity = opts.spans.flightRecorder;
-            scfg.worstK = opts.spans.worstK;
-            scfg.anomalyThreshold = opts.spans.anomalyThreshold;
-            scfg.anomalyMinSamples = opts.spans.anomalyMinSamples;
-            spans = std::make_unique<SpanCollector>(scfg);
-            if (!opts.spans.dumpPrefix.empty()) {
-                dump_path = opts.spans.dumpPrefix + "." + config.name +
-                    ".trace.json";
-                spans->setAnomalyCallback(
-                    [&dump_path, &config, &p](
-                        const SpanCollector &collector,
-                        const RequestSpan &trigger) {
-                        if (!writeFlightRecorderTrace(collector,
-                                                      config.name,
-                                                      p.name,
-                                                      dump_path)) {
-                            logLine(LogLevel::Error,
-                                    "cannot write flight-recorder "
-                                    "dump '%s'",
-                                    dump_path.c_str());
-                            return;
-                        }
-                        logLine(LogLevel::Info,
-                                "# flight recorder: event %zu tripped "
-                                "the tail detector; wrote %s",
-                                trigger.index, dump_path.c_str());
-                    });
-            }
+            spans = std::make_unique<SpanCollector>(opts.spans.worstK);
             inst.spans = spans.get();
         }
 
@@ -199,14 +105,7 @@ runServe(const ServerProfile &profile,
         }
         if (spans) {
             cell.spansRecorded = spans->spansRecorded();
-            cell.runningP99 = spans->runningP99();
             cell.worstSpans = spans->worstSpans();
-            cell.anomalies = spans->anomalies();
-            cell.anomalyOverflow = spans->anomalyOverflow();
-            cell.dumpTriggered = spans->dumpTriggered();
-            cell.dumpEvent = spans->dumpEvent();
-            if (cell.dumpTriggered && !dump_path.empty())
-                cell.dumpPath = dump_path;
         }
         report.cells.push_back(std::move(cell));
     }
@@ -381,18 +280,7 @@ renderSpanArtifactJson(const ArtifactManifest &manifest,
 
     w.key("manifest").beginObject();
     writeManifestCommon(w, manifest, report);
-    w.key("flight_recorder")
-        .value(std::uint64_t{report.spans.flightRecorder});
     w.key("worst_k").value(std::uint64_t{report.spans.worstK});
-    w.key("anomaly_threshold").value(report.spans.anomalyThreshold);
-    w.key("anomaly_min_samples")
-        .value(std::uint64_t{report.spans.anomalyMinSamples});
-    if (report.spans.spikeEvent != noSpikeEvent) {
-        w.key("spike_event")
-            .value(std::uint64_t{report.spans.spikeEvent});
-        w.key("spike_scale")
-            .value(std::uint64_t{report.spans.spikeScale});
-    }
     w.endObject();
 
     w.key("results").beginArray();
@@ -403,30 +291,10 @@ renderSpanArtifactJson(const ArtifactManifest &manifest,
         w.key("events").value(std::uint64_t{cell.events});
         w.key("spans_recorded")
             .value(std::uint64_t{cell.spansRecorded});
-        w.key("running_p99").value(cell.runningP99);
-        w.key("dump").beginObject();
-        w.key("triggered").value(cell.dumpTriggered);
-        if (cell.dumpTriggered) {
-            w.key("event").value(std::uint64_t{cell.dumpEvent});
-            if (!cell.dumpPath.empty())
-                w.key("path").value(cell.dumpPath);
-        }
-        w.endObject();
         w.key("worst").beginArray();
         for (const RequestSpan &span : cell.worstSpans)
             writeSpanRecord(w, span);
         w.endArray();
-        w.key("anomalies").beginArray();
-        for (const AnomalyRecord &record : cell.anomalies) {
-            w.beginObject();
-            w.key("running_p99").value(record.runningP99);
-            w.key("span");
-            writeSpanRecord(w, record.span);
-            w.endObject();
-        }
-        w.endArray();
-        w.key("anomaly_overflow")
-            .value(std::uint64_t{cell.anomalyOverflow});
         w.endObject();
     }
     w.endArray();

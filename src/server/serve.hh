@@ -35,32 +35,12 @@
 namespace espsim
 {
 
-/** Sentinel: no latency spike injected. */
-constexpr std::uint64_t noSpikeEvent = ~std::uint64_t{0};
-
 /** Span-tracing knobs of one serve run (see report/spans.hh). */
 struct ServeSpanOptions
 {
     bool enabled = false;
-    /** Flight-recorder ring capacity (spans). */
-    std::size_t flightRecorder = 256;
     /** Worst-request table size in the span artifact. */
     std::size_t worstK = 8;
-    /** Anomaly: total latency > threshold x running p99. */
-    double anomalyThreshold = 8.0;
-    /** Detector warmup (spans before triggers are armed). */
-    std::uint64_t anomalyMinSamples = 64;
-    /**
-     * Flight-recorder dump path prefix; the first anomaly per config
-     * writes `<prefix>.<config>.trace.json`. Empty = no dump files
-     * (the detector still records anomalies in the artifact).
-     */
-    std::string dumpPrefix;
-    /** Inject a service-time spike into this event id (tests the
-     *  detector end to end); noSpikeEvent = off. */
-    std::uint64_t spikeEvent = noSpikeEvent;
-    /** Op-count amplification of the spiked event. */
-    unsigned spikeScale = 16;
 };
 
 /**
@@ -123,13 +103,7 @@ struct ServeCell
 
     // --- span tracing (populated when opts.spans.enabled) ----------
     std::uint64_t spansRecorded = 0;
-    double runningP99 = 0.0;
     std::vector<RequestSpan> worstSpans;
-    std::vector<AnomalyRecord> anomalies;
-    std::uint64_t anomalyOverflow = 0;
-    bool dumpTriggered = false;
-    std::uint64_t dumpEvent = 0;
-    std::string dumpPath;
 };
 
 /** A full serve sweep over one profile. */
@@ -166,8 +140,8 @@ std::string renderLatencyArtifactJson(const ArtifactManifest &manifest,
 /**
  * Render the versioned espsim-span-artifact JSON: per config, the
  * worst-K tail requests decomposed into queue vs service, per-bucket
- * cycle blame and ESP prefetch deltas, plus the anomaly records and
- * flight-recorder dump provenance. Requires opts.spans.enabled runs.
+ * cycle blame and ESP prefetch deltas. Requires opts.spans.enabled
+ * runs.
  */
 std::string renderSpanArtifactJson(const ArtifactManifest &manifest,
                                    const ServeReport &report);

@@ -79,8 +79,8 @@ struct RunInstrumentation
     /** Event arrival discipline + latency probe (nullptr = saturated
      *  looper, the paper's setup). See cpu/pacer.hh. */
     EventPacer *pacer = nullptr;
-    /** Per-request span sink (flight recorder / tail blame; nullptr =
-     *  off). See report/spans.hh. */
+    /** Per-request span sink (worst-K tail blame; nullptr = off).
+     *  See report/spans.hh. */
     SpanSink *spans = nullptr;
     /** Telemetry: a CounterSampler streams snapshots into it and,
      *  with a timeline, draws the timeline's interval counter tracks

@@ -1,25 +1,25 @@
 /**
  * @file
- * Tests for request-flow span tracing: the SpanCollector flight
- * recorder (ring wrap-around, worst-K ordering, one-shot anomaly
- * dump), the span closure invariant against a real simulated run
- * (Σ span buckets == retire - startCycle, consecutive spans tile the
- * run), determinism of the span artifact under concurrent replays,
- * the injected-spike end-to-end detector path and the per-handler
+ * Tests for request-flow span tracing: the SpanCollector worst-K table
+ * (ordering, bound, and a sorted-copy twin over tied latencies), the
+ * span closure invariant against a real simulated run (Σ span buckets
+ * == retire - startCycle, consecutive spans tile the run), determinism
+ * of the span artifact under concurrent replays and the per-handler
  * latency breakdown. The zero-steady-state-allocation contract is
  * checked in tests/test_zero_alloc.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "common/job_pool.hh"
 #include "cpu/ooo_core.hh"
-#include "report/flight_recorder.hh"
 #include "report/spans.hh"
 #include "server/latency.hh"
 #include "server/profile.hh"
@@ -49,56 +49,26 @@ makeSpan(std::uint64_t index, Cycle total)
     return span;
 }
 
-/** Feed @p n steady spans of latency @p total into @p collector. */
-void
-feedSteady(SpanCollector &collector, std::uint64_t n, Cycle total,
-           std::uint64_t first_index = 0)
+/** A sink that keeps every span, in retire order. */
+class VectorSink final : public SpanSink
 {
-    for (std::uint64_t i = 0; i < n; ++i)
-        collector.onSpan(makeSpan(first_index + i, total));
-}
-
-ServeOptions
-spikedOptions()
-{
-    ServeOptions opts;
-    opts.events = 400;
-    opts.arrival.meanGapCycles = 2000.0;
-    opts.spans.enabled = true;
-    opts.spans.flightRecorder = 64;
-    opts.spans.worstK = 8;
-    opts.spans.anomalyThreshold = 4.0;
-    opts.spans.anomalyMinSamples = 50;
-    opts.spans.spikeEvent = 350;
-    opts.spans.spikeScale = 40;
-    return opts;
-}
+  public:
+    void onSpan(const RequestSpan &span) override
+    {
+        spans.push_back(span);
+    }
+    std::vector<RequestSpan> spans;
+};
 
 } // namespace
 
 // --------------------------------------------------------------------
-// SpanCollector: ring, worst-K, anomaly detector
+// SpanCollector: the worst-K table
 // --------------------------------------------------------------------
-
-TEST(SpanCollector, RingWrapsKeepingTheNewestSpans)
-{
-    SpanCollectorConfig cfg;
-    cfg.ringCapacity = 8;
-    SpanCollector collector(cfg);
-    feedSteady(collector, 20, 500);
-
-    EXPECT_EQ(collector.spansRecorded(), 20u);
-    ASSERT_EQ(collector.ring().size(), 8u);
-    // The ring holds exactly the last capacity spans, oldest first.
-    for (std::size_t i = 0; i < collector.ring().size(); ++i)
-        EXPECT_EQ(collector.ring().at(i).index, 12u + i);
-}
 
 TEST(SpanCollector, WorstSpansAreSortedAndBounded)
 {
-    SpanCollectorConfig cfg;
-    cfg.worstK = 4;
-    SpanCollector collector(cfg);
+    SpanCollector collector(4);
     // Latencies 100, 200, ..., 1200 in shuffled-ish order.
     const Cycle totals[] = {300, 1200, 100, 700, 500, 1100,
                             200, 900,  400, 600, 800, 1000};
@@ -112,55 +82,34 @@ TEST(SpanCollector, WorstSpansAreSortedAndBounded)
     EXPECT_EQ(worst[1].totalCycles(), 1100u);
     EXPECT_EQ(worst[2].totalCycles(), 1000u);
     EXPECT_EQ(worst[3].totalCycles(), 900u);
-}
 
-TEST(SpanCollector, AnomalyDetectorIsArmedOnlyAfterWarmup)
-{
-    SpanCollectorConfig cfg;
-    cfg.anomalyMinSamples = 64;
-    cfg.anomalyThreshold = 4.0;
-    SpanCollector collector(cfg);
-
-    // A huge span before the warmup threshold must not trigger.
-    feedSteady(collector, 10, 500);
-    collector.onSpan(makeSpan(10, 1'000'000));
-    EXPECT_TRUE(collector.anomalies().empty());
-    EXPECT_FALSE(collector.dumpTriggered());
-}
-
-TEST(SpanCollector, AnomalyDumpFiresExactlyOnce)
-{
-    SpanCollectorConfig cfg;
-    cfg.anomalyMinSamples = 32;
-    cfg.anomalyThreshold = 4.0;
-    SpanCollector collector(cfg);
-
-    int fired = 0;
-    std::uint64_t fired_index = 0;
-    collector.setAnomalyCallback(
-        [&fired, &fired_index](const SpanCollector &c,
-                               const RequestSpan &trigger) {
-            ++fired;
-            fired_index = trigger.index;
-            // The trigger is the newest ring entry at callback time.
-            ASSERT_GT(c.ring().size(), 0u);
-            EXPECT_EQ(c.ring().at(c.ring().size() - 1).index,
-                      trigger.index);
-        });
-
-    feedSteady(collector, 100, 500);
-    collector.onSpan(makeSpan(100, 50'000));
-    collector.onSpan(makeSpan(101, 60'000)); // second anomaly
-    feedSteady(collector, 20, 500, 102);
-
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(fired_index, 100u);
-    EXPECT_TRUE(collector.dumpTriggered());
-    EXPECT_EQ(collector.dumpEvent(), 100u);
-    // Both anomalies are recorded even though the dump is one-shot.
-    ASSERT_EQ(collector.anomalies().size(), 2u);
-    EXPECT_EQ(collector.anomalies()[0].span.index, 100u);
-    EXPECT_EQ(collector.anomalies()[1].span.index, 101u);
+    // Twin: a seeded stream with many tied totals against a stable
+    // sort of every span by total, descending. Stability keeps the
+    // older request first on a tie; the first K rows are the table.
+    std::mt19937_64 rng(20150613);
+    std::vector<RequestSpan> stream;
+    for (std::uint64_t i = 0; i < 3000; ++i)
+        stream.push_back(makeSpan(i, 100 * (1 + rng() % 24)));
+    std::vector<RequestSpan> reference = stream;
+    std::stable_sort(reference.begin(), reference.end(),
+                     [](const RequestSpan &a, const RequestSpan &b) {
+                         return a.totalCycles() > b.totalCycles();
+                     });
+    for (const std::size_t k : {std::size_t{1}, std::size_t{7},
+                                std::size_t{64}, std::size_t{5000}}) {
+        SpanCollector twin(k);
+        for (const RequestSpan &span : stream)
+            twin.onSpan(span);
+        const std::vector<RequestSpan> got = twin.worstSpans();
+        ASSERT_EQ(got.size(), std::min(k, stream.size())) << "k=" << k;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].index, reference[i].index)
+                << "k=" << k << " row " << i;
+            EXPECT_EQ(got[i].totalCycles(), reference[i].totalCycles())
+                << "k=" << k << " row " << i;
+        }
+        EXPECT_EQ(twin.spansRecorded(), stream.size());
+    }
 }
 
 // --------------------------------------------------------------------
@@ -178,23 +127,19 @@ TEST(SpanCapture, SpansTileTheRunAndBucketsClose)
     ServePacer pacer(makeArrivalProcess(acfg), 1024, acfg.seed,
                      p.app.numHandlerTypes);
 
-    SpanCollectorConfig scfg;
-    scfg.ringCapacity = 256; // > numEvents: every span survives
-    SpanCollector collector(scfg);
+    VectorSink sink;
 
     RunInstrumentation inst;
     inst.pacer = &pacer;
-    inst.spans = &collector;
+    inst.spans = &sink;
     const SimResult r =
         Simulator(SimConfig::espFull(true)).run(workload, inst);
 
-    ASSERT_EQ(collector.spansRecorded(), p.app.numEvents);
-    ASSERT_EQ(collector.ring().size(), p.app.numEvents);
+    ASSERT_EQ(sink.spans.size(), p.app.numEvents);
 
     Cycle prev_retire = 0;
     Cycle span_cycle_sum = 0;
-    for (std::size_t i = 0; i < collector.ring().size(); ++i) {
-        const RequestSpan &span = collector.ring().at(i);
+    for (const RequestSpan &span : sink.spans) {
         // Spans tile the run: each window opens where the previous
         // one closed (the first opens at cycle 0).
         EXPECT_EQ(span.startCycle, prev_retire);
@@ -212,8 +157,8 @@ TEST(SpanCapture, SpansTileTheRunAndBucketsClose)
     EXPECT_LE(prev_retire, r.cycles);
     // ESP ran, so some span must carry pre-exec blame.
     Cycle pre_exec = 0;
-    for (std::size_t i = 0; i < collector.ring().size(); ++i)
-        pre_exec += collector.ring().at(i).espPreExecCycles();
+    for (const RequestSpan &span : sink.spans)
+        pre_exec += span.espPreExecCycles();
     EXPECT_EQ(pre_exec,
               r.core.bucketCycles[static_cast<std::size_t>(
                   CycleBucket::EspPreExec)]);
@@ -223,7 +168,10 @@ TEST(SpanCapture, SpanArtifactIsDeterministicAcrossConcurrency)
 {
     const ServerProfile profile = ServerProfile::testProfile();
     const std::vector<SimConfig> configs{SimConfig::baseline()};
-    const ServeOptions opts = spikedOptions();
+    ServeOptions opts;
+    opts.events = 400;
+    opts.arrival.meanGapCycles = 2000.0;
+    opts.spans.enabled = true;
 
     ArtifactManifest manifest;
     manifest.source = "test";
@@ -250,52 +198,6 @@ TEST(SpanCapture, SpanArtifactIsDeterministicAcrossConcurrency)
         EXPECT_EQ(artifact, serial);
     EXPECT_NE(serial.find("\"schema\":\"espsim-span-artifact\""),
               std::string::npos);
-}
-
-TEST(SpanCapture, InjectedSpikeTriggersExactlyOneDump)
-{
-    const ServeReport report = runServe(
-        ServerProfile::testProfile(), {SimConfig::baseline()},
-        spikedOptions());
-    ASSERT_EQ(report.cells.size(), 1u);
-    const ServeCell &cell = report.cells[0];
-
-    EXPECT_TRUE(cell.dumpTriggered);
-    EXPECT_EQ(cell.dumpEvent, 350u);
-    ASSERT_FALSE(cell.anomalies.empty());
-    EXPECT_EQ(cell.anomalies[0].span.index, 350u);
-    // The spiked request (or a victim queued right behind it — the
-    // backlog can out-wait the spike itself) tops the worst-K table,
-    // and the spike itself is in it.
-    ASSERT_FALSE(cell.worstSpans.empty());
-    EXPECT_GE(cell.worstSpans[0].index, 350u);
-    bool spike_listed = false;
-    for (const RequestSpan &span : cell.worstSpans)
-        spike_listed = spike_listed || span.index == 350;
-    EXPECT_TRUE(spike_listed);
-    EXPECT_EQ(cell.spansRecorded, 400u);
-
-    // The flight-recorder trace replays the ring into a renderable
-    // Chrome trace tagged with its kind.
-    SpanCollectorConfig scfg;
-    SpanCollector collector(scfg);
-    for (const RequestSpan &span : cell.worstSpans)
-        collector.onSpan(span);
-    const std::string trace =
-        renderFlightRecorderTrace(collector, "base", "testsrv");
-    EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(trace.find("\"trace_kind\":\"flight-recorder\""),
-              std::string::npos);
-}
-
-TEST(SpanCapture, QuietRunTriggersNoDump)
-{
-    ServeOptions opts = spikedOptions();
-    opts.spans.spikeEvent = noSpikeEvent; // no injected spike
-    const ServeReport report = runServe(
-        ServerProfile::testProfile(), {SimConfig::baseline()}, opts);
-    ASSERT_EQ(report.cells.size(), 1u);
-    EXPECT_FALSE(report.cells[0].dumpTriggered);
 }
 
 // --------------------------------------------------------------------

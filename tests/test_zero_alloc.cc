@@ -4,7 +4,7 @@
  * executable, linked with common/alloc_counter.cc, whose replacement
  * global operator new counts every heap allocation of the process:
  * the steady-state simulation loop, the streaming workload window and
- * the span flight recorder must stay off the heap.
+ * the span collector must stay off the heap.
  */
 
 #include <gtest/gtest.h>
@@ -92,7 +92,7 @@ TEST(HotPath, SpanSinkLoopAllocatesNothing)
         AppProfile p = tinyProfile();
         p.numEvents = events;
         const auto workload = SyntheticGenerator(p).generate();
-        SpanCollector collector(SpanCollectorConfig{});
+        SpanCollector collector(8);
         RunInstrumentation inst;
         inst.spans = &collector;
         const auto [second, third] = warmedRunAllocations(
@@ -146,19 +146,15 @@ TEST(Streaming, AllocationsPerEventStayFlat)
 
 TEST(SpanCollector, SteadyStateRecordsWithoutAllocating)
 {
-    SpanCollectorConfig cfg;
-    cfg.ringCapacity = 64;
-    cfg.worstK = 8;
-    cfg.anomalyMinSamples = 16;
-    SpanCollector collector(cfg);
+    SpanCollector collector(8);
 
-    // Warm the detector, then measure a long steady stream that
-    // exercises ring wrap, worst-K replacement, and anomaly recording.
+    // Fill the table, then measure a long steady stream whose rising
+    // latencies keep replacing worst-K entries.
     for (std::uint64_t i = 0; i < 32; ++i)
         collector.onSpan(makeSpan(i, 500));
     const std::uint64_t before = allocCount();
     for (std::uint64_t i = 0; i < 10'000; ++i)
         collector.onSpan(makeSpan(32 + i, 400 + i % 300));
-    collector.onSpan(makeSpan(20'000, 1'000'000)); // bounded record
+    collector.onSpan(makeSpan(20'000, 1'000'000)); // replaces the front
     EXPECT_EQ(allocCount(), before);
 }

@@ -61,6 +61,28 @@ expect_rejected(--watchdog-ms
     serve --profile testsrv --events 50 --configs base --watchdog-ms 100)
 expect_rejected(--watchdog-dump
     serve --profile testsrv --events 50 --configs base --watchdog-dump x)
+# The retired span flight recorder, tail-anomaly detector and spike
+# injection: a deterministic run is re-run with --timeline instead.
+expect_rejected(--flight-recorder
+    serve --profile testsrv --events 50 --configs base --trace-spans x
+    --flight-recorder 64)
+expect_rejected(--anomaly-threshold
+    serve --profile testsrv --events 50 --configs base --trace-spans x
+    --anomaly-threshold 4)
+expect_rejected(--anomaly-min
+    serve --profile testsrv --events 50 --configs base --trace-spans x
+    --anomaly-min 50)
+expect_rejected(--flight-dump
+    serve --profile testsrv --events 50 --configs base --trace-spans x
+    --flight-dump x)
+expect_rejected(--spike-event
+    serve --profile testsrv --events 50 --configs base --spike-event 10)
+expect_rejected(--spike-scale
+    serve --profile testsrv --events 50 --configs base
+    --spike-scale 4294967296)
+expect_rejected(--anomaly-threshold
+    serve --profile testsrv --events 50 --configs base
+    --anomaly-threshold -3)
 # The retired metrics endpoint.
 expect_rejected(--metrics-port
     serve --profile testsrv --events 50 --configs base --metrics-port 0)
@@ -71,9 +93,11 @@ expect_rejected(--sample-cycles
 expect_rejected(--sample-events
     run --app amazon --config base --sample-events 1)
 expect_rejected(--json run --app amazon --config base --json x)
-# A flag that does nothing without --telemetry.
+# A flag that does nothing without --telemetry or --trace-spans.
 expect_rejected(--telemetry-period
     run --app amazon --config base --telemetry-period 1000)
+expect_rejected(--worst
+    serve --profile testsrv --events 50 --configs base --worst 3)
 
 # Unknown subcommands, including the retired throughput and
 # cross-run report commands.
@@ -94,9 +118,6 @@ expect_rejected("invalid value"
     serve --profile testsrv --events 50 --configs base --arrival closed
     --concurrency 4294967296)
 expect_rejected("invalid value"
-    serve --profile testsrv --events 50 --configs base
-    --spike-event 10 --spike-scale 4294967296)
-expect_rejected("invalid value"
     suite --apps amazon --configs base --jobs 4294967296)
 
 # The streaming window's floor: below 4 the workload would clamp the
@@ -113,8 +134,5 @@ expect_rejected("invalid value"
     serve --profile testsrv --events 50 --configs base --gap nan)
 expect_rejected("invalid value"
     serve --profile testsrv --events 50 --configs base --gap -5)
-expect_rejected("invalid value"
-    serve --profile testsrv --events 50 --configs base
-    --anomaly-threshold -3)
 expect_rejected("invalid value"
     diff never_read.json never_read.json --rel-tol nan)

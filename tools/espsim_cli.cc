@@ -11,9 +11,7 @@
  *                [--json [path]] [--csv [path]]
  *   espsim serve --profile memcached --events 1000000
  *                [--configs base,ESP+NL] [--arrival poisson]
- *                [--json [path]] [--trace-spans [path]]
- *                [--flight-recorder N] [--anomaly-threshold K]
- *                [--flight-dump PREFIX] [--spike-event N]
+ *                [--json [path]] [--trace-spans [path]] [--worst N]
  *   espsim gen   --app gmaps --out gmaps.espw [--events N]
  *   espsim diff  baseline.json candidate.json [--rel-tol F]
  *                [--abs-tol F] [--headline a,b] [--max-rows N]
@@ -33,7 +31,8 @@
  * for the option, and a non-finite or negative value on a real-valued
  * one), on a flag the
  * subcommand does not take, and on a flag that would do nothing
- * without another one (--telemetry-period without --telemetry).
+ * without another one (--telemetry-period without --telemetry,
+ * --worst without --trace-spans).
  * `espsim diff` exits 0 when the artifacts agree within tolerance,
  * 1 on a headline regression or config mismatch, 2 on load failure.
  * `espsim suite` exits 1 when any sweep cell failed (its artifact
@@ -96,11 +95,7 @@ usage()
         "[--arrival poisson|bursty|closed] [--gap CYCLES]\n"
         "               [--concurrency N] [--think CYCLES] [--seed S] "
         "[--json [path]]\n"
-        "               [--trace-spans [path]] [--flight-recorder N] "
-        "[--anomaly-threshold K]\n"
-        "               [--worst N] [--anomaly-min N] "
-        "[--flight-dump PREFIX]\n"
-        "               [--spike-event N] [--spike-scale S]\n"
+        "               [--trace-spans [path]] [--worst N]\n"
         "               [--telemetry [path]] [--telemetry-period N] "
         "[--telemetry-wall-ms M]\n"
         "  espsim gen   --app <name> --out <file> [--events N]\n"
@@ -236,9 +231,7 @@ commandFlags()
         {"serve",
          {"profile", "configs", "events", "window", "reservoir",
           "arrival", "gap", "concurrency", "think", "seed", "json",
-          "trace-spans", "flight-recorder", "anomaly-threshold",
-          "worst", "anomaly-min", "flight-dump", "spike-event",
-          "spike-scale", "telemetry", "telemetry-period",
+          "trace-spans", "worst", "telemetry", "telemetry-period",
           "telemetry-wall-ms"}},
         {"gen", {"app", "out", "events"}},
         {"fuzz", {"runs", "seed", "verbose"}},
@@ -572,38 +565,13 @@ cmdServe(const std::map<std::string, std::string> &flags)
     if (auto it = flags.find("seed"); it != flags.end())
         opts.arrival.seed = parseUnsignedOption(it->second, "seed");
 
-    // --- span tracing / flight recorder ------------------------------
+    // --- span tracing ----------------------------------------------
     const bool spans_on = flags.count("trace-spans") > 0;
+    requireWith(flags, "worst", spans_on, "--trace-spans");
     opts.spans.enabled = spans_on;
-    if (auto it = flags.find("flight-recorder"); it != flags.end()) {
-        opts.spans.enabled = true;
-        opts.spans.flightRecorder = static_cast<std::size_t>(
-            parseUnsignedOption(it->second, "flight-recorder"));
-    }
-    if (auto it = flags.find("anomaly-threshold"); it != flags.end()) {
-        opts.spans.enabled = true;
-        opts.spans.anomalyThreshold =
-            parseDoubleOption(it->second, "anomaly-threshold");
-    }
     if (auto it = flags.find("worst"); it != flags.end())
         opts.spans.worstK = static_cast<std::size_t>(
             parseUnsignedOption(it->second, "worst"));
-    if (auto it = flags.find("anomaly-min"); it != flags.end())
-        opts.spans.anomalyMinSamples =
-            parseUnsignedOption(it->second, "anomaly-min");
-    if (auto it = flags.find("flight-dump"); it != flags.end() &&
-        it->second != "1") {
-        opts.spans.enabled = true;
-        opts.spans.dumpPrefix = it->second;
-    }
-    if (auto it = flags.find("spike-event"); it != flags.end())
-        opts.spans.spikeEvent =
-            parseUnsignedOption(it->second, "spike-event");
-    if (auto it = flags.find("spike-scale"); it != flags.end()) {
-        const unsigned long s =
-            parseUnsignedOption(it->second, "spike-scale", UINT_MAX);
-        opts.spans.spikeScale = s >= 2 ? static_cast<unsigned>(s) : 2;
-    }
 
     // --- live telemetry ----------------------------------------------
     const bool telemetry_on = flags.count("telemetry") != 0;
@@ -635,7 +603,7 @@ cmdServe(const std::map<std::string, std::string> &flags)
     // Always on stderr: the serve_1m RSS gate parses this line from
     // two separate process runs.
     logLine(LogLevel::Info, "# serve peak RSS %.1f MiB", peakRssMb());
-    // Parsed by the serve_trace_overhead gate (recorder-on vs -off).
+    // Parsed by the serve_trace_overhead gate (tracing on vs off).
     logLine(LogLevel::Info, "# serve wall %lld ms",
             static_cast<long long>(wall_ms));
     if (opts.telemetry.any()) {

@@ -1,9 +1,10 @@
-# Flight-recorder overhead gate: the always-on span tracer must stay
-# cheap. Run the same serve workload with the recorder off and on
-# (best wall time of 3 runs each, read from the "# serve wall" line
-# the CLI prints to stderr) and fail if the recorder-on time exceeds
-# the recorder-off time by more than 10% plus a fixed 40 ms allowance
-# for small-number timing noise. Invoked as:
+# Span-tracing overhead gate: --trace-spans (the core's per-event span
+# build plus the worst-K sink) must stay cheap. Run the same serve
+# workload with tracing off and on (best wall time of 3 runs each,
+# read from the "# serve wall" line the CLI prints to stderr) and fail
+# if the tracing-on time exceeds the tracing-off time by more than 10%
+# plus a fixed 40 ms allowance for small-number timing noise. Invoked
+# as:
 #   cmake -DESPSIM_CLI=<path> -DWORK_DIR=<dir> -P this-file
 
 file(MAKE_DIRECTORY ${WORK_DIR})
@@ -34,16 +35,16 @@ function(run_serve tag extra_args out_var)
     set(${out_var} ${best_ms} PARENT_SCOPE)
 endfunction()
 
-run_serve(recorder-off "" off_ms)
-run_serve(recorder-on "--trace-spans;overhead_spans.json" on_ms)
+run_serve(tracing-off "" off_ms)
+run_serve(tracing-on "--trace-spans;overhead_spans.json" on_ms)
 
 message(STATUS
-    "serve wall: recorder off ${off_ms} ms, recorder on ${on_ms} ms")
+    "serve wall: tracing off ${off_ms} ms, tracing on ${on_ms} ms")
 
 # on <= off * 1.10 + 40 ms, in integer milliseconds.
 math(EXPR bound "${off_ms} + ${off_ms} / 10 + 40")
 if(on_ms GREATER bound)
     message(FATAL_ERROR
-        "span tracing is not cheap: recorder-on wall ${on_ms} ms "
-        "exceeds recorder-off bound ${bound} ms")
+        "span tracing is not cheap: tracing-on wall ${on_ms} ms "
+        "exceeds tracing-off bound ${bound} ms")
 endif()

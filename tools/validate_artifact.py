@@ -341,16 +341,12 @@ def validate_span(doc, problems):
     if not isinstance(manifest.get("profile"), str) \
             or not manifest.get("profile"):
         _fail(problems, "manifest.profile missing or empty")
-    for key in ("events", "flight_recorder", "worst_k",
-                "anomaly_min_samples"):
+    for key in ("events", "worst_k"):
         value = manifest.get(key)
         if not isinstance(value, int) or value < 0:
             _fail(problems,
                   f"manifest.{key} is not a non-negative integer")
-    threshold = manifest.get("anomaly_threshold")
-    if not isinstance(threshold, (int, float)) or threshold <= 0:
-        _fail(problems,
-              "manifest.anomaly_threshold is not a positive number")
+    worst_k = manifest.get("worst_k")
     configs = manifest.get("configs")
     if not isinstance(configs, list) or not configs:
         _fail(problems, "manifest.configs missing or empty")
@@ -368,61 +364,40 @@ def validate_span(doc, problems):
                 and entry.get("config") not in configs):
             _fail(problems,
                   f"{where}.config not listed in manifest.configs")
-        for key in ("cycles", "events", "spans_recorded",
-                    "anomaly_overflow"):
+        counts_ok = True
+        for key in ("cycles", "events", "spans_recorded"):
             value = entry.get(key)
             if not isinstance(value, int) or value < 0:
                 _fail(problems,
                       f"{where}.{key} is not a non-negative integer")
-        p99 = entry.get("running_p99")
-        if not isinstance(p99, (int, float)) or p99 < 0:
-            _fail(problems,
-                  f"{where}.running_p99 is not a non-negative number")
-        dump = entry.get("dump")
-        if not isinstance(dump, dict) \
-                or not isinstance(dump.get("triggered"), bool):
-            _fail(problems, f"{where}.dump.triggered missing")
-        elif dump["triggered"] and not isinstance(dump.get("event"),
-                                                  int):
-            _fail(problems,
-                  f"{where}.dump.event missing on a triggered dump")
+                counts_ok = False
+        # The core emits one span per retired event.
+        if counts_ok and entry["spans_recorded"] != entry["events"]:
+            _fail(problems, f"{where}.spans_recorded != events")
         worst = entry.get("worst")
         if not isinstance(worst, list):
             _fail(problems, f"{where}.worst missing or not a list")
             worst = []
+        if (counts_ok and isinstance(worst_k, int)
+                and len(worst) != min(worst_k, entry["spans_recorded"])):
+            _fail(problems,
+                  f"{where}.worst length != min(worst_k, spans_recorded)")
         prev_total = None
+        seen_events = set()
         for j, span in enumerate(worst):
             checked = _check_span(span, f"{where}.worst[{j}]", problems)
             if checked is None:
                 continue
+            if checked["event"] in seen_events:
+                _fail(problems,
+                      f"{where}.worst[{j}].event repeats an earlier row")
+            seen_events.add(checked["event"])
             total = checked["total_cycles"]
             if prev_total is not None and total > prev_total:
                 _fail(problems,
                       f"{where}.worst not sorted by total_cycles "
                       "descending")
             prev_total = total
-        anomalies = entry.get("anomalies")
-        if not isinstance(anomalies, list):
-            _fail(problems, f"{where}.anomalies missing or not a list")
-            anomalies = []
-        for j, record in enumerate(anomalies):
-            aw = f"{where}.anomalies[{j}]"
-            if not isinstance(record, dict):
-                _fail(problems, f"{aw} is not an object")
-                continue
-            ref = record.get("running_p99")
-            if not isinstance(ref, (int, float)) or ref < 0:
-                _fail(problems,
-                      f"{aw}.running_p99 is not a non-negative number")
-            span = _check_span(record.get("span"), f"{aw}.span",
-                               problems)
-            # The detector's defining inequality, replayed offline.
-            if (span is not None and isinstance(threshold, (int, float))
-                    and isinstance(ref, (int, float))
-                    and span["total_cycles"] <= threshold * ref):
-                _fail(problems,
-                      f"{aw}: span total does not exceed threshold x "
-                      "running_p99")
     return problems
 
 
