@@ -11,9 +11,12 @@ PentiumMPredictor::PentiumMPredictor(const BranchPredictorConfig &config)
       ibtb_(config.ibtbEntries), loop_(config.loopEntries)
 {
     if (config_.globalEntries == 0 || config_.localEntries == 0 ||
-        config_.btbEntries == 0 || config_.ibtbEntries == 0) {
+        config_.btbEntries == 0 || config_.ibtbEntries == 0 ||
+        config_.loopEntries == 0) {
         fatal("branch predictor tables must be non-empty");
     }
+    if (config_.rasDepth == 0)
+        fatal("branch predictor return stack must hold an entry");
 }
 
 void

@@ -4,9 +4,8 @@ namespace espsim
 {
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config)
-    : config_(config), l1i_(config.l1i), l1d_(config.l1d),
-      l2_(config.l2), lifecycleInstr_(l1i_.numWays()),
-      lifecycleData_(l1d_.numWays())
+    : config_(config), l2_(config.l2), instr_(config.l1i),
+      data_(config.l1d)
 {
 }
 
@@ -28,18 +27,18 @@ MemoryHierarchy::prefetchLifecycle(PrefetchSource source) const
 void
 MemoryHierarchy::finalizePrefetchLifecycles()
 {
-    lifecycleInstr_.finalize();
-    lifecycleData_.finalize();
+    instr_.lifecycle.finalize();
+    data_.lifecycle.finalize();
 }
 
 void
 MemoryHierarchy::registerStats(StatRegistry &reg,
                                const std::string &prefix) const
 {
-    reg.registerScalar(prefix + "l1i.accesses", &stat_l1i_acc_);
-    reg.registerScalar(prefix + "l1i.misses", &stat_l1i_miss_);
-    reg.registerScalar(prefix + "l1d.accesses", &stat_l1d_acc_);
-    reg.registerScalar(prefix + "l1d.misses", &stat_l1d_miss_);
+    reg.registerScalar(prefix + "l1i.accesses", &instr_.accesses);
+    reg.registerScalar(prefix + "l1i.misses", &instr_.misses);
+    reg.registerScalar(prefix + "l1d.accesses", &data_.accesses);
+    reg.registerScalar(prefix + "l1d.misses", &data_.misses);
     reg.registerScalar(prefix + "l2.misses", &stat_l2_miss_);
     reg.registerScalar(prefix + "prefetches.issued", &stat_pf_issued_);
     reg.registerScalar(prefix + "prefetches.late", &stat_pf_late_);
@@ -83,7 +82,7 @@ MemoryHierarchy::registerStats(StatRegistry &reg,
             used += st.used();
         }
         const std::uint64_t denom =
-            timely + (instr ? stat_l1i_miss_ : stat_l1d_miss_);
+            timely + (instr ? instr_.misses : data_.misses);
         return denom == 0 ? 0.0
                           : static_cast<double>(used) /
                 static_cast<double>(denom);

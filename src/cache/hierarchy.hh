@@ -6,7 +6,9 @@
  *
  * Demand accesses walk L1 → L2 → memory and fill inclusively.
  * Prefetches insert immediately and record their completion time in an
- * in-flight buffer so late prefetches pay residual latency. Probe
+ * in-flight buffer so late prefetches pay residual latency; one bit per
+ * L1 way says whether the block there may have such an entry, so an
+ * L1 hit probes the buffer only when it might find one. Probe
  * methods report where a block lives without disturbing state — the
  * ESP cachelet fill path uses them, because ESP-mode accesses bypass
  * the L1/L2 entirely (§3.4).
@@ -16,6 +18,7 @@
 #define ESPSIM_CACHE_HIERARCHY_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "common/stats.hh"
@@ -69,11 +72,10 @@ class MemoryHierarchy
     {
         if (config_.perfectL1I) {
             if (countStats_)
-                ++stat_l1i_acc_;
+                ++instr_.accesses;
             return {config_.l1i.hitLatency, HitLevel::L1};
         }
-        return accessSide(l1i_, inflightInstr_, lifecycleInstr_, addr,
-                          false, now, stat_l1i_acc_, stat_l1i_miss_);
+        return accessSide(instr_, addr, false, now);
     }
 
     /** Demand data access (@p write marks the block dirty). */
@@ -82,11 +84,10 @@ class MemoryHierarchy
     {
         if (config_.perfectL1D) {
             if (countStats_)
-                ++stat_l1d_acc_;
+                ++data_.accesses;
             return {config_.l1d.hitLatency, HitLevel::L1};
         }
-        return accessSide(l1d_, inflightData_, lifecycleData_, addr,
-                          write, now, stat_l1d_acc_, stat_l1d_miss_);
+        return accessSide(data_, addr, write, now);
     }
 
     /**
@@ -98,7 +99,7 @@ class MemoryHierarchy
     {
         if (config_.perfectL1I)
             return {config_.l1i.hitLatency, HitLevel::L1};
-        return probeSide(l1i_, addr);
+        return probeSide(instr_.l1, addr);
     }
 
     AccessResult
@@ -106,7 +107,7 @@ class MemoryHierarchy
     {
         if (config_.perfectL1D)
             return {config_.l1d.hitLatency, HitLevel::L1};
-        return probeSide(l1d_, addr);
+        return probeSide(data_.l1, addr);
     }
 
     /**
@@ -123,8 +124,7 @@ class MemoryHierarchy
     {
         if (config_.perfectL1I)
             return false;
-        return prefetchSide(l1i_, inflightInstr_, lifecycleInstr_,
-                            addr, now, source);
+        return prefetchSide(instr_, addr, now, source);
     }
 
     bool
@@ -133,8 +133,7 @@ class MemoryHierarchy
     {
         if (config_.perfectL1D)
             return false;
-        return prefetchSide(l1d_, inflightData_, lifecycleData_, addr,
-                            now, source);
+        return prefetchSide(data_, addr, now, source);
     }
 
     /**
@@ -142,12 +141,12 @@ class MemoryHierarchy
      * L1-D) now: no prefetch, no timing, no lifecycle scoring. The
      * ideal-ESP list replay fills through these.
      */
-    void installInstr(Addr addr) { installSide(l1i_, lifecycleInstr_, addr); }
-    void installData(Addr addr) { installSide(l1d_, lifecycleData_, addr); }
+    void installInstr(Addr addr) { installSide(instr_, addr); }
+    void installData(Addr addr) { installSide(data_, addr); }
 
     /** Read-only views of the L1s (the fuzz oracle checks them). */
-    const SetAssocCache &l1i() const { return l1i_; }
-    const SetAssocCache &l1d() const { return l1d_; }
+    const SetAssocCache &l1i() const { return instr_.l1; }
+    const SetAssocCache &l1d() const { return data_.l1; }
 
     /** The LLC, open for warm-up fills. */
     SetAssocCache &l2() { return l2_; }
@@ -160,10 +159,10 @@ class MemoryHierarchy
     void setStatCounting(bool enable) { countStats_ = enable; }
 
     // --- statistics -----------------------------------------------
-    std::uint64_t l1iAccesses() const { return stat_l1i_acc_; }
-    std::uint64_t l1iMisses() const { return stat_l1i_miss_; }
-    std::uint64_t l1dAccesses() const { return stat_l1d_acc_; }
-    std::uint64_t l1dMisses() const { return stat_l1d_miss_; }
+    std::uint64_t l1iAccesses() const { return instr_.accesses; }
+    std::uint64_t l1iMisses() const { return instr_.misses; }
+    std::uint64_t l1dAccesses() const { return data_.accesses; }
+    std::uint64_t l1dMisses() const { return data_.misses; }
     std::uint64_t l2Misses() const { return stat_l2_miss_; }
     std::uint64_t prefetchesIssued() const { return stat_pf_issued_; }
     std::uint64_t latePrefetchHits() const { return stat_pf_late_; }
@@ -176,7 +175,7 @@ class MemoryHierarchy
     const PrefetchSourceStats &
     prefetchLifecycle(PrefetchSource source, bool instr) const
     {
-        return (instr ? lifecycleInstr_ : lifecycleData_).stats(source);
+        return (instr ? instr_ : data_).lifecycle.stats(source);
     }
 
     /** End of run: score still-unused prefetched blocks as useless.
@@ -191,20 +190,41 @@ class MemoryHierarchy
     void report(StatGroup &stats, const std::string &prefix) const;
 
   private:
+    /** One L1 side (instruction or data) with its prefetch state. */
+    struct Side
+    {
+        explicit Side(const CacheGeometry &geometry)
+            : l1(geometry), lifecycle(l1.numWays()),
+              mayBeInflight(l1.numWays(), 0)
+        {
+        }
+
+        SetAssocCache l1;
+        InflightPrefetchBuffer inflight;
+        PrefetchLifecycleTracker lifecycle;
+        /**
+         * One flag per L1 way: the block there may have an entry in
+         * `inflight`. The rule is one-way: a block with an entry always
+         * sits in a flagged way, but a flag may outlive its entry (the
+         * FIFO retired it), which costs only one probe. Every L1 fill
+         * sets its way's flag, so an L1 hit probes the buffer only in
+         * a flagged way.
+         */
+        std::vector<std::uint8_t> mayBeInflight;
+        std::uint64_t accesses = 0;
+        std::uint64_t misses = 0;
+    };
+
     HierarchyConfig config_;
     bool countStats_ = true;
-    SetAssocCache l1i_;
-    SetAssocCache l1d_;
+    // Declaration order is allocation order. Keep the L2's tag array
+    // ahead of the sides' arrays: as the last block on the heap,
+    // freeing it returned it to the OS, so every fresh hierarchy (one
+    // per serve pass) faulted it back in.
     SetAssocCache l2_;
-    InflightPrefetchBuffer inflightInstr_;
-    InflightPrefetchBuffer inflightData_;
-    PrefetchLifecycleTracker lifecycleInstr_;
-    PrefetchLifecycleTracker lifecycleData_;
+    Side instr_;
+    Side data_;
 
-    std::uint64_t stat_l1i_acc_ = 0;
-    std::uint64_t stat_l1i_miss_ = 0;
-    std::uint64_t stat_l1d_acc_ = 0;
-    std::uint64_t stat_l1d_miss_ = 0;
     std::uint64_t stat_l2_miss_ = 0;
     std::uint64_t stat_pf_issued_ = 0;
     std::uint64_t stat_pf_late_ = 0;
@@ -214,27 +234,28 @@ class MemoryHierarchy
      *  compiles into the caller's loop. Each level's set is scanned
      *  once: a miss fills from the way its lookup found wanting. */
     AccessResult
-    accessSide(SetAssocCache &l1, InflightPrefetchBuffer &inflight,
-               PrefetchLifecycleTracker &lifecycle, Addr addr,
-               bool write, Cycle now, std::uint64_t &acc_stat,
-               std::uint64_t &miss_stat)
+    accessSide(Side &side, Addr addr, bool write, Cycle now)
     {
         if (countStats_)
-            ++acc_stat;
+            ++side.accesses;
+        SetAssocCache &l1 = side.l1;
         const Cycle l1_lat = l1.geometry().hitLatency;
-        const auto ready = inflight.consume(blockAlign(addr));
 
         if (const auto way = l1.lookup(addr);
             way != SetAssocCache::noWay) {
             if (countStats_)
-                lifecycle.onDemandAccess(way, now);
+                side.lifecycle.onDemandAccess(way, now);
             if (write)
                 l1.markDirty(way);
+            if (!side.mayBeInflight[way])
+                return {l1_lat, HitLevel::L1};
+            side.mayBeInflight[way] = 0;
+            const auto ready = side.inflight.consume(blockAlign(addr));
             if (ready && *ready > now) {
                 // Prefetched block still being filled: pay the
                 // residue.
                 if (countStats_) {
-                    ++miss_stat;
+                    ++side.misses;
                     ++stat_pf_late_;
                 }
                 return {*ready - now + l1_lat, HitLevel::L2};
@@ -243,7 +264,10 @@ class MemoryHierarchy
         }
 
         if (countStats_)
-            ++miss_stat;
+            ++side.misses;
+        // A block evicted from the L1 while in flight still holds its
+        // entry; the demand fill supersedes it.
+        side.inflight.consume(blockAlign(addr));
         AccessResult res{l1_lat + l2_.geometry().hitLatency, HitLevel::L2};
         if (l2_.lookup(addr) == SetAssocCache::noWay) {
             if (countStats_)
@@ -252,12 +276,13 @@ class MemoryHierarchy
             res = {res.latency + config_.memLatency, HitLevel::Memory};
         }
         const SetAssocCache::Fill fill = l1.fillAbsent(addr, write);
+        side.mayBeInflight[fill.way] = 0;
         if (countStats_)
-            lifecycle.onDemandFill(fill.way, blockAlign(addr),
-                                   fill.displaced);
+            side.lifecycle.onDemandFill(fill.way, blockAlign(addr),
+                                        fill.displaced);
         else
-            lifecycle.onUncountedFill(fill.way, blockAlign(addr),
-                                      fill.displaced);
+            side.lifecycle.onUncountedFill(fill.way, blockAlign(addr),
+                                           fill.displaced);
         return res;
     }
 
@@ -274,11 +299,10 @@ class MemoryHierarchy
     }
 
     bool
-    prefetchSide(SetAssocCache &l1, InflightPrefetchBuffer &inflight,
-                 PrefetchLifecycleTracker &lifecycle, Addr addr,
-                 Cycle now, PrefetchSource source)
+    prefetchSide(Side &side, Addr addr, Cycle now, PrefetchSource source)
     {
-        if (l1.contains(addr) || inflight.contains(blockAlign(addr)))
+        SetAssocCache &l1 = side.l1;
+        if (l1.contains(addr) || side.inflight.contains(blockAlign(addr)))
             return false;
         // Fill now (so capacity pressure and pollution are modeled)
         // and remember when the fill actually lands. The L2 probe that
@@ -292,22 +316,27 @@ class MemoryHierarchy
         }
         const SetAssocCache::Fill fill = l1.fillAbsent(addr);
         const Cycle ready = now + latency;
-        inflight.issue(blockAlign(addr), ready);
-        lifecycle.onPrefetchFill(fill.way, blockAlign(addr), source,
-                                 ready, fill.displaced);
+        side.inflight.issue(blockAlign(addr), ready);
+        side.mayBeInflight[fill.way] = 1;
+        side.lifecycle.onPrefetchFill(fill.way, blockAlign(addr), source,
+                                      ready, fill.displaced);
         ++stat_pf_issued_;
         return true;
     }
 
     void
-    installSide(SetAssocCache &l1, PrefetchLifecycleTracker &lifecycle,
-                Addr addr)
+    installSide(Side &side, Addr addr)
     {
         l2_.insert(addr);
-        if (const SetAssocCache::Fill fill = l1.insert(addr);
-            fill.way != SetAssocCache::noWay)
-            lifecycle.onUncountedFill(fill.way, blockAlign(addr),
-                                      fill.displaced);
+        if (const SetAssocCache::Fill fill = side.l1.insert(addr);
+            fill.way != SetAssocCache::noWay) {
+            // The block may return while a prefetch of it, issued
+            // before an eviction, is still in flight.
+            side.mayBeInflight[fill.way] =
+                side.inflight.contains(blockAlign(addr));
+            side.lifecycle.onUncountedFill(fill.way, blockAlign(addr),
+                                           fill.displaced);
+        }
     }
 };
 

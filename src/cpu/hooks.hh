@@ -49,6 +49,10 @@ struct StallContext
     std::uint8_t missDest = noReg;
 };
 
+/** How often, in ops, the core re-asks CoreHooks::perOpActive()
+ *  within an event while the answer is true. */
+constexpr std::size_t perOpRecheckOps = 64;
+
 /** Callbacks from the core; default implementation does nothing. */
 class CoreHooks
 {
@@ -72,17 +76,18 @@ class CoreHooks
     }
 
     /**
-     * Whether beforeOp() needs to observe the current event's ops.
-     * The core asks once per event (between onEventStart and the
-     * first op) and skips the per-op virtual call entirely when the
-     * answer is false — the common case for passive engines. An
-     * engine whose answer can change only does so at event
-     * boundaries, so the once-per-event sample is exact.
+     * Whether beforeOp() still needs to observe the current event's
+     * ops. The core asks before the first op of each event (after
+     * onEventStart) and again every perOpRecheckOps ops while the
+     * answer is true; once it is false, the core makes no further
+     * beforeOp() call until the next event. An engine may therefore
+     * answer false only when every later beforeOp() call of this event
+     * would do nothing. Passive engines answer false throughout.
      */
     virtual bool perOpActive() const { return false; }
 
-    /** Called before each op of the current event executes (only when
-     *  perOpActive() returned true for this event). */
+    /** Called before each op of the current event executes, for as
+     *  long as perOpActive() keeps answering true (see there). */
     virtual void
     beforeOp(std::size_t op_idx, const MicroOp &op, Cycle now)
     {

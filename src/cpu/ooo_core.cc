@@ -112,7 +112,7 @@ OoOCore::advanceSlot(CycleBucket bucket)
 }
 
 void
-OoOCore::retireForSpace(const MicroOp &next_op)
+OoOCore::retireForSpace()
 {
     if (rob_.size() < config_.robSize)
         return;
@@ -128,7 +128,6 @@ OoOCore::retireForSpace(const MicroOp &next_op)
             timeline_->recordStall(TimelineStall::DataMiss, fetchCycle_,
                                    idle);
         }
-        (void)next_op;
         fetchCycle_ = retire_at;
         slotInCycle_ = 0;
     }
@@ -137,7 +136,7 @@ OoOCore::retireForSpace(const MicroOp &next_op)
 void
 OoOCore::processOp(const MicroOp &op)
 {
-    retireForSpace(op);
+    retireForSpace();
 
     // --- Fetch: access the I-cache on block transitions. ------------
     const Addr iblock = blockAlign(op.pc);
@@ -206,17 +205,17 @@ OoOCore::processOp(const MicroOp &op)
         // the LSQ full is the same idle-window opportunity as one at
         // the head of the ROB, so it is reported to the stall engine.
         while (lsq_.size() >= config_.lsqSize) {
-            const LsqEntry oldest = lsq_.front();
+            const Cycle oldest = lsq_.front();
             lsq_.pop_front();
-            if (oldest.complete > fetchCycle_) {
-                const Cycle wait = oldest.complete - fetchCycle_;
+            if (oldest > fetchCycle_) {
+                const Cycle wait = oldest - fetchCycle_;
                 stats_.lsqStallCycles += wait;
                 chargeStall(CycleBucket::LsqFull, wait);
                 if (timeline_) {
                     timeline_->recordStall(TimelineStall::LsqFull,
                                            fetchCycle_, wait);
                 }
-                fetchCycle_ = oldest.complete;
+                fetchCycle_ = oldest;
                 slotInCycle_ = 0;
             }
         }
@@ -235,7 +234,6 @@ OoOCore::processOp(const MicroOp &op)
             if (res.llcMiss()) {
                 ++stats_.llcMissesData;
                 entry.llcMissLoad = true;
-                entry.llcMissDest = op.dest;
             }
             // The paper's ESP/runahead trigger: a long-latency miss
             // will block the ROB head for roughly its fill time; the
@@ -262,13 +260,8 @@ OoOCore::processOp(const MicroOp &op)
         }
         // Only in-flight misses occupy modeled LSQ/MSHR slots; hits
         // complete within the pipeline and release immediately.
-        if (res.latency > mem_.config().l1d.hitLatency) {
-            LsqEntry lentry;
-            lentry.complete = complete;
-            lentry.llcMissLoad = entry.llcMissLoad;
-            lentry.llcMissDest = entry.llcMissDest;
-            lsq_.push_back(lentry);
-        }
+        if (res.latency > mem_.config().l1d.hitLatency)
+            lsq_.push_back(complete);
         break;
       }
       case OpType::BranchCond:
@@ -324,14 +317,11 @@ OoOCore::drainRob()
 {
     Cycle last = fetchCycle_;
     bool miss_pending = false;
-    std::uint8_t miss_dest = noReg;
     for (std::size_t k = 0; k < rob_.size(); ++k) {
         const RobEntry &e = rob_.at(k);
         last = std::max(last, e.complete);
-        if (e.llcMissLoad && e.complete > fetchCycle_) {
+        if (e.llcMissLoad && e.complete > fetchCycle_)
             miss_pending = true;
-            miss_dest = e.llcMissDest;
-        }
     }
     // The drain just accounts remaining completion time; outstanding
     // misses were already reported to the engine at detection time.
@@ -345,7 +335,6 @@ OoOCore::drainRob()
     } else if (last > fetchCycle_) {
         charge(CycleBucket::Drain, last - fetchCycle_);
     }
-    (void)miss_dest;
     rob_.clear();
     lsq_.clear();
     fetchCycle_ = std::max(fetchCycle_, last);
@@ -407,18 +396,27 @@ OoOCore::run(const Workload &workload)
         if (pacer_)
             pacer_->eventHandlerType(idx, event.handlerType);
         curFetchBlock_ = ~Addr{0};
-        // Rebuild ops by value from the packed records; skip the per-op
-        // virtual hook when the engine declared itself passive for
-        // this event (the answer only changes at event boundaries).
+        // Rebuild ops by value from the packed records. The per-op
+        // virtual hook runs only while the engine says it has work
+        // left in this event: the core asks before the first op and
+        // then every perOpRecheckOps ops, and once the answer is false
+        // the rest of the event runs without the hook.
         const OpSequence &ops = event.ops;
         const std::size_t num_ops = ops.size();
-        const bool per_op = hooks_.perOpActive();
-        for (std::size_t i = 0; i < num_ops; ++i) {
-            curOpIdx_ = i;
-            const MicroOp op = ops[i];
-            if (per_op)
+        std::size_t i = 0;
+        while (i < num_ops && hooks_.perOpActive()) {
+            const std::size_t stop =
+                std::min(num_ops, i + perOpRecheckOps);
+            for (; i < stop; ++i) {
+                curOpIdx_ = i;
+                const MicroOp op = ops[i];
                 hooks_.beforeOp(i, op, fetchCycle_);
-            processOp(op);
+                processOp(op);
+            }
+        }
+        for (; i < num_ops; ++i) {
+            curOpIdx_ = i;
+            processOp(ops[i]);
         }
         drainRob();
         // A stall shadow never extends past the event-end drain; drop

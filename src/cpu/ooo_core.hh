@@ -281,7 +281,6 @@ class OoOCore
     struct RobEntry
     {
         Cycle complete = 0;
-        std::uint8_t llcMissDest = noReg; //!< valid when LLC-miss load
         bool llcMissLoad = false;
     };
 
@@ -304,15 +303,9 @@ class OoOCore
     Cycle fetchCycle_ = 0;
     unsigned slotInCycle_ = 0;
     Addr curFetchBlock_ = ~Addr{0};
-    struct LsqEntry
-    {
-        Cycle complete = 0;
-        std::uint8_t llcMissDest = noReg;
-        bool llcMissLoad = false;
-    };
 
     FixedRing<RobEntry> rob_;
-    FixedRing<LsqEntry> lsq_;
+    FixedRing<Cycle> lsq_; //!< completion cycle of each in-flight miss
     Cycle lastRetire_ = 0;
     std::size_t curOpIdx_ = 0;
     std::uint8_t lastDest_ = noReg; //!< dependency-issue modeling
@@ -329,7 +322,7 @@ class OoOCore
      *  the speculation bucket, the remainder to @p bucket. */
     void chargeStall(CycleBucket bucket, Cycle cycles);
     void processOp(const MicroOp &op);
-    void retireForSpace(const MicroOp &next_op);
+    void retireForSpace();
     void drainRob();
     void advanceSlot(CycleBucket bucket = CycleBucket::Retiring);
     void executeLooperOverhead();

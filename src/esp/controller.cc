@@ -167,7 +167,6 @@ EspController::speculativeData(unsigned d, SpecContext &sc,
     } else {
         hit = dcachelet_.lookupFor(depthEnum(d), op.memAddr);
     }
-    (void)blk;
     if (hit) {
         if (op.isStore() && !config_.ideal && d < 2) {
             // Speculative stores stay in the cachelet, never written
@@ -557,13 +556,10 @@ EspController::drainPrefetches(std::size_t op_idx, Cycle now)
 }
 
 void
-EspController::trainAhead(Cycle now)
+EspController::trainAhead()
 {
-    (void)now;
-    if (!config_.useBList ||
-        config_.branchPolicy != BranchPolicy::SeparatePirPlusBList) {
+    if (!trainsFromBList())
         return;
-    }
     const std::size_t horizon =
         consume_.branchesExecuted + config_.branchTrainLookahead;
     while (consume_.bcur < consume_.brecs.size() &&
@@ -591,7 +587,7 @@ EspController::onEventStart(std::size_t event_idx, Cycle now)
     // for the event head go out before the event begins (§3.6).
     drainPrefetches(0, now);
     consume_.trainCtx.clear();
-    trainAhead(now);
+    trainAhead();
 }
 
 void
@@ -609,7 +605,7 @@ EspController::beforeOp(std::size_t op_idx, const MicroOp &op, Cycle now)
     if (op_idx >= consume_.nextDrainOp)
         drainPrefetches(op_idx, now);
     if (op.isBranchOp()) {
-        trainAhead(now);
+        trainAhead();
         ++consume_.branchesExecuted;
     }
 }

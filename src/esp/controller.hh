@@ -91,10 +91,17 @@ class EspController : public CoreHooks
     Cycle onStall(const StallContext &ctx) override;
     SpecEngine engine() const override { return SpecEngine::Esp; }
 
-    /** The per-op hook only does work while list consumption for the
-     *  current event is live; tell the core so it can skip the
-     *  indirect call in its issue loop otherwise. */
-    bool perOpActive() const override { return consume_.valid; }
+    /** The per-op hook only does work while the current event's lists
+     *  still hold a record to drain or a B-list record to train (the
+     *  record spans are empty when no lists were promoted); once they
+     *  run dry the core stops calling it for the event. */
+    bool
+    perOpActive() const override
+    {
+        return (config_.useIList && consume_.icur < consume_.irecs.size()) ||
+            (config_.useDList && consume_.dcur < consume_.drecs.size()) ||
+            (trainsFromBList() && consume_.bcur < consume_.brecs.size());
+    }
 
     const EspStats &stats() const { return stats_; }
     const EspConfig &config() const { return config_; }
@@ -210,7 +217,14 @@ class EspController : public CoreHooks
 
     // --- normal-mode consumption -------------------------------------
     void drainPrefetches(std::size_t op_idx, Cycle now);
-    void trainAhead(Cycle now);
+    /** Whether normal execution trains the predictor from B-lists. */
+    bool
+    trainsFromBList() const
+    {
+        return config_.useBList &&
+            config_.branchPolicy == BranchPolicy::SeparatePirPlusBList;
+    }
+    void trainAhead();
     void promoteContexts(std::size_t finished_idx);
     static void rebuildWithCapacity(AddressList &dst,
                                     const AddressList &src,

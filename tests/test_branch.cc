@@ -321,3 +321,17 @@ TEST(PredictorDeathTest, NonBranchOpPanics)
     op.setType(OpType::IntAlu);
     EXPECT_DEATH(bp.executeBranch(op), "non-branch");
 }
+
+TEST(PredictorDeathTest, EmptyLoopTableFatals)
+{
+    BranchPredictorConfig cfg;
+    cfg.loopEntries = 0;
+    EXPECT_DEATH(PentiumMPredictor{cfg}, "tables must be non-empty");
+}
+
+TEST(PredictorDeathTest, EmptyReturnStackFatals)
+{
+    BranchPredictorConfig cfg;
+    cfg.rasDepth = 0;
+    EXPECT_DEATH(PentiumMPredictor{cfg}, "return stack");
+}

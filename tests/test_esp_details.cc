@@ -3,13 +3,20 @@
  * Focused tests for ESP controller internals not covered by the
  * behavioural suite: prefetch-lead timing, list promotion with
  * capacity rebuild, ideal-mode semantics, branch-policy plumbing,
- * config accounting, and the naive strawman's predictor sharing.
+ * config accounting, the naive strawman's predictor sharing, and the
+ * per-op hook falling quiet once the event's lists drain.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "cpu/ooo_core.hh"
 #include "esp/controller.hh"
+#include "sim/sim_config.hh"
 #include "workload/builder.hh"
+#include "workload/generator.hh"
 
 using namespace espsim;
 
@@ -41,7 +48,110 @@ stall(Cycle idle = 100000)
     return ctx;
 }
 
+/**
+ * Forwards every hook to the engine and counts beforeOp() calls. With
+ * @p everyOp set it answers perOpActive() true throughout, so the
+ * engine sees every op of every event; the engine's own answers must
+ * give the same results with fewer calls.
+ */
+class CountingHooks : public CoreHooks
+{
+  public:
+    CountingHooks(CoreHooks &inner, bool everyOp)
+        : inner_(inner), everyOp_(everyOp)
+    {
+    }
+
+    void
+    onEventStart(std::size_t event_idx, Cycle now) override
+    {
+        inner_.onEventStart(event_idx, now);
+    }
+
+    void
+    onEventEnd(std::size_t event_idx, Cycle now) override
+    {
+        inner_.onEventEnd(event_idx, now);
+    }
+
+    bool
+    perOpActive() const override
+    {
+        return everyOp_ || inner_.perOpActive();
+    }
+
+    void
+    beforeOp(std::size_t op_idx, const MicroOp &op, Cycle now) override
+    {
+        ++beforeOpCalls;
+        inner_.beforeOp(op_idx, op, now);
+    }
+
+    Cycle
+    onStall(const StallContext &ctx) override
+    {
+        return inner_.onStall(ctx);
+    }
+
+    SpecEngine engine() const override { return inner_.engine(); }
+
+    std::uint64_t beforeOpCalls = 0;
+
+  private:
+    CoreHooks &inner_;
+    const bool everyOp_;
+};
+
+/** Run @p cfg on @p w and return every core, memory, predictor and ESP
+ *  stat; @p calls receives the number of beforeOp() calls. */
+std::map<std::string, double>
+espStats(const SimConfig &cfg, const Workload &w, bool every_op,
+         std::uint64_t &calls)
+{
+    MemoryHierarchy mem(cfg.memory);
+    PentiumMPredictor bp(cfg.branch);
+    EspController esp(cfg.esp, mem, bp, w, cfg.core.width);
+    CountingHooks hooks(esp, every_op);
+    OoOCore core(cfg.core, mem, bp, cfg.prefetch, hooks);
+    StatRegistry reg;
+    core.registerStats(reg, "core.");
+    mem.registerStats(reg, "mem.");
+    bp.registerStats(reg, "bp.");
+    esp.registerStats(reg, "esp.");
+    core.run(w);
+    mem.finalizePrefetchLifecycles();
+    calls = hooks.beforeOpCalls;
+    return reg.snapshot().values();
+}
+
 } // namespace
+
+TEST(EspDetail, PerOpHookGoesQuietWithoutChangingResults)
+{
+    // Events longer than the lists' reach (maxPreExecPerEvent ops), so
+    // every event with lists drains them well before its end.
+    AppProfile p = AppProfile::byName("gmaps");
+    p.numEvents = 16;
+    p.avgEventLen = 20000;
+    const auto w = SyntheticGenerator(p).generate();
+
+    // ESP+NL, and the B-list alone: there only the branch records
+    // keep the hook alive.
+    for (const SimConfig &cfg :
+         {SimConfig::espFull(true),
+          SimConfig::espAblation(false, true, false)}) {
+        SCOPED_TRACE(cfg.name);
+        std::uint64_t every_calls = 0, quiet_calls = 0;
+        const auto every = espStats(cfg, *w, true, every_calls);
+        const auto quiet = espStats(cfg, *w, false, quiet_calls);
+        ASSERT_GT(every.at("esp.branches_pre_trained"), 0.0);
+        ASSERT_EQ(every.size(), quiet.size());
+        for (const auto &[name, value] : every)
+            EXPECT_EQ(quiet.at(name), value) << name;
+        EXPECT_LT(quiet_calls * 3, every_calls)
+            << "every op " << every_calls << ", quiet " << quiet_calls;
+    }
+}
 
 TEST(EspDetail, PrefetchLeadGatesConsumption)
 {

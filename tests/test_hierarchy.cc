@@ -128,6 +128,34 @@ TEST(Hierarchy, PrefetchOfInFlightBlockIsNoOpAtAnyOffset)
     EXPECT_EQ(mem.prefetchLifecycle(PrefetchSource::Other).issued, 1u);
 }
 
+TEST(Hierarchy, InstalledBlockStillConsumesItsInflightPrefetch)
+{
+    MemoryHierarchy mem(smallConfig());
+    // L1-D is 2-way x 8 sets: blocks 512 B apart share a set.
+    constexpr Addr setStride = 8 * blockBytes;
+    const Addr b = 0x3000;
+    ASSERT_TRUE(mem.prefetchData(b, 1000)); // ready at 1000 + 124
+    mem.accessData(b + setStride, false, 1001);
+    mem.accessData(b + 2 * setStride, false, 1002); // evicts b from L1
+    ASSERT_EQ(mem.probeData(b).level, HitLevel::L2);
+
+    // The ideal-ESP install brings b back while its prefetch is still
+    // in flight: the demand pays the residue and consumes the entry.
+    mem.installData(b);
+    ASSERT_EQ(mem.probeData(b).level, HitLevel::L1);
+    const AccessResult late = mem.accessData(b, false, 1010);
+    EXPECT_EQ(late.level, HitLevel::L2);
+    EXPECT_EQ(late.latency, 1124u - 1010u + 2u);
+    EXPECT_EQ(mem.latePrefetchHits(), 1u);
+    EXPECT_EQ(mem.l1dMisses(), 3u);
+
+    // Consumed: the next access is a plain hit.
+    const AccessResult hit = mem.accessData(b, false, 1011);
+    EXPECT_EQ(hit.level, HitLevel::L1);
+    EXPECT_EQ(hit.latency, 2u);
+    EXPECT_EQ(mem.latePrefetchHits(), 1u);
+}
+
 TEST(Hierarchy, PerfectL1INeverMisses)
 {
     HierarchyConfig c = smallConfig();

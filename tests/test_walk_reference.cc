@@ -8,10 +8,10 @@
  * way with an orphan table for uncounted evictions. The twin below
  * keeps an LRU list per set, an in-flight FIFO as a deque plus a map,
  * and the lifecycle as block-keyed tables: a map of live prefetches
- * and a set of demand-live blocks. Random streams on a tiny geometry
- * (so sets conflict constantly) drive both in lockstep, and every
- * outcome and counter must agree after every step and after the
- * end-of-run finalize.
+ * and a set of demand-live blocks. Random streams drive both in
+ * lockstep, on a tiny geometry (so sets conflict constantly) and on
+ * the shipped one, and every outcome and counter must agree after
+ * every step and after the end-of-run finalize.
  */
 
 #include <gtest/gtest.h>
@@ -442,27 +442,36 @@ expectSameCounters(MemoryHierarchy &mem, const RefHierarchy &ref,
     }
 }
 
+/** Where a stream's addresses come from: a hot corner of
+ *  @p hotBlocks blocks drawn 60% of the time, else a pool of
+ *  @p poolBlocks blocks. */
+struct AddressPool
+{
+    std::uint64_t hotBlocks;
+    std::uint64_t poolBlocks;
+};
+
 /**
  * Drive both models with one random stream. Addresses come from a
- * pool far larger than the caches (so the in-flight FIFO fills and
+ * pool far larger than the L1s (so the in-flight FIFO fills and
  * evicts) with a hot corner that keeps L1 hits and returning blocks
  * frequent. Counting switches off for stretches, as naive ESP and
  * runahead do. Adds the run's lifecycle outcomes, summed over sources,
  * to @p total so the caller can check that the streams reach each one.
  */
 void
-runStream(std::uint64_t seed, std::uint64_t steps,
+runStream(const HierarchyConfig &config, AddressPool pool,
+          std::uint64_t seed, std::uint64_t steps,
           PrefetchSourceStats &total)
 {
-    const HierarchyConfig config = tinyConfig();
     MemoryHierarchy mem(config);
     RefHierarchy ref(config, inflightCapacity);
     Rng rng(seed);
     Cycle now = 0;
 
-    const auto pickAddr = [&rng] {
-        const Addr block =
-            rng.chance(0.6) ? rng.below(12) : rng.below(160);
+    const auto pickAddr = [&rng, pool] {
+        const Addr block = rng.chance(0.6) ? rng.below(pool.hotBlocks)
+                                           : rng.below(pool.poolBlocks);
         const Addr offset = rng.chance(0.5) ? 0 : rng.below(blockBytes);
         return 0x10000 + block * blockBytes + offset;
     };
@@ -532,7 +541,25 @@ TEST(WalkReference, RandomStreamsMatchTheStdContainerTwin)
     PrefetchSourceStats total;
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
         SCOPED_TRACE(seed);
-        runStream(seed, 4000, total);
+        runStream(tinyConfig(), {12, 160}, seed, 4000, total);
+        if (HasFatalFailure())
+            return;
+    }
+    // The streams must reach every lifecycle outcome.
+    EXPECT_GT(total.timely, 0u);
+    EXPECT_GT(total.late, 0u);
+    EXPECT_GT(total.useless, 0u);
+    EXPECT_GT(total.harmful, 0u);
+}
+
+TEST(WalkReference, ShippedGeometryMatchesTheStdContainerTwin)
+{
+    // 32 KB 2-way L1s (512 blocks each) and the 2 MB L2: a pool four
+    // times an L1 keeps its sets conflicting.
+    PrefetchSourceStats total;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(seed);
+        runStream(HierarchyConfig{}, {48, 2048}, seed, 4000, total);
         if (HasFatalFailure())
             return;
     }
