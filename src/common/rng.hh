@@ -19,6 +19,28 @@
 namespace espsim
 {
 
+/**
+ * Integer threshold of a Bernoulli trial with probability @p p.
+ *
+ * real() is x * 2^-53 for the 53-bit x = next() >> 11, and the
+ * product is exact, so real() < p holds exactly when
+ * x < ceil(p * 2^53) (scaling by a power of two is exact too). Hence
+ * chance(p) == trial(bernoulliCut(p)) for every generator state:
+ * p <= 0 and NaN give 0 (never), p >= 1 gives 2^53 (always).
+ */
+constexpr std::uint64_t
+bernoulliCut(double p)
+{
+    constexpr std::uint64_t one = std::uint64_t{1} << 53;
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return one;
+    const double scaled = p * 0x1.0p53;
+    const auto whole = static_cast<std::uint64_t>(scaled);
+    return static_cast<double>(whole) < scaled ? whole + 1 : whole;
+}
+
 /** xorshift128+ deterministic PRNG with convenience distributions. */
 class Rng
 {
@@ -55,6 +77,23 @@ class Rng
         return s1 + y;
     }
 
+    /**
+     * next() when @p draw holds; otherwise the state stays as it is.
+     * Branch-free, for the walk's coin-flip selections.
+     */
+    std::uint64_t
+    nextIf(bool draw)
+    {
+        const std::uint64_t keep = std::uint64_t{draw} - 1;
+        std::uint64_t x = s0;
+        const std::uint64_t y = s1;
+        x ^= x << 23;
+        const std::uint64_t n1 = x ^ y ^ (x >> 17) ^ (y >> 26);
+        s0 = (s0 & keep) | (y & ~keep);
+        s1 = (s1 & keep) | (n1 & ~keep);
+        return n1 + y;
+    }
+
     /** Uniform integer in [0, bound). bound must be nonzero. */
     std::uint64_t
     below(std::uint64_t bound)
@@ -84,20 +123,10 @@ class Rng
     bool chance(double p) { return real() < p; }
 
     /**
-     * Geometric-ish integer: mean approximately @p mean, minimum
-     * @p floor. Used for basic-block lengths and run lengths.
+     * Bernoulli trial against a precomputed bernoulliCut(p): the same
+     * outcome, and the same draw, as chance(p), with no floating point.
      */
-    std::uint64_t
-    geometric(double mean, std::uint64_t floor = 1)
-    {
-        if (mean <= static_cast<double>(floor))
-            return floor;
-        std::uint64_t value = floor;
-        const double p = 1.0 / (mean - static_cast<double>(floor) + 1.0);
-        while (!chance(p) && value < floor + 64 * 1024)
-            ++value;
-        return value;
-    }
+    bool trial(std::uint64_t cut) { return (next() >> 11) < cut; }
 
     /**
      * Zipf-like skewed pick from [0, n): low indices are much more

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <unordered_map>
 #include <vector>
 
+#include "common/addr_map.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -15,16 +15,67 @@ namespace espsim
 namespace
 {
 
-/** splitmix64-style stateless mixer for deriving static properties. */
+/** The (b, c) half of mix(a, b, c), hoisted where b and c are fixed. */
 std::uint64_t
-mix(std::uint64_t a, std::uint64_t b = 0x9e3779b97f4a7c15ULL,
-    std::uint64_t c = 0)
+mixSalt(std::uint64_t b, std::uint64_t c)
 {
-    std::uint64_t z =
-        a + 0x9e3779b97f4a7c15ULL * (b + 1) + c * 0xbf58476d1ce4e5b9ULL;
+    return 0x9e3779b97f4a7c15ULL * (b + 1) + c * 0xbf58476d1ce4e5b9ULL;
+}
+
+/** mix(a, b, c) given salt = mixSalt(b, c). */
+std::uint64_t
+mixSalted(std::uint64_t a, std::uint64_t salt)
+{
+    std::uint64_t z = a + salt;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
+}
+
+/** splitmix64-style stateless mixer for deriving static properties. */
+std::uint64_t
+mix(std::uint64_t a, std::uint64_t b, std::uint64_t c)
+{
+    return mixSalted(a, mixSalt(b, c));
+}
+
+/** Bernoulli cuts of the walk's fixed probabilities. */
+constexpr std::uint64_t cutHalf = bernoulliCut(0.5);
+constexpr std::uint64_t cutAllocReuse = bernoulliCut(0.55);
+constexpr std::uint64_t cutLoadChain = bernoulliCut(0.30);
+constexpr std::uint64_t cutStoreChain = bernoulliCut(0.40);
+constexpr std::uint64_t cutAluChain = bernoulliCut(0.45);
+constexpr std::uint64_t cutBranchChain = bernoulliCut(0.2);
+
+/**
+ * Smallest k in [0, domain] at which @p holds(k) turns false (domain
+ * when it never does). @p holds must be true on a prefix of the
+ * domain and false after it.
+ */
+template <typename Pred>
+std::uint64_t
+firstFalse(std::uint64_t domain, Pred holds)
+{
+    std::uint64_t lo = 0;
+    std::uint64_t hi = domain;
+    while (lo < hi) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (holds(mid))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/** Cut of the static-hash decision `double(h % domain) / domain < frac`;
+ *  the quotient only grows with k, so the decision holds on a prefix. */
+std::uint64_t
+fracCut(std::uint64_t domain, double frac)
+{
+    return firstFalse(domain, [&](std::uint64_t k) {
+        return static_cast<double>(k) / static_cast<double>(domain) < frac;
+    });
 }
 
 /** Behaviour classes of conditional-branch PCs. */
@@ -63,10 +114,10 @@ struct Walk
     Addr lastDataBlock = 0; //!< previous memory-op block (reuse model)
     Addr keyRegion = 0;     //!< value object of this request (server)
     std::size_t keyBytes = 0;
-    double keyFrac = 0.0;
+    std::uint64_t keyCut = 0; //!< bernoulliCut of the shape's keyFrac
     std::uint8_t lastDest = noReg;
     unsigned opsSinceTerm = 0;
-    std::unordered_map<Addr, unsigned> loopCounts;
+    AddrMap<unsigned> loopCounts;
 
     explicit Walk(std::uint64_t seed) : rng(seed) {}
 
@@ -78,8 +129,59 @@ struct Walk
 
 } // namespace
 
+WalkConstants::WalkConstants(const AppProfile &p)
+{
+    const double p_term = 1.0 / (p.avgBasicBlockLen + 1.0);
+    terminator = firstFalse(kindDomain, [&](std::uint64_t k) {
+        return static_cast<double>(k) < 16384.0 * p_term;
+    });
+    double acc = p.callFrac;
+    call = fracCut(kindDomain, acc);
+    acc += p.returnFrac;
+    ret = fracCut(kindDomain, acc);
+    acc += p.indirectFrac;
+    indirect = fracCut(kindDomain, acc);
+    acc += p.loopFrac;
+    loop = fracCut(kindDomain, acc);
+
+    biased = fracCut(fracDomain, p.biasedBranchFrac);
+    correlated =
+        fracCut(fracDomain, p.biasedBranchFrac + p.correlatedBranchFrac);
+    sharedCode = fracCut(fracDomain, p.sharedCodeFraction);
+    coldCode = fracCut(fracDomain, p.coldCodeFraction);
+    load = fracCut(fracDomain, p.loadFrac);
+    store = fracCut(fracDomain, p.loadFrac + p.storeFrac);
+    fp = fracCut(fracDomain,
+                 p.loadFrac + p.storeFrac +
+                     p.fpFrac * (1.0 - p.loadFrac - p.storeFrac));
+
+    dataRepeat = bernoulliCut(p.dataRepeatFrac);
+    sharedHot = bernoulliCut(p.sharedHotFrac);
+    branchBias = bernoulliCut(p.branchBias);
+    dependency = bernoulliCut(p.dependencyRate);
+    double data = p.argFrac;
+    arg = bernoulliCut(data);
+    data += p.sharedHeapFrac;
+    sharedHeap = bernoulliCut(data);
+    data += p.allocFrac;
+    alloc = bernoulliCut(data);
+    data += p.coldDataFrac;
+    coldData = bernoulliCut(data);
+
+    saltTerm = mixSalt(p.seed, 0x7e12);
+    saltKind = mixSalt(p.seed, 0x7e57);
+    saltClass = mixSalt(p.seed, 0xbc);
+    saltCall = mixSalt(p.seed, 0xca11);
+    saltIndirect = mixSalt(p.seed, 0x19d);
+    saltBiasDir = mixSalt(p.seed, 0xd1);
+    saltCorrelated = mixSalt(p.seed, 0xc0);
+    saltPlain = mixSalt(p.seed, 0x0b);
+    saltLoop = mixSalt(p.seed, 0x100b);
+    saltForward = mixSalt(p.seed, 0x5c1);
+}
+
 SyntheticGenerator::SyntheticGenerator(AppProfile profile)
-    : profile_(std::move(profile))
+    : profile_(std::move(profile)), constants_(profile_)
 {
     if (profile_.numEvents == 0)
         fatal("profile '%s' has zero events", profile_.name.c_str());
@@ -106,14 +208,19 @@ namespace
 class WalkEngine
 {
   public:
-    explicit WalkEngine(const AppProfile &p) : p_(p) {}
+    WalkEngine(const AppProfile &p, const WalkConstants &c)
+        : p_(p), c_(c)
+    {
+    }
 
     /** Run a walk until it reaches its target length. step() emits
-     *  exactly one op per call, so the reservation is exact. */
+     *  exactly one op per call, so the reservation is exact; the call
+     *  stack never outgrows maxCallDepth. */
     void
     run(Walk &st) const
     {
         st.out.reserve(st.targetLen);
+        st.callStack.reserve(p_.maxCallDepth);
         while (st.out.size() < st.targetLen)
             step(st);
     }
@@ -138,6 +245,7 @@ class WalkEngine
 
   private:
     const AppProfile &p_;
+    const WalkConstants &c_;
 
     /** Function entries are quantised to 128 B boundaries. */
     static constexpr Addr entryStride = 64;
@@ -201,36 +309,29 @@ class WalkEngine
     // --- static decode ----------------------------------------------
 
     bool
-    isTerminator(const Walk &st, Addr pc) const
+    isTerminator(Addr pc) const
     {
-        (void)st;
         // Every 24th instruction slot terminates unconditionally so
         // straight-line runs are bounded; this is a *static* property
         // (the decode at a PC never depends on how it was reached).
         if ((pc >> 2) % 24 == 23)
             return true;
-        const double p_term = 1.0 / (p_.avgBasicBlockLen + 1.0);
-        return static_cast<double>(mix(pc, p_.seed, 0x7e12) % 16384) <
-            16384.0 * p_term;
+        return mixSalted(pc, c_.saltTerm) % WalkConstants::kindDomain <
+            c_.terminator;
     }
 
     TermKind
     termKind(Addr pc) const
     {
-        const double u = static_cast<double>(
-                             mix(pc, p_.seed, 0x7e57) % 16384) /
-            16384.0;
-        double acc = p_.callFrac;
-        if (u < acc)
+        const std::uint64_t k =
+            mixSalted(pc, c_.saltKind) % WalkConstants::kindDomain;
+        if (k < c_.call)
             return TermKind::Call;
-        acc += p_.returnFrac;
-        if (u < acc)
+        if (k < c_.ret)
             return TermKind::Return;
-        acc += p_.indirectFrac;
-        if (u < acc)
+        if (k < c_.indirect)
             return TermKind::Indirect;
-        acc += p_.loopFrac;
-        if (u < acc)
+        if (k < c_.loop)
             return TermKind::CondBackward;
         return TermKind::CondForward;
     }
@@ -238,11 +339,11 @@ class WalkEngine
     BranchClass
     branchClass(Addr pc) const
     {
-        const std::uint64_t h = mix(pc, p_.seed, 0xbc);
-        const double u = static_cast<double>(h % 10000) / 10000.0;
-        if (u < p_.biasedBranchFrac)
+        const std::uint64_t k =
+            mixSalted(pc, c_.saltClass) % WalkConstants::fracDomain;
+        if (k < c_.biased)
             return BranchClass::Biased;
-        if (u < p_.biasedBranchFrac + p_.correlatedBranchFrac)
+        if (k < c_.correlated)
             return BranchClass::Correlated;
         return BranchClass::Random;
     }
@@ -255,12 +356,10 @@ class WalkEngine
      * touched footprint grows with event length.
      */
     Addr
-    callTarget(const Walk &st, Addr pc) const
+    callTarget(Addr pc) const
     {
-        (void)st;
-        const std::uint64_t h = mix(pc, p_.seed, 0xca11);
-        const double u = static_cast<double>(h % 10000) / 10000.0;
-        if (u < p_.sharedCodeFraction)
+        const std::uint64_t h = mixSalted(pc, c_.saltCall);
+        if (h % WalkConstants::fracDomain < c_.sharedCode)
             return sharedEntry(h >> 16);
         const std::uint64_t span = p_.hotRegionsPerHandler;
         std::uint64_t slot;
@@ -294,13 +393,12 @@ class WalkEngine
     Addr
     indirectTarget(const Walk &st, Addr pc) const
     {
-        const std::uint64_t h = mix(pc, p_.seed, 0x19d);
+        const std::uint64_t h = mixSalted(pc, c_.saltIndirect);
         const unsigned fanout = 1 + static_cast<unsigned>((h >> 3) % 6);
         const unsigned which =
             (st.eventPhase + static_cast<unsigned>(h >> 16)) % fanout;
         const std::uint64_t hw = mix(h, which, 0x3b);
-        const double u = static_cast<double>(hw % 10000) / 10000.0;
-        if (u < p_.coldCodeFraction) {
+        if (hw % WalkConstants::fracDomain < c_.coldCode) {
             // Event-specific fresh code (JIT output, first-touched
             // functions): slots beyond the warm pool, so they are
             // compulsory-miss territory.
@@ -342,7 +440,7 @@ class WalkEngine
     {
         // Temporal/spatial locality: programs frequently re-touch the
         // line they just used (field accesses on the same object).
-        if (st.lastDataBlock != 0 && st.rng.chance(p_.dataRepeatFrac))
+        if (st.lastDataBlock != 0 && st.rng.trial(c_.dataRepeat))
             return st.lastDataBlock + 8 * st.rng.below(8);
 
         // Request-serving overlay (src/server): a slice of accesses
@@ -350,21 +448,20 @@ class WalkEngine
         // The keyFrac guard short-circuits before any rng draw, so
         // unshaped (browser) events consume an identical rng stream
         // whether or not this overlay exists.
-        if (st.keyFrac > 0.0 && st.rng.chance(st.keyFrac)) {
+        if (st.keyCut > 0 && st.rng.trial(st.keyCut)) {
             const Addr words = std::max<Addr>(st.keyBytes / 8, 1);
             return st.keyRegion + 8 * st.rng.below(words);
         }
 
-        const double r = st.rng.real();
-        double acc = p_.argFrac;
-        if (r < acc)
+        // One draw against the cumulative cuts: real() is r * 2^-53.
+        const std::uint64_t r = st.rng.next() >> 11;
+        if (r < c_.arg)
             return st.argObject + 8 * st.rng.below(24);
-        acc += p_.sharedHeapFrac;
-        if (r < acc) {
+        if (r < c_.sharedHeap) {
             // Two-tier heap: a hot window of frequently-reused objects
             // plus a long cold tail over the whole heap.
             std::uint64_t block;
-            if (st.rng.chance(p_.sharedHotFrac)) {
+            if (st.rng.trial(c_.sharedHot)) {
                 block = st.rng.skewed(std::min<std::uint64_t>(
                     p_.sharedHotBlocks, p_.sharedHeapBlocks));
             } else {
@@ -373,11 +470,10 @@ class WalkEngine
             return layout::sharedHeapBase + block * blockBytes +
                 8 * st.rng.below(8);
         }
-        acc += p_.allocFrac;
-        if (r < acc) {
+        if (r < c_.alloc) {
             // Bump allocation with short-range reuse.
             const Addr span = p_.allocBlocksPerEvent * blockBytes;
-            if (st.rng.chance(0.55) && st.allocOff > 0) {
+            if (st.rng.trial(cutAllocReuse) && st.allocOff > 0) {
                 const Addr back =
                     std::min<Addr>(st.allocOff, 2 * blockBytes);
                 return st.allocRegion + st.allocOff -
@@ -386,8 +482,7 @@ class WalkEngine
             st.allocOff = (st.allocOff + st.rng.range(16, 96)) % span;
             return st.allocRegion + st.allocOff;
         }
-        acc += p_.coldDataFrac;
-        if (r < acc) {
+        if (r < c_.coldData) {
             // Streaming data, never reused.
             return layout::coldDataBase +
                 (st.rng.next() % (Addr{1} << 30));
@@ -404,12 +499,12 @@ class WalkEngine
         bool outcome;
         switch (branchClass(pc)) {
           case BranchClass::Biased: {
-            const bool dir = (mix(pc, p_.seed, 0xd1) >> 8) & 1;
-            outcome = st.rng.chance(p_.branchBias) ? dir : !dir;
+            const bool dir = (mixSalted(pc, c_.saltBiasDir) >> 8) & 1;
+            outcome = st.rng.trial(c_.branchBias) ? dir : !dir;
             break;
           }
           case BranchClass::Correlated: {
-            const auto h = mix(pc, p_.seed, 0xc0);
+            const auto h = mixSalted(pc, c_.saltCorrelated);
             outcome = (std::popcount(st.histReg & 0x1b) +
                        static_cast<int>((h >> 9) & 1)) &
                 1;
@@ -417,7 +512,7 @@ class WalkEngine
           }
           case BranchClass::Random:
           default:
-            outcome = st.rng.chance(0.5);
+            outcome = st.rng.trial(cutHalf);
             break;
         }
         st.histReg = (st.histReg << 1) | (outcome ? 1 : 0);
@@ -426,39 +521,47 @@ class WalkEngine
 
     // --- emission ----------------------------------------------------
 
+    /**
+     * A source register: lastDest when @p chain, else a uniform one
+     * drawn now. chain is a coin flip that no predictor can learn, so
+     * the draw is branch-free, and callers combine the flip with `&`
+     * rather than a short-circuit `&&`.
+     */
+    static std::uint8_t
+    sourceReg(Walk &st, bool chain)
+    {
+        const std::uint64_t v = st.rng.nextIf(!chain);
+        return chain ? st.lastDest
+                     : static_cast<std::uint8_t>(v % numArchRegs);
+    }
+
     void
     emitPlainOp(Walk &st) const
     {
         MicroOp op;
         op.pc = st.pc;
-        const std::uint64_t h = mix(st.pc, p_.seed, 0x0b);
-        const double u = static_cast<double>(h % 10000) / 10000.0;
-        if (u < p_.loadFrac) {
+        const std::uint64_t h = mixSalted(st.pc, c_.saltPlain);
+        const std::uint64_t k = h % WalkConstants::fracDomain;
+        if (k < c_.load) {
             op.setType(OpType::Load);
             op.memAddr = dataAddress(st);
             st.lastDataBlock = blockAlign(op.memAddr);
             op.dest = static_cast<std::uint8_t>((h >> 16) % 24);
-            op.srcA = st.rng.chance(0.30) && st.lastDest != noReg
-                ? st.lastDest
-                : static_cast<std::uint8_t>(st.rng.below(numArchRegs));
+            op.srcA = sourceReg(
+                st, st.rng.trial(cutLoadChain) & (st.lastDest != noReg));
             st.lastDest = op.dest;
-        } else if (u < p_.loadFrac + p_.storeFrac) {
+        } else if (k < c_.store) {
             op.setType(OpType::Store);
             op.memAddr = dataAddress(st);
             st.lastDataBlock = blockAlign(op.memAddr);
-            op.srcA = st.rng.chance(0.40) && st.lastDest != noReg
-                ? st.lastDest
-                : static_cast<std::uint8_t>(st.rng.below(numArchRegs));
+            op.srcA = sourceReg(
+                st, st.rng.trial(cutStoreChain) & (st.lastDest != noReg));
             op.srcB = static_cast<std::uint8_t>((h >> 20) % numArchRegs);
         } else {
-            const double fp_cut =
-                p_.loadFrac + p_.storeFrac +
-                p_.fpFrac * (1.0 - p_.loadFrac - p_.storeFrac);
-            op.setType(u < fp_cut ? OpType::FpAlu : OpType::IntAlu);
+            op.setType(k < c_.fp ? OpType::FpAlu : OpType::IntAlu);
             op.dest = static_cast<std::uint8_t>((h >> 16) % numArchRegs);
-            op.srcA = st.rng.chance(0.45) && st.lastDest != noReg
-                ? st.lastDest
-                : static_cast<std::uint8_t>(st.rng.below(numArchRegs));
+            op.srcA = sourceReg(
+                st, st.rng.trial(cutAluChain) & (st.lastDest != noReg));
             op.srcB = static_cast<std::uint8_t>((h >> 24) % numArchRegs);
             st.lastDest = op.dest;
         }
@@ -475,9 +578,8 @@ class WalkEngine
         op.setType(type);
         op.setTaken(taken);
         op.setBranchTarget(taken ? target : 0);
-        op.srcA = st.lastDest != noReg && st.rng.chance(0.2)
-            ? st.lastDest
-            : static_cast<std::uint8_t>(st.rng.below(numArchRegs));
+        op.srcA = sourceReg(
+            st, st.lastDest != noReg && st.rng.trial(cutBranchChain));
         st.out.push_back(op);
         st.pc = taken ? target : st.pc + 4;
         st.opsSinceTerm = 0;
@@ -488,7 +590,7 @@ class WalkEngine
     step(Walk &st) const
     {
         const Addr pc = st.pc;
-        if (!isTerminator(st, pc)) {
+        if (!isTerminator(pc)) {
             emitPlainOp(st);
             return;
         }
@@ -499,7 +601,7 @@ class WalkEngine
             // Bounded stack: beyond the modeled depth the oldest frame
             // is dropped (matching RAS overflow) so the decode at this
             // PC is always a call.
-            const Addr callee = callTarget(st, pc);
+            const Addr callee = callTarget(pc);
             if (st.depth() >= p_.maxCallDepth)
                 st.callStack.erase(st.callStack.begin());
             st.callStack.push_back(pc + 4);
@@ -526,9 +628,13 @@ class WalkEngine
             break;
           case TermKind::CondBackward: {
             // Loop branch: per-PC-constant trip count.
-            const std::uint64_t h = mix(pc, p_.seed, 0x100b);
+            const std::uint64_t h = mixSalted(pc, c_.saltLoop);
             const unsigned trips = 2 + static_cast<unsigned>(h % 13);
-            const unsigned count = ++st.loopCounts[pc];
+            unsigned count = 1;
+            if (unsigned *seen = st.loopCounts.find(pc))
+                count = ++*seen;
+            else
+                st.loopCounts.insertOrAssign(pc, count);
             const bool taken = count % trips != 0;
             const Addr target = pc - 4 * (4 + (h >> 8) % 28);
             emitControl(st, OpType::BranchCond, taken, target);
@@ -537,7 +643,7 @@ class WalkEngine
           }
           case TermKind::CondForward: {
             const bool taken = conditionalOutcome(st, pc);
-            const std::uint64_t h = mix(pc, p_.seed, 0x5c1);
+            const std::uint64_t h = mixSalted(pc, c_.saltForward);
             const Addr target = pc + 4 + 4 * (5 + h % 26);
             emitControl(st, OpType::BranchCond, taken, target);
             break;
@@ -569,7 +675,7 @@ SyntheticGenerator::generateShaped(std::uint64_t id,
     EventTrace trace;
     trace.id = id;
 
-    WalkEngine engine(p);
+    WalkEngine engine(p, constants_);
     Walk st(mix(p.seed, id, 0xe7e47));
 
     st.eventId = id;
@@ -580,7 +686,7 @@ SyntheticGenerator::generateShaped(std::uint64_t id,
         st.handler = shape->handler;
         st.keyRegion = shape->keyRegion;
         st.keyBytes = shape->keyBytes;
-        st.keyFrac = shape->keyFrac;
+        st.keyCut = bernoulliCut(shape->keyFrac);
     } else {
         // Handler popularity: half the events come from a skewed head
         // of popular handlers (timers, scroll), half are spread
@@ -588,7 +694,7 @@ SyntheticGenerator::generateShaped(std::uint64_t id,
         // which is what destroys instruction locality in asynchronous
         // programs (§2.1).
         st.handler = static_cast<std::uint32_t>(
-            st.rng.chance(0.5) ? st.rng.skewed(p.numHandlerTypes)
+            st.rng.trial(cutHalf) ? st.rng.skewed(p.numHandlerTypes)
                                : st.rng.below(p.numHandlerTypes));
     }
     st.eventPhase =
@@ -607,7 +713,7 @@ SyntheticGenerator::generateShaped(std::uint64_t id,
 
     // Inter-event dependence: decided before the walk so the divergence
     // point is a property of the event, not of its length realisation.
-    const bool dependent = id > 0 && st.rng.chance(p.dependencyRate);
+    const bool dependent = id > 0 && st.rng.trial(constants_.dependency);
     const double div_frac = 0.15 + 0.70 * st.rng.real();
 
     engine.run(st);
@@ -631,7 +737,7 @@ SyntheticGenerator::generateShaped(std::uint64_t id,
         bad.allocRegion = st.allocRegion;
         bad.keyRegion = st.keyRegion;
         bad.keyBytes = st.keyBytes;
-        bad.keyFrac = st.keyFrac;
+        bad.keyCut = st.keyCut;
         bad.pc = trace.ops[trace.divergencePoint].pc;
         const std::size_t remainder =
             trace.ops.size() - trace.divergencePoint;

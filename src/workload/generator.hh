@@ -73,6 +73,66 @@ struct EventShape
     double keyFrac = 0.0;
 };
 
+/**
+ * The walk's per-generator constants, computed once from the profile
+ * (never per event or per op).
+ *
+ * Every decision is an integer comparison equal to the double form
+ * it replaces, so the generated trace is bit-identical to it:
+ *  - a static-hash decision once written `double(h % D) / D < f` is
+ *    `h % D < cut`, with cut the smallest k in [0, D] at which the
+ *    double form turns false (D when it never does);
+ *  - a Bernoulli draw `rng.real() < p` is `rng.trial(bernoulliCut(p))`.
+ * Cumulative chains keep the double sums they compared against.
+ */
+struct WalkConstants
+{
+    explicit WalkConstants(const AppProfile &p);
+
+    /** Domain of the terminator and terminator-kind hashes. */
+    static constexpr std::uint64_t kindDomain = 16384;
+    /** Domain of the branch-class, call, indirect and plain-op hashes. */
+    static constexpr std::uint64_t fracDomain = 10000;
+
+    // --- static-hash cuts over h % kindDomain.
+    std::uint64_t terminator; //!< 16384 / (avgBasicBlockLen + 1)
+    std::uint64_t call;       //!< callFrac
+    std::uint64_t ret;        //!< + returnFrac
+    std::uint64_t indirect;   //!< + indirectFrac
+    std::uint64_t loop;       //!< + loopFrac
+
+    // --- static-hash cuts over h % fracDomain.
+    std::uint64_t biased;     //!< biasedBranchFrac
+    std::uint64_t correlated; //!< + correlatedBranchFrac
+    std::uint64_t sharedCode; //!< sharedCodeFraction
+    std::uint64_t coldCode;   //!< coldCodeFraction
+    std::uint64_t load;       //!< loadFrac
+    std::uint64_t store;      //!< + storeFrac
+    std::uint64_t fp;         //!< + fpFrac of the non-memory rest
+
+    // --- Bernoulli cuts (bernoulliCut of the profile's rates).
+    std::uint64_t dataRepeat;
+    std::uint64_t sharedHot;
+    std::uint64_t branchBias;
+    std::uint64_t dependency;
+    std::uint64_t arg;        //!< argFrac
+    std::uint64_t sharedHeap; //!< + sharedHeapFrac
+    std::uint64_t alloc;      //!< + allocFrac
+    std::uint64_t coldData;   //!< + coldDataFrac
+
+    // --- the (seed, constant) half of each static hash of a PC.
+    std::uint64_t saltTerm;
+    std::uint64_t saltKind;
+    std::uint64_t saltClass;
+    std::uint64_t saltCall;
+    std::uint64_t saltIndirect;
+    std::uint64_t saltBiasDir;
+    std::uint64_t saltCorrelated;
+    std::uint64_t saltPlain;
+    std::uint64_t saltLoop;
+    std::uint64_t saltForward;
+};
+
 /** Deterministic generator of an application's event stream. */
 class SyntheticGenerator
 {
@@ -81,6 +141,9 @@ class SyntheticGenerator
 
     /** The profile driving this generator. */
     const AppProfile &profile() const { return profile_; }
+
+    /** The walk's integer decision cuts and hash salts. */
+    const WalkConstants &constants() const { return constants_; }
 
     /** Generate the complete workload (profile.numEvents events). */
     std::unique_ptr<InMemoryWorkload> generate() const;
@@ -109,6 +172,7 @@ class SyntheticGenerator
 
   private:
     AppProfile profile_;
+    WalkConstants constants_;
 
     EventTrace generateShaped(std::uint64_t id,
                               const EventShape *shape) const;

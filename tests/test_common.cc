@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -98,14 +100,64 @@ TEST(Rng, ChanceApproximatesProbability)
     EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
 }
 
-TEST(Rng, GeometricMeanApproximation)
+TEST(Rng, BernoulliCutIsExactThreshold)
 {
-    Rng rng(13);
-    double sum = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.geometric(6.0, 2));
-    EXPECT_NEAR(sum / n, 6.0, 0.5);
+    // real() is x * 2^-53 for x = next() >> 11, so the cut T must be
+    // the first x at which x * 2^-53 < p turns false.
+    constexpr std::uint64_t top = std::uint64_t{1} << 53;
+    const auto holds = [](std::uint64_t x, double p) {
+        return static_cast<double>(x) * 0x1.0p-53 < p;
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double p :
+         {0.0, -0.0, -0.3, -1e-300, 1e-300, 4.9e-324, 0x1.0p-53,
+          0x1.8p-53, 0.02, 0.2, 0.3, 0.45, 0.5, 0.55, 0.94,
+          std::nextafter(1.0, 0.0), 1.0, 1.5, 1e300,
+          std::numeric_limits<double>::infinity(), nan}) {
+        SCOPED_TRACE(p);
+        const std::uint64_t cut = bernoulliCut(p);
+        ASSERT_LE(cut, top);
+        if (cut > 0) {
+            EXPECT_TRUE(holds(cut - 1, p));
+        }
+        if (cut < top) {
+            EXPECT_FALSE(holds(cut, p));
+        }
+        EXPECT_EQ(holds(0, p), 0 < cut);
+        EXPECT_EQ(holds(top - 1, p), top - 1 < cut);
+    }
+    EXPECT_EQ(bernoulliCut(0.0), 0u);
+    EXPECT_EQ(bernoulliCut(-0.3), 0u);
+    EXPECT_EQ(bernoulliCut(nan), 0u);
+    EXPECT_EQ(bernoulliCut(1.0), top);
+    EXPECT_EQ(bernoulliCut(1.5), top);
+    EXPECT_EQ(bernoulliCut(0.5), top / 2);
+}
+
+TEST(Rng, TrialMatchesChanceDrawForDraw)
+{
+    for (const double p : {0.0, 0.02, 0.3, 0.5, 0.94, 1.0}) {
+        Rng a(23);
+        Rng b(23);
+        const std::uint64_t cut = bernoulliCut(p);
+        for (int i = 0; i < 20000; ++i)
+            ASSERT_EQ(a.trial(cut), b.chance(p)) << p << " draw " << i;
+        EXPECT_EQ(a.next(), b.next());
+    }
+}
+
+TEST(Rng, NextIfDrawsOnlyWhenAsked)
+{
+    Rng a(29);
+    Rng b(29);
+    for (int i = 0; i < 1000; ++i) {
+        const bool draw = (i % 3) != 0;
+        const std::uint64_t v = a.nextIf(draw);
+        if (draw) {
+            ASSERT_EQ(v, b.next()) << "draw " << i;
+        }
+    }
+    EXPECT_EQ(a.next(), b.next());
 }
 
 TEST(Rng, SkewedFavorsLowIndices)

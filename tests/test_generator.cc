@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "server/profile.hh"
 #include "workload/app_profile.hh"
 #include "workload/generator.hh"
 
@@ -113,13 +114,15 @@ TEST(Generator, StaticProgramIsConsistent)
     for (std::size_t e = 0; e < w->numEvents(); ++e) {
         for (const MicroOp &op : w->event(e).ops) {
             auto [it, inserted] = type_at.emplace(op.pc, op.type());
-            if (!inserted)
+            if (!inserted) {
                 ASSERT_EQ(it->second, op.type()) << std::hex << op.pc;
+            }
             if (op.type() == OpType::Call) {
                 auto [ct, cins] =
                     call_target_at.emplace(op.pc, op.branchTarget());
-                if (!cins)
+                if (!cins) {
                     ASSERT_EQ(ct->second, op.branchTarget());
+                }
             }
         }
     }
@@ -153,10 +156,11 @@ TEST(Generator, TakenBranchesRedirectThePc)
     const EventTrace t = gen.generateEvent(5);
     for (std::size_t i = 0; i + 1 < t.size(); ++i) {
         const MicroOp &op = t.ops[i];
-        if (op.isBranchOp() && op.taken())
+        if (op.isBranchOp() && op.taken()) {
             ASSERT_EQ(t.ops[i + 1].pc, op.branchTarget());
-        else if (!op.isBranchOp() || !op.taken())
+        } else {
             ASSERT_EQ(t.ops[i + 1].pc, op.pc + 4);
+        }
     }
 }
 
@@ -265,4 +269,220 @@ TEST(GeneratorDeathTest, ZeroEventsFatal)
     AppProfile p = AppProfile::testProfile();
     p.numEvents = 0;
     EXPECT_DEATH(SyntheticGenerator{p}, "zero events");
+}
+
+namespace
+{
+
+/** FNV-1a 64 over a sequence of 64-bit words. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+
+    void
+    add(const OpSequence &ops)
+    {
+        add(ops.size());
+        for (const MicroOp &op : ops) {
+            add(op.pc);
+            add(static_cast<std::uint64_t>(op.type()));
+            add(op.taken());
+            add(op.srcA);
+            add(op.srcB);
+            add(op.dest);
+            add(op.memAddr);
+            add(op.branchTarget());
+        }
+    }
+
+    void
+    add(const EventTrace &t)
+    {
+        add(t.id);
+        add(t.handlerType);
+        add(t.handlerPc);
+        add(t.argObjectAddr);
+        add(t.divergencePoint);
+        add(t.ops);
+        add(t.divergedTail);
+    }
+};
+
+} // namespace
+
+TEST(Generator, OutputDigestIsPinned)
+{
+    // Every field of a fixed event window, for every shipped profile,
+    // hashed and pinned: a generator change that is meant to be a pure
+    // speed-up must leave these digests unchanged. The server profiles
+    // go through the shaped path (EventShape handler, length and
+    // key-value overlay). A digest moves only with an intended change
+    // to the generated workload; record the new value then.
+    struct Window
+    {
+        std::string name;
+        std::uint64_t digest;
+        std::size_t diverged; //!< dependent events inside the window
+    };
+    std::vector<Window> got;
+    auto digestOf = [&](const std::string &name, std::uint64_t events,
+                        auto &&make) {
+        Fnv f;
+        std::size_t diverged = 0;
+        for (std::uint64_t id = 0; id < events; ++id) {
+            const EventTrace t = make(id);
+            f.add(t);
+            diverged += t.independent() ? 0 : 1;
+        }
+        got.push_back({name, f.h, diverged});
+    };
+    for (const AppProfile &p : AppProfile::webSuite()) {
+        SyntheticGenerator gen(p);
+        digestOf(p.name, 8,
+                 [&](std::uint64_t id) { return gen.generateEvent(id); });
+    }
+    {
+        SyntheticGenerator gen(AppProfile::testProfile());
+        digestOf("test", AppProfile::testProfile().numEvents,
+                 [&](std::uint64_t id) { return gen.generateEvent(id); });
+    }
+    {
+        // The shipped rates leave few dependent events in a short
+        // window; these variants pin the diverged-tail walk too.
+        AppProfile p = AppProfile::testProfile();
+        p.dependencyRate = 0.5;
+        SyntheticGenerator gen(p);
+        digestOf("test-dep", p.numEvents,
+                 [&](std::uint64_t id) { return gen.generateEvent(id); });
+        AppProfile a = AppProfile::byName("amazon");
+        a.dependencyRate = 0.5;
+        SyntheticGenerator agen(a);
+        digestOf("amazon-dep", 6,
+                 [&](std::uint64_t id) { return agen.generateEvent(id); });
+    }
+    std::vector<ServerProfile> servers = ServerProfile::all();
+    servers.push_back(ServerProfile::testProfile());
+    for (const ServerProfile &sp : servers) {
+        ServerTraceSource src(sp);
+        digestOf(sp.name, 300,
+                 [&](std::uint64_t id) { return src.makeEvent(id); });
+    }
+
+    const std::vector<Window> want = {
+        {"amazon", 0x497e071ab1ad3c7fULL, 0},
+        {"bing", 0x3ec6a7a2776171a0ULL, 0},
+        {"cnn", 0x9fd88cd4d33062f2ULL, 0},
+        {"facebook", 0x333147243cf25ae5ULL, 0},
+        {"gmaps", 0x09bf41f896afc4f6ULL, 0},
+        {"gdocs", 0x235d87052413639fULL, 0},
+        {"pixlr", 0xf0245faab3d30383ULL, 0},
+        {"test", 0x67daa8835aeb29a6ULL, 0},
+        {"test-dep", 0x7a5a9b0371d313ccULL, 9},
+        {"amazon-dep", 0xaf7ddd202db1afa8ULL, 4},
+        {"memcached", 0x61d34feced41642aULL, 0},
+        {"http", 0x504dcc2aaaa33fbdULL, 3},
+        {"testsrv", 0xdd00dac519f0eb0aULL, 7},
+    };
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE(want[i].name);
+        EXPECT_EQ(got[i].name, want[i].name);
+        EXPECT_EQ(got[i].digest, want[i].digest)
+            << std::hex << "0x" << got[i].digest;
+        EXPECT_EQ(got[i].diverged, want[i].diverged);
+    }
+}
+
+TEST(Generator, IntegerCutsMatchDoubleForms)
+{
+    // Each static-hash cut against the double expression it replaces,
+    // over its whole domain, for every shipped profile; and each
+    // profile Bernoulli cut at its threshold (real() is x * 2^-53).
+    std::vector<AppProfile> profiles = AppProfile::webSuite();
+    profiles.push_back(AppProfile::testProfile());
+    for (const ServerProfile &sp : ServerProfile::all())
+        profiles.push_back(sp.app);
+    profiles.push_back(ServerProfile::testProfile().app);
+
+    const auto check = [](const char *what, std::uint64_t domain,
+                          std::uint64_t cut, auto &&holds) {
+        SCOPED_TRACE(what);
+        ASSERT_LE(cut, domain);
+        for (std::uint64_t k = 0; k < domain; ++k)
+            ASSERT_EQ(k < cut, holds(k)) << "k = " << k;
+    };
+    const auto frac = [](std::uint64_t domain, double f) {
+        return [=](std::uint64_t k) {
+            return static_cast<double>(k) / static_cast<double>(domain) <
+                f;
+        };
+    };
+    const auto bernoulli = [](const char *what, std::uint64_t cut,
+                              double p) {
+        SCOPED_TRACE(what);
+        constexpr std::uint64_t top = std::uint64_t{1} << 53;
+        const auto holds = [&](std::uint64_t x) {
+            return static_cast<double>(x) * 0x1.0p-53 < p;
+        };
+        ASSERT_LE(cut, top);
+        if (cut > 0) {
+            EXPECT_TRUE(holds(cut - 1));
+        }
+        if (cut < top) {
+            EXPECT_FALSE(holds(cut));
+        }
+    };
+
+    constexpr std::uint64_t kd = WalkConstants::kindDomain;
+    constexpr std::uint64_t fd = WalkConstants::fracDomain;
+    for (const AppProfile &p : profiles) {
+        SCOPED_TRACE(p.name);
+        const SyntheticGenerator gen(p);
+        const WalkConstants &c = gen.constants();
+        const double p_term = 1.0 / (p.avgBasicBlockLen + 1.0);
+        check("terminator", kd, c.terminator, [&](std::uint64_t k) {
+            return static_cast<double>(k) < 16384.0 * p_term;
+        });
+        double acc = p.callFrac;
+        check("call", kd, c.call, frac(kd, acc));
+        acc += p.returnFrac;
+        check("return", kd, c.ret, frac(kd, acc));
+        acc += p.indirectFrac;
+        check("indirect", kd, c.indirect, frac(kd, acc));
+        acc += p.loopFrac;
+        check("loop", kd, c.loop, frac(kd, acc));
+        check("biased", fd, c.biased, frac(fd, p.biasedBranchFrac));
+        check("correlated", fd, c.correlated,
+              frac(fd, p.biasedBranchFrac + p.correlatedBranchFrac));
+        check("shared code", fd, c.sharedCode,
+              frac(fd, p.sharedCodeFraction));
+        check("cold code", fd, c.coldCode, frac(fd, p.coldCodeFraction));
+        check("load", fd, c.load, frac(fd, p.loadFrac));
+        check("store", fd, c.store, frac(fd, p.loadFrac + p.storeFrac));
+        check("fp", fd, c.fp,
+              frac(fd, p.loadFrac + p.storeFrac +
+                           p.fpFrac * (1.0 - p.loadFrac - p.storeFrac)));
+
+        bernoulli("data repeat", c.dataRepeat, p.dataRepeatFrac);
+        bernoulli("shared hot", c.sharedHot, p.sharedHotFrac);
+        bernoulli("branch bias", c.branchBias, p.branchBias);
+        bernoulli("dependency", c.dependency, p.dependencyRate);
+        double data = p.argFrac;
+        bernoulli("arg", c.arg, data);
+        data += p.sharedHeapFrac;
+        bernoulli("shared heap", c.sharedHeap, data);
+        data += p.allocFrac;
+        bernoulli("alloc", c.alloc, data);
+        data += p.coldDataFrac;
+        bernoulli("cold data", c.coldData, data);
+    }
 }

@@ -63,12 +63,15 @@ TEST_P(AppSweep, TraceIsWellFormed)
         ASSERT_GT(ev.size(), 0u);
         for (const MicroOp &op : ev.ops) {
             // Memory ops carry addresses; branches carry outcomes.
-            if (op.isMemoryOp())
+            if (op.isMemoryOp()) {
                 ASSERT_NE(op.memAddr, 0u);
-            if (op.isBranchOp() && op.taken())
+            }
+            if (op.isBranchOp() && op.taken()) {
                 ASSERT_NE(op.branchTarget(), 0u);
-            if (!op.isBranchOp())
+            }
+            if (!op.isBranchOp()) {
                 ASSERT_FALSE(op.taken());
+            }
         }
     }
 }

@@ -211,8 +211,9 @@ TEST(TraceIo, RejectsInsaneDivergencePoint)
         if (loaded) {
             for (std::size_t e = 0; e < loaded->numEvents(); ++e) {
                 const EventTrace &ev = loaded->event(e);
-                if (!ev.independent())
+                if (!ev.independent()) {
                     EXPECT_LT(ev.divergencePoint, ev.size());
+                }
             }
         }
     }
