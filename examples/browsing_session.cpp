@@ -33,13 +33,17 @@ main()
     for (const SuiteRow &row : rows) {
         const SimResult &r = row.results[0];
         const auto inst = static_cast<double>(r.core.instructions);
+        const auto cycles = [&r](CycleBucket b) {
+            return r.core.bucketCycles[static_cast<unsigned>(b)];
+        };
         breakdown.row({
             row.app,
             TextTable::num(1.0 / r.ipc, 2),
-            TextTable::num(r.core.icacheStallCycles / inst, 2),
-            TextTable::num(r.core.branchStallCycles / inst, 2),
-            TextTable::num((r.core.robStallCycles +
-                            r.core.lsqStallCycles) /
+            TextTable::num(cycles(CycleBucket::IcacheMiss) / inst, 2),
+            TextTable::num(
+                cycles(CycleBucket::MispredictRedirect) / inst, 2),
+            TextTable::num((cycles(CycleBucket::DcacheMiss) +
+                            cycles(CycleBucket::LsqFull)) /
                                inst,
                            2),
             TextTable::num(r.l1iMpki, 1),

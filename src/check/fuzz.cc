@@ -262,7 +262,7 @@ counterStreamMismatch(const FuzzCase &c, const Workload &workload)
     // grid-advance logic hardest.
     Rng rng(c.caseSeed ^ 0x1257a15a3713ULL);
     LiveTelemetry live;
-    live.period.cycles = 500 + rng.below(30'000);
+    live.periodCycles = 500 + rng.below(30'000);
     std::string captured;
     TelemetryStream stream;
     stream.captureTo(&captured);
@@ -272,7 +272,7 @@ counterStreamMismatch(const FuzzCase &c, const Workload &workload)
     const SimResult r = Simulator(c.config).run(workload, inst);
 
     const std::string period =
-        " (period " + std::to_string(live.period.cycles) + " cycles)";
+        " (period " + std::to_string(live.periodCycles) + " cycles)";
     std::vector<std::string> names;
     std::vector<double> prev; // counters start at zero
     double prev_cycle = 0;

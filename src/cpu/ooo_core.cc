@@ -52,15 +52,23 @@ OoOCore::charge(CycleBucket bucket, Cycle cycles)
 }
 
 void
-OoOCore::chargeStall(CycleBucket bucket, Cycle cycles)
+OoOCore::stallFor(CycleBucket bucket, Cycle cycles)
 {
-    // Re-charge the portion of the stall shadow the speculation engine
-    // reported consumed (data-miss shadows are reported at detection
-    // but materialise later, at the ROB head / LSQ / drain).
-    const Cycle spec = std::min(pendingSpecCycles_, cycles);
-    pendingSpecCycles_ -= spec;
-    charge(specBucket_, spec);
+    // A miss stall first re-charges the portion of its shadow the
+    // speculation engine reported consumed (data-miss shadows are
+    // reported at detection but materialise later, at the ROB head /
+    // LSQ / drain); a redirect takes none of it.
+    Cycle spec = 0;
+    if (bucket != CycleBucket::MispredictRedirect) {
+        spec = std::min(pendingSpecCycles_, cycles);
+        pendingSpecCycles_ -= spec;
+        charge(specBucket_, spec);
+    }
     charge(bucket, cycles - spec);
+    if (timeline_)
+        timeline_->recordStall(bucket, fetchCycle_, cycles);
+    fetchCycle_ += cycles;
+    slotInCycle_ = 0;
 }
 
 void
@@ -79,14 +87,6 @@ OoOCore::registerStats(StatRegistry &reg,
                        &stats_.llcMissesInstr);
     reg.registerScalar(prefix + "llc_misses_data",
                        &stats_.llcMissesData);
-    reg.registerScalar(prefix + "stall_cycles.icache",
-                       &stats_.icacheStallCycles);
-    reg.registerScalar(prefix + "stall_cycles.branch",
-                       &stats_.branchStallCycles);
-    reg.registerScalar(prefix + "stall_cycles.rob",
-                       &stats_.robStallCycles);
-    reg.registerScalar(prefix + "stall_cycles.lsq",
-                       &stats_.lsqStallCycles);
     reg.registerScalar(prefix + "stall_windows",
                        &stats_.stallWindows);
     reg.registerDerived(prefix + "stride.dropped_wraps", [this] {
@@ -120,17 +120,8 @@ OoOCore::retireForSpace()
     rob_.pop_front();
     const Cycle retire_at = std::max(head.complete, lastRetire_);
     lastRetire_ = retire_at;
-    if (retire_at > fetchCycle_) {
-        const Cycle idle = retire_at - fetchCycle_;
-        stats_.robStallCycles += idle;
-        chargeStall(CycleBucket::DcacheMiss, idle);
-        if (timeline_) {
-            timeline_->recordStall(TimelineStall::DataMiss, fetchCycle_,
-                                   idle);
-        }
-        fetchCycle_ = retire_at;
-        slotInCycle_ = 0;
-    }
+    if (retire_at > fetchCycle_)
+        stallFor(CycleBucket::DcacheMiss, retire_at - fetchCycle_);
 }
 
 void
@@ -149,11 +140,6 @@ OoOCore::processOp(const MicroOp &op)
         const Cycle hidden = l1_lat + config_.fetchQueueHide;
         if (fetch.latency > hidden) {
             const Cycle bubble = fetch.latency - hidden;
-            stats_.icacheStallCycles += bubble;
-            if (timeline_) {
-                timeline_->recordStall(TimelineStall::InstrMiss,
-                                       fetchCycle_, bubble);
-            }
             if (fetch.llcMiss())
                 ++stats_.llcMissesInstr;
             if (bubble >= config_.stallReportThreshold) {
@@ -166,9 +152,7 @@ OoOCore::processOp(const MicroOp &op)
                 pendingSpecCycles_ +=
                     std::min(hooks_.onStall(ctx), bubble);
             }
-            chargeStall(CycleBucket::IcacheMiss, bubble);
-            fetchCycle_ += bubble;
-            slotInCycle_ = 0;
+            stallFor(CycleBucket::IcacheMiss, bubble);
         }
     }
 
@@ -207,17 +191,8 @@ OoOCore::processOp(const MicroOp &op)
         while (lsq_.size() >= config_.lsqSize) {
             const Cycle oldest = lsq_.front();
             lsq_.pop_front();
-            if (oldest > fetchCycle_) {
-                const Cycle wait = oldest - fetchCycle_;
-                stats_.lsqStallCycles += wait;
-                chargeStall(CycleBucket::LsqFull, wait);
-                if (timeline_) {
-                    timeline_->recordStall(TimelineStall::LsqFull,
-                                           fetchCycle_, wait);
-                }
-                fetchCycle_ = oldest;
-                slotInCycle_ = 0;
-            }
+            if (oldest > fetchCycle_)
+                stallFor(CycleBucket::LsqFull, oldest - fetchCycle_);
         }
         const bool is_store = op.isStore();
         const AccessResult res =
@@ -272,34 +247,17 @@ OoOCore::processOp(const MicroOp &op)
         ++stats_.branches;
         if (!config_.perfectBranch) {
             const BranchResult res = bp_.executeBranch(op);
+            // A branch dispatches at the fetch cycle (nothing before
+            // it in this op moves the clock), so its redirect starts
+            // there.
             if (res == BranchResult::Mispredict) {
                 ++stats_.mispredicts;
-                stats_.branchStallCycles += config_.mispredictPenalty;
-                if (timeline_) {
-                    timeline_->recordStall(TimelineStall::Mispredict,
-                                           dispatch,
-                                           config_.mispredictPenalty);
-                }
-                const Cycle redirect = dispatch +
-                    config_.mispredictPenalty;
-                if (redirect > fetchCycle_) {
-                    charge(CycleBucket::MispredictRedirect,
-                           redirect - fetchCycle_);
-                    fetchCycle_ = redirect;
-                }
-                slotInCycle_ = 0;
+                stallFor(CycleBucket::MispredictRedirect,
+                         config_.mispredictPenalty);
             } else if (res == BranchResult::BtbMiss) {
                 ++stats_.btbMisses;
-                stats_.branchStallCycles += config_.btbMissPenalty;
-                if (timeline_) {
-                    timeline_->recordStall(TimelineStall::BtbMiss,
-                                           fetchCycle_,
-                                           config_.btbMissPenalty);
-                }
-                charge(CycleBucket::MispredictRedirect,
-                       config_.btbMissPenalty);
-                fetchCycle_ += config_.btbMissPenalty;
-                slotInCycle_ = 0;
+                stallFor(CycleBucket::MispredictRedirect,
+                         config_.btbMissPenalty);
             }
         }
         break;
@@ -325,16 +283,10 @@ OoOCore::drainRob()
     }
     // The drain just accounts remaining completion time; outstanding
     // misses were already reported to the engine at detection time.
-    if (miss_pending && last > fetchCycle_) {
-        stats_.robStallCycles += last - fetchCycle_;
-        chargeStall(CycleBucket::DcacheMiss, last - fetchCycle_);
-        if (timeline_) {
-            timeline_->recordStall(TimelineStall::DataMiss, fetchCycle_,
-                                   last - fetchCycle_);
-        }
-    } else if (last > fetchCycle_) {
+    if (miss_pending && last > fetchCycle_)
+        stallFor(CycleBucket::DcacheMiss, last - fetchCycle_);
+    else if (last > fetchCycle_)
         charge(CycleBucket::Drain, last - fetchCycle_);
-    }
     rob_.clear();
     lsq_.clear();
     fetchCycle_ = std::max(fetchCycle_, last);

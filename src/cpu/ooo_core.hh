@@ -200,10 +200,6 @@ struct CoreStats
     std::uint64_t stores = 0;
     std::uint64_t llcMissesInstr = 0;
     std::uint64_t llcMissesData = 0;
-    Cycle icacheStallCycles = 0;
-    Cycle branchStallCycles = 0;
-    Cycle robStallCycles = 0; //!< head-of-ROB data-miss waits
-    Cycle lsqStallCycles = 0;
     std::uint64_t stallWindows = 0; //!< onStall() deliveries
 
     /** Top-down attribution: where every cycle went (sums to cycles). */
@@ -318,9 +314,13 @@ class OoOCore
     Cycle pendingSpecCycles_ = 0;
 
     void charge(CycleBucket bucket, Cycle cycles);
-    /** Charge @p cycles of stall: the engine-consumed portion goes to
-     *  the speculation bucket, the remainder to @p bucket. */
-    void chargeStall(CycleBucket bucket, Cycle cycles);
+    /**
+     * Stall fetch for @p cycles: charge them (on a miss bucket the
+     * engine-consumed portion goes to the speculation bucket, the
+     * remainder to @p bucket), report the stall to the timeline and
+     * advance the fetch clock. The one place a stall is recorded.
+     */
+    void stallFor(CycleBucket bucket, Cycle cycles);
     void processOp(const MicroOp &op);
     void retireForSpace();
     void drainRob();

@@ -1,6 +1,5 @@
 #include "report/telemetry.hh"
 
-#include <chrono>
 #include <utility>
 
 #include "report/json_writer.hh"
@@ -11,17 +10,6 @@ namespace espsim
 
 namespace
 {
-
-/** The first multiple-of-@p period step of @p next past @p reached
- *  (@p next itself while not yet reached, or with the pace off). */
-std::uint64_t
-nextGridPoint(std::uint64_t next, std::uint64_t reached,
-              std::uint64_t period)
-{
-    if (period == 0 || reached < next)
-        return next;
-    return next + ((reached - next) / period + 1) * period;
-}
 
 /** One snapshot line of a telemetry block. */
 std::string
@@ -103,7 +91,7 @@ CounterSampler::CounterSampler(const StatRegistry &reg,
                                const std::string &workload,
                                const std::string &configHash,
                                EventTimeline *timeline)
-    : live_(live), period_(live.period), timeline_(timeline)
+    : live_(live), period_(live.periodCycles), timeline_(timeline)
 {
     // Freeze the counter name set now: stats registered after the run
     // (handler breakdown, derived metrics) never appear, so every
@@ -115,8 +103,7 @@ CounterSampler::CounterSampler(const StatRegistry &reg,
         getters_.push_back(std::move(h.getter));
     }
     snap_.values.resize(getters_.size(), 0.0);
-    nextCycle_ = period_.cycles;
-    lastWall_ = std::chrono::steady_clock::now();
+    nextCycle_ = period_;
     writeHeader(config, workload, configHash);
     if (timeline_ != nullptr)
         timeline_->beginCounterSeries(names_);
@@ -137,8 +124,7 @@ CounterSampler::writeHeader(const std::string &config,
     w.key("config").value(config);
     w.key("workload").value(workload);
     w.key("config_hash").value(configHash);
-    w.key("period_cycles").value(period_.cycles);
-    w.key("wall_ms").value(period_.wallMs);
+    w.key("period_cycles").value(period_);
     w.key("names");
     w.beginArray();
     for (const std::string &name : names_)
@@ -170,33 +156,14 @@ CounterSampler::onSpan(const RequestSpan &span)
 {
     if (finalized_)
         return;
-    const std::uint64_t events_retired = span.index + 1;
     const Cycle now = span.retire;
-    bool due = period_.cycles > 0 && now >= nextCycle_;
-    if (period_.wallMs > 0 && !due) {
-        // The steady_clock read costs far more than a retire; check
-        // it only every 64 retires. Worst-case staleness at serve
-        // throughput is microseconds — invisible at ms-scale pacing.
-        if (++sinceWallCheck_ >= 64) {
-            sinceWallCheck_ = 0;
-            const auto now_wall = std::chrono::steady_clock::now();
-            const double elapsed_ms =
-                std::chrono::duration<double, std::milli>(now_wall -
-                                                          lastWall_)
-                    .count();
-            if (elapsed_ms >= period_.wallMs) {
-                due = true;
-                lastWall_ = now_wall;
-            }
-        }
-    }
-    if (!due)
+    if (period_ == 0 || now < nextCycle_)
         return;
-    // Re-anchor the grid past the point reached, so an event that
-    // spans several periods yields one (larger) interval instead of a
-    // burst of stale samples.
-    nextCycle_ = nextGridPoint(nextCycle_, now, period_.cycles);
-    sample(now, events_retired, /*final_=*/false);
+    // Re-anchor the grid at the first step past the point reached, so
+    // an event that spans several periods yields one (larger) interval
+    // instead of a burst of stale samples.
+    nextCycle_ += ((now - nextCycle_) / period_ + 1) * period_;
+    sample(now, span.index + 1, /*final_=*/false);
 }
 
 void

@@ -11,11 +11,11 @@
  *    StatRegistry's counter names at construction (every counter is
  *    zero then) and, as a span sink of the core, takes *absolute*
  *    counter snapshots at event-retire boundaries (the only points
- *    where the stat surface is consistent): whenever a cycle or
- *    wall-clock grid point was crossed, and always once more at
- *    finalize. Counters are monotone across snapshots, and the final
- *    snapshot equals the end-of-run registry values exactly (uint64
- *    counters are exact in double below 2^53). Each snapshot is
+ *    where the stat surface is consistent): whenever a cycle grid
+ *    point was crossed, and always once more at finalize. Counters
+ *    are monotone across snapshots, and the final snapshot equals
+ *    the end-of-run registry values exactly (uint64 counters are
+ *    exact in double below 2^53). Each snapshot is
  *    streamed as a versioned JSON line through a TelemetryStream,
  *    and handed to the run's timeline (if any), which draws its
  *    interval counter tracks from consecutive snapshots.
@@ -35,16 +35,14 @@
  * Determinism: sampling is an opt-in observer. With it off, no code
  * path changes and every artifact stays byte-identical; with it on,
  * the run's *artifacts* are still byte-identical (samplers only read
- * counters), and the snapshots themselves are deterministic when
- * paced purely by cycles (wall-clock pacing trades
- * determinism for a fixed real-time cadence, which is the point of a
- * live feed). Everything runs on the simulation thread.
+ * counters), and the snapshots themselves are deterministic: the
+ * pace is a simulated-cycle grid. Everything runs on the simulation
+ * thread.
  */
 
 #ifndef ESPSIM_REPORT_TELEMETRY_HH
 #define ESPSIM_REPORT_TELEMETRY_HH
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -61,17 +59,6 @@ class EventTimeline;
 
 /** Version of the telemetry-stream schema this build writes. */
 constexpr std::uint32_t telemetryStreamFormatVersion = 1;
-
-/** When a CounterSampler snapshots. Each pace may be 0 (= off). */
-struct SamplePeriod
-{
-    /** Snapshot when ≥ this many simulated cycles passed. */
-    Cycle cycles = 0;
-    /** Snapshot when ≥ this many wall-clock ms passed. */
-    double wallMs = 0;
-
-    bool enabled() const { return cycles > 0 || wallMs > 0; }
-};
 
 /** One absolute counter readout (aligned with the run's name set). */
 struct TelemetrySnapshot
@@ -123,9 +110,9 @@ class TelemetryStream
 /** What a CounterSampler reports into. */
 struct LiveTelemetry
 {
-    /** Snapshot pacing; a disabled period still takes the final
-     *  snapshot of each run. */
-    SamplePeriod period;
+    /** Snapshot when ≥ this many simulated cycles passed since the
+     *  last grid point; 0 still takes the final snapshot of each run. */
+    Cycle periodCycles = 0;
     /** JSONL sink for the snapshots (nullptr = none). */
     TelemetryStream *stream = nullptr;
     /** Config hash stamped into each block header ("" = the hash of
@@ -145,9 +132,9 @@ class CounterSampler final : public SpanSink
 {
   public:
     /**
-     * A sampler paced by @p live.period: each snapshot is counted in
-     * @p live, streamed to its stream (if any) and handed to
-     * @p timeline (if any). The stream's block header, naming
+     * A sampler paced by @p live.periodCycles: each snapshot is
+     * counted in @p live, streamed to its stream (if any) and handed
+     * to @p timeline (if any). The stream's block header, naming
      * @p config, @p workload and @p configHash, is written now.
      */
     CounterSampler(const StatRegistry &reg, LiveTelemetry &live,
@@ -168,14 +155,12 @@ class CounterSampler final : public SpanSink
 
   private:
     LiveTelemetry &live_;
-    const SamplePeriod period_;
+    const Cycle period_; //!< snapshot pace in cycles (0 = final only)
     EventTimeline *timeline_;
     std::vector<std::string> names_;
     std::vector<StatRegistry::Getter> getters_;
     TelemetrySnapshot snap_; //!< reused for every snapshot
     Cycle nextCycle_ = 0;
-    std::chrono::steady_clock::time_point lastWall_;
-    unsigned sinceWallCheck_ = 0;
     bool finalized_ = false;
 
     void writeHeader(const std::string &config,

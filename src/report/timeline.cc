@@ -38,24 +38,6 @@ EventTimeline::~EventTimeline()
         closeStream();
 }
 
-const char *
-timelineStallName(TimelineStall kind)
-{
-    switch (kind) {
-      case TimelineStall::InstrMiss:
-        return "icache-miss";
-      case TimelineStall::DataMiss:
-        return "dcache-miss";
-      case TimelineStall::LsqFull:
-        return "lsq-full";
-      case TimelineStall::Mispredict:
-        return "mispredict-flush";
-      case TimelineStall::BtbMiss:
-        return "btb-miss";
-    }
-    return "unknown";
-}
-
 void
 EventTimeline::onSpan(const RequestSpan &span)
 {
@@ -68,22 +50,20 @@ EventTimeline::onSpan(const RequestSpan &span)
     }
     record.span = span;
     events_.push_back(record);
-    if (stream_)
-        flushRecords();
+    flushRecords();
 }
 
 void
-EventTimeline::recordStall(TimelineStall kind, Cycle start, Cycle dur)
+EventTimeline::recordStall(CycleBucket bucket, Cycle start, Cycle dur)
 {
     if (full())
         return;
     StallSpan span;
-    span.kind = kind;
+    span.bucket = bucket;
     span.eventIdx = pending_.span.index;
     span.start = start;
     span.dur = dur;
     stalls_.push_back(span);
-    pending_.stallCycles[static_cast<unsigned>(kind)] += dur;
     ++pending_.stallCount;
 }
 
@@ -259,12 +239,6 @@ EventTimeline::renderEvent(JsonWriter &w, const EventRecord &ev) const
     w.key("instructions").value(std::uint64_t{span.instructions});
     w.key("stall_count").value(std::uint64_t{ev.stallCount});
     w.key("esp_windows").value(std::uint64_t{ev.espWindows});
-    w.key("stall_cycles").beginObject();
-    for (unsigned k = 0; k < 5; ++k) {
-        w.key(timelineStallName(static_cast<TimelineStall>(k)))
-            .value(std::uint64_t{ev.stallCycles[k]});
-    }
-    w.endObject();
     w.key("cycle_buckets");
     bucketArgs(w, span);
     w.key("prefetches").beginObject();
@@ -316,7 +290,7 @@ EventTimeline::renderRecords(JsonWriter &w) const
                stalls_[stall_cursor].eventIdx <= last_event) {
             const StallSpan &st = stalls_[stall_cursor++];
             w.beginObject();
-            w.key("name").value(timelineStallName(st.kind));
+            w.key("name").value(cycleBucketName(st.bucket));
             sliceCommon(w, "stall", st.start, st.dur, tidStalls);
             w.key("args")
                 .beginObject()
@@ -400,30 +374,6 @@ EventTimeline::warnDropped() const
     }
 }
 
-std::string
-EventTimeline::renderChromeTrace() const
-{
-    warnDropped();
-    JsonWriter w;
-    renderHeader(w);
-    renderRecords(w);
-    renderCounterSamples(w);
-    renderFooter(w);
-    return w.str();
-}
-
-bool
-EventTimeline::writeChromeTrace(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    const std::string text = renderChromeTrace();
-    out.write(text.data(),
-              static_cast<std::streamsize>(text.size()));
-    return static_cast<bool>(out);
-}
-
 bool
 EventTimeline::streamTo(const std::string &path)
 {
@@ -442,14 +392,15 @@ EventTimeline::streamTo(const std::string &path)
 bool
 EventTimeline::flushRecords()
 {
-    renderRecords(stream_->writer);
+    if (stream_)
+        renderRecords(stream_->writer);
     flushedEvents_ += events_.size();
     flushedStalls_ += stalls_.size();
     flushedWindows_ += windows_.size();
     events_.clear();
     stalls_.clear();
     windows_.clear();
-    return stream_->drainTo();
+    return !stream_ || stream_->drainTo();
 }
 
 bool

@@ -7,29 +7,31 @@
  * RequestSpan (report/spans.hh) supplies its queue/dispatch/retire
  * cycles, cycle-bucket blame and prefetch-issue tallies. Only the
  * intra-event detail comes from elsewhere: the core reports every
- * stall it hits (I-miss bubble, ROB-head data miss, LSQ full,
- * mispredict flush, BTB miss) and the ESP controller each
- * pre-execution window it spends inside a stall shadow. Those land in
- * a pending record that the event's span then closes.
- * writeChromeTrace() serializes it all in the Chrome trace_event JSON
- * format, which loads directly in Perfetto (https://ui.perfetto.dev)
- * or chrome://tracing — fitting, given the paper's workloads are
- * Chromium's renderer events.
+ * stall it charges (I-miss bubble, ROB-head data miss, LSQ full,
+ * mispredict flush or BTB miss), named by its cycle bucket, and the
+ * ESP controller each pre-execution window it spends inside a stall
+ * shadow. Those land in a pending record that the event's span then
+ * closes. The trace is Chrome trace_event JSON, which loads directly
+ * in Perfetto (https://ui.perfetto.dev) or chrome://tracing — fitting,
+ * given the paper's workloads are Chromium's renderer events.
+ *
+ * A stall slice spans the whole stall, so on a run with a speculation
+ * engine it also covers the shadow the engine consumed: per event,
+ * Σ miss slices == Σ miss buckets + esp_pre_exec + runahead, and
+ * Σ mispredict_redirect slices == that bucket.
  *
  * Cycle-to-time mapping: 1 simulated cycle = 1 microsecond of trace
  * time (`ts`/`dur` are microseconds in the trace_event spec), so a
  * slice's `dur` reads directly as its cycle count.
  *
- * Memory behaviour: by default the recorder buffers every record and
- * renderChromeTrace() serializes them in one pass. Two controls keep
- * long runs bounded:
- *  - streamTo(path) switches to incremental export — each event's
- *    record group (slices, stalls, ESP windows) is serialized and
- *    written as soon as its span arrives, so the buffer holds at most
- *    one event's records. Both modes produce byte-identical files.
- *  - setEventLimit(n) caps the recorded events at n; later events are
- *    dropped (and counted) instead of silently ballooning RSS, with a
- *    warning to stderr when the trace is finalized.
+ * Memory behaviour: streamTo(path) writes the header, then each
+ * event's record group (slices, stalls, ESP windows) as soon as its
+ * span arrives, so the buffer holds at most one event's records;
+ * closeStream() writes the interval tracks and the footer. Without a
+ * stream the records are only counted (numEvents() and friends).
+ * setEventLimit(n) caps the recorded events at n; later events are
+ * dropped (and counted) instead of silently ballooning the file, with
+ * a warning to stderr when the trace is closed.
  *
  * A run with both a timeline and a counter sampler
  * (report/telemetry.hh) also gets interval counter tracks: the
@@ -64,18 +66,6 @@ struct TelemetrySnapshot;
 /** Trace format version written into the exported file. */
 constexpr std::uint32_t timelineFormatVersion = 1;
 
-/** Why the core sat idle (timeline view; richer than StallKind). */
-enum class TimelineStall : std::uint8_t
-{
-    InstrMiss,  //!< fetch bubble beyond the hidden L1 latency
-    DataMiss,   //!< load miss shadow (ROB-head / MLP window)
-    LsqFull,    //!< oldest memory op blocking a full LSQ
-    Mispredict, //!< branch mispredict flush
-    BtbMiss,    //!< taken branch with no/old BTB target
-};
-
-const char *timelineStallName(TimelineStall kind);
-
 /** Records one run's per-event timing; exports Chrome trace JSON. */
 class EventTimeline final : public SpanSink
 {
@@ -94,8 +84,11 @@ class EventTimeline final : public SpanSink
      */
     void onSpan(const RequestSpan &span) override;
 
-    /** One stall of @p kind, @p dur cycles starting at @p start. */
-    void recordStall(TimelineStall kind, Cycle start, Cycle dur);
+    /**
+     * One stall the core charged to @p bucket, @p dur cycles starting
+     * at @p start; the slice is named cycleBucketName(@p bucket).
+     */
+    void recordStall(CycleBucket bucket, Cycle start, Cycle dur);
 
     /**
      * ESP spent @p dur cycles of a stall shadow pre-executing event
@@ -117,8 +110,7 @@ class EventTimeline final : public SpanSink
      * (`interval.ipc`, `interval.esp_occupancy`, `interval.l1i_mpki`,
      * `interval.l1d_miss_rate`) at the snapshot's cycle. A final
      * snapshot equal to the previous one adds no interval. Points are
-     * buffered (they are tiny) and emitted after the event slices in
-     * both buffered and streaming modes.
+     * buffered (they are tiny) and emitted after the event slices.
      */
     void onCounterSnapshot(const TelemetrySnapshot &snap);
 
@@ -156,33 +148,23 @@ class EventTimeline final : public SpanSink
      */
     bool streamTo(const std::string &path);
 
-    /** True between streamTo() and closeStream(). */
-    bool streaming() const { return stream_ != nullptr; }
-
     /**
      * Flush any unwritten records, the interval counter tracks and
      * the trace footer, then close the stream. @return false on I/O.
      */
     bool closeStream();
 
-    /** Serialize as Chrome trace_event JSON (buffered mode only). */
-    std::string renderChromeTrace() const;
-
-    /** Write renderChromeTrace() to @p path. @return false on I/O. */
-    bool writeChromeTrace(const std::string &path) const;
-
   private:
     struct EventRecord
     {
         RequestSpan span;
-        Cycle stallCycles[5] = {0, 0, 0, 0, 0}; //!< per TimelineStall
         std::uint32_t stallCount = 0;
         std::uint32_t espWindows = 0;
     };
 
     struct StallSpan
     {
-        TimelineStall kind;
+        CycleBucket bucket = CycleBucket::IcacheMiss;
         std::size_t eventIdx = 0;
         Cycle start = 0;
         Cycle dur = 0;
@@ -225,7 +207,8 @@ class EventTimeline final : public SpanSink
     std::size_t eventLimit_ = 0;
     std::size_t droppedEvents_ = 0;
 
-    //!< Records already streamed out (still counted by numEvents()).
+    /** Records already let go: streamed out, or only counted without
+     *  a stream (still counted by numEvents()). */
     std::size_t flushedEvents_ = 0;
     std::size_t flushedStalls_ = 0;
     std::size_t flushedWindows_ = 0;

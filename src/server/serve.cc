@@ -43,7 +43,7 @@ runServe(const ServerProfile &profile,
     std::unique_ptr<TelemetryStream> stream;
     if (opts.telemetry.any()) {
         live = std::make_unique<LiveTelemetry>();
-        live->period = opts.telemetry.period;
+        live->periodCycles = opts.telemetry.periodCycles;
         live->configHash = report.configHash;
         if (!opts.telemetry.jsonlPath.empty()) {
             stream = std::make_unique<TelemetryStream>();

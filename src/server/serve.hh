@@ -50,16 +50,16 @@ struct ServeSpanOptions
  */
 struct ServeTelemetryOptions
 {
-    /** Snapshot pacing; a zero period still takes each config's
-     *  final snapshot. */
-    SamplePeriod period;
+    /** Snapshot pacing in simulated cycles; 0 still takes each
+     *  config's final snapshot. */
+    Cycle periodCycles = 0;
     /** JSONL snapshot stream path ("" = no stream). */
     std::string jsonlPath;
 
     bool
     any() const
     {
-        return period.enabled() || !jsonlPath.empty();
+        return periodCycles > 0 || !jsonlPath.empty();
     }
 };
 

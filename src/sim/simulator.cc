@@ -26,14 +26,6 @@ Simulator::run(const Workload &workload) const
 }
 
 SimResult
-Simulator::run(const Workload &workload, EventTimeline *timeline) const
-{
-    RunInstrumentation inst;
-    inst.timeline = timeline;
-    return run(workload, inst);
-}
-
-SimResult
 Simulator::run(const Workload &workload,
                const RunInstrumentation &inst) const
 {

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,8 @@
 #include "report/json_reader.hh"
 #include "sim/simulator.hh"
 #include "workload/generator.hh"
+
+#include "traced_run.hh"
 
 using namespace espsim;
 
@@ -101,6 +105,87 @@ TEST(Accounting, HandlerAttributionCoversEveryCycleAndEvent)
     EXPECT_EQ(events, r.core.events);
     for (unsigned b = 0; b < numCycleBuckets; ++b)
         EXPECT_EQ(summed[b], r.core.bucketCycles[b]) << "bucket " << b;
+}
+
+TEST(Accounting, StallSlicesCloseAgainstTheBuckets)
+{
+    // The core records each stall once: its bucket charge and its
+    // timeline slice come from one call, so per event the slices sum
+    // to the buckets. A miss slice spans the whole stall, so under a
+    // speculation engine it also covers the shadow the engine
+    // consumed. The slice names are the literal bucket names.
+    const char *const miss_names[] = {"icache_miss", "dcache_miss",
+                                      "lsq_full"};
+    const std::set<std::string> stall_names{
+        "icache_miss", "dcache_miss", "lsq_full", "mispredict_redirect"};
+    const auto workload = SyntheticGenerator(tinyProfile()).generate();
+    for (const SimConfig &config :
+         {SimConfig::baseline(), SimConfig::espFull(true),
+          SimConfig::runaheadExec(true)}) {
+        SCOPED_TRACE(config.name);
+        const bool engine = config.engine != SpeculationEngine::None;
+        EventTimeline timeline;
+        const TracedRun run =
+            runTraced(Simulator(config), *workload, timeline);
+        std::string err;
+        const auto root = parseJson(run.trace, &err);
+        ASSERT_TRUE(root) << err;
+
+        // Per event: the slice sums by name, and the span's buckets.
+        std::map<std::size_t, std::map<std::string, double>> slices;
+        std::map<std::size_t, const JsonValue *> buckets;
+        for (const JsonValue &e : root->at("traceEvents").array) {
+            const JsonValue *cat = e.find("cat");
+            if (cat == nullptr || e.at("ph").string != "X")
+                continue;
+            if (cat->string == "stall") {
+                const std::string &name = e.at("name").string;
+                EXPECT_EQ(stall_names.count(name), 1u) << name;
+                const auto idx = static_cast<std::size_t>(
+                    e.at("args").at("event").number);
+                slices[idx][name] += e.at("dur").number;
+            } else if (cat->string == "event" &&
+                       e.at("name").string != "execute") {
+                const auto idx = static_cast<std::size_t>(
+                    e.at("args").at("index").number);
+                buckets[idx] = &e.at("args").at("cycle_buckets");
+            }
+        }
+        ASSERT_EQ(buckets.size(), workload->numEvents());
+
+        double redirect_total = 0;
+        double miss_total = 0;
+        double shadow_total = 0;
+        for (const auto &[idx, b] : buckets) {
+            SCOPED_TRACE("event " + std::to_string(idx));
+            std::map<std::string, double> &s = slices[idx];
+            EXPECT_EQ(s["mispredict_redirect"],
+                      b->at("mispredict_redirect").number);
+            double miss_slices = 0;
+            double miss_buckets = 0;
+            for (const char *name : miss_names) {
+                miss_slices += s[name];
+                miss_buckets += b->at(name).number;
+                if (!engine) {
+                    EXPECT_EQ(s[name], b->at(name).number) << name;
+                }
+            }
+            const double shadow = b->at("esp_pre_exec").number +
+                b->at("runahead").number;
+            if (!engine) {
+                EXPECT_EQ(shadow, 0.0);
+            }
+            EXPECT_EQ(miss_slices, miss_buckets + shadow);
+            redirect_total += s["mispredict_redirect"];
+            miss_total += miss_slices;
+            shadow_total += shadow;
+        }
+        // The tiny profile hits both kinds of stall, and each engine
+        // consumes some shadow.
+        EXPECT_GT(redirect_total, 0.0);
+        EXPECT_GT(miss_total, 0.0);
+        EXPECT_EQ(shadow_total > 0, engine);
+    }
 }
 
 TEST(Accounting, BucketStatsLandInTheRegistrySnapshot)

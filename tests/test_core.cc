@@ -31,6 +31,13 @@ struct Fixture
     }
 };
 
+/** Cycles @p core charged to @p bucket. */
+Cycle
+bucketCycles(const OoOCore &core, CycleBucket bucket)
+{
+    return core.stats().bucketCycles[static_cast<unsigned>(bucket)];
+}
+
 /** Hook that records every stall window. */
 class RecordingHooks : public CoreHooks
 {
@@ -208,7 +215,7 @@ TEST(Core, MispredictsCostCycles)
     OoOCore core(f.coreCfg, mem, bp, f.noPf, hooks);
     core.run(*w);
     EXPECT_GT(core.stats().mispredicts, 200u);
-    EXPECT_GT(core.stats().branchStallCycles, 0u);
+    EXPECT_GT(bucketCycles(core, CycleBucket::MispredictRedirect), 0u);
     EXPECT_LT(core.stats().ipc(), 1.5);
 }
 
@@ -227,7 +234,7 @@ TEST(Core, PerfectBranchSkipsPenalties)
     OoOCore core(f.coreCfg, mem, bp, f.noPf, hooks);
     core.run(*w);
     EXPECT_EQ(core.stats().mispredicts, 0u);
-    EXPECT_EQ(core.stats().branchStallCycles, 0u);
+    EXPECT_EQ(bucketCycles(core, CycleBucket::MispredictRedirect), 0u);
     EXPECT_EQ(core.stats().branches, 500u);
 }
 
@@ -290,7 +297,7 @@ TEST(Core, IcacheMissesStallFetch)
     OoOCore core(f.coreCfg, mem, bp, f.noPf, hooks);
     core.run(*w);
     EXPECT_EQ(core.stats().llcMissesInstr, 200u);
-    EXPECT_GT(core.stats().icacheStallCycles, 200u * 80u);
+    EXPECT_GT(bucketCycles(core, CycleBucket::IcacheMiss), 200u * 80u);
     // Each cold fetch is a reportable stall window.
     EXPECT_EQ(hooks.stalls.size(), 200u);
     EXPECT_EQ(hooks.stalls[0].kind, StallKind::InstrLlcMiss);
@@ -476,7 +483,7 @@ TEST(Core, NextLinePrefetcherReducesIcacheStalls)
     OoOCore nl(f.coreCfg, m2, b2, with_nl, hooks);
     base.run(*w);
     nl.run(*w);
-    EXPECT_LT(nl.stats().icacheStallCycles,
-              base.stats().icacheStallCycles / 2);
+    EXPECT_LT(bucketCycles(nl, CycleBucket::IcacheMiss),
+              bucketCycles(base, CycleBucket::IcacheMiss) / 2);
     EXPECT_LT(nl.stats().cycles, base.stats().cycles);
 }

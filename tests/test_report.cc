@@ -11,12 +11,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <limits>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "report/artifact.hh"
@@ -28,6 +24,8 @@
 #include "sim/simulator.hh"
 #include "sim/stats_report.hh"
 #include "workload/generator.hh"
+
+#include "traced_run.hh"
 
 using namespace espsim;
 
@@ -359,19 +357,25 @@ TEST(Artifact, TableArtifactRoundTrips)
 
 TEST(Timeline, RecordsEventsAndExportsValidChromeTrace)
 {
+    // A counter sampler adds the interval counter tracks, so the
+    // trace holds every record kind it can.
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
     EventTimeline timeline;
-    const SimResult r = Simulator(SimConfig::espFull(true))
-                            .run(*workload, &timeline);
+    LiveTelemetry live;
+    live.periodCycles = 5'000;
+    RunInstrumentation inst;
+    inst.telemetry = &live;
+    const TracedRun run = runTraced(Simulator(SimConfig::espFull(true)),
+                                    *workload, timeline, inst);
 
     // One span per simulated event; ESP ran, so windows exist.
     EXPECT_EQ(timeline.numEvents(), workload->numEvents());
     EXPECT_GT(timeline.numStalls(), 0u);
     EXPECT_GT(timeline.numEspWindows(), 0u);
-    EXPECT_GT(r.cycles, 0u);
+    EXPECT_GT(run.result.cycles, 0u);
 
     std::string err;
-    const auto root = parseJson(timeline.renderChromeTrace(), &err);
+    const auto root = parseJson(run.trace, &err);
     ASSERT_TRUE(root) << err;
 
     const JsonValue &other = root->at("otherData");
@@ -384,9 +388,12 @@ TEST(Timeline, RecordsEventsAndExportsValidChromeTrace)
     ASSERT_GT(events.array.size(), 0u);
 
     std::size_t event_slices = 0;
+    std::size_t execute_slices = 0;
+    std::size_t stall_slices = 0;
     std::size_t esp_slices = 0;
     std::size_t meta_records = 0;
-    std::size_t counter_records = 0;
+    std::size_t bucket_counters = 0;
+    std::size_t interval_counters = 0;
     double last_event_ts = -1.0;
     for (const JsonValue &e : events.array) {
         const std::string &ph = e.at("ph").string;
@@ -396,10 +403,17 @@ TEST(Timeline, RecordsEventsAndExportsValidChromeTrace)
         }
         if (ph == "C") {
             // Cycle-accounting counter track: one sample per event,
-            // with at least one named bucket.
-            ++counter_records;
-            EXPECT_EQ(e.at("name").string, "cycle buckets");
-            EXPECT_GT(e.at("args").object.size(), 0u);
+            // with at least one named bucket; the interval tracks
+            // carry one value each.
+            if (e.at("cat").string == "interval") {
+                ++interval_counters;
+                EXPECT_EQ(e.at("name").string.rfind("interval.", 0), 0u);
+                EXPECT_EQ(e.at("args").object.size(), 1u);
+            } else {
+                ++bucket_counters;
+                EXPECT_EQ(e.at("name").string, "cycle buckets");
+                EXPECT_GT(e.at("args").object.size(), 0u);
+            }
             continue;
         }
         ASSERT_EQ(ph, "X");
@@ -407,26 +421,36 @@ TEST(Timeline, RecordsEventsAndExportsValidChromeTrace)
         EXPECT_GE(e.at("dur").number, 0.0);
         EXPECT_DOUBLE_EQ(e.at("pid").number, 1.0);
         const std::string &name = e.at("name").string;
+        const std::string &cat = e.at("cat").string;
         if (name.rfind("event ", 0) == 0) {
             ++event_slices;
             // Event slices appear in simulation order.
             EXPECT_GE(e.at("ts").number, last_event_ts);
             last_event_ts = e.at("ts").number;
-        }
-        if (name.rfind("ESP-", 0) == 0)
+        } else if (name == "execute") {
+            ++execute_slices;
+        } else if (cat == "stall") {
+            ++stall_slices;
+        } else if (name.rfind("ESP-", 0) == 0) {
             ++esp_slices;
+        }
     }
-    EXPECT_GE(meta_records, 5u); // process + four thread names
+    EXPECT_GE(meta_records, 6u); // process + five thread names
     EXPECT_EQ(event_slices, workload->numEvents());
+    EXPECT_EQ(execute_slices, workload->numEvents());
+    EXPECT_EQ(stall_slices, timeline.numStalls());
     EXPECT_EQ(esp_slices, timeline.numEspWindows());
-    EXPECT_EQ(counter_records, workload->numEvents());
+    EXPECT_EQ(bucket_counters, workload->numEvents());
+    EXPECT_GT(interval_counters, 0u);
 }
 
 TEST(Timeline, BaselineRunHasNoEspWindows)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
     EventTimeline timeline;
-    Simulator(SimConfig::baseline()).run(*workload, &timeline);
+    RunInstrumentation inst;
+    inst.timeline = &timeline;
+    Simulator(SimConfig::baseline()).run(*workload, inst);
     EXPECT_EQ(timeline.numEvents(), workload->numEvents());
     EXPECT_EQ(timeline.numEspWindows(), 0u);
 }
@@ -435,45 +459,14 @@ TEST(Timeline, TimelineDoesNotPerturbResults)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
     EventTimeline timeline;
+    RunInstrumentation inst;
+    inst.timeline = &timeline;
     const SimResult with =
-        Simulator(SimConfig::espFull(true)).run(*workload, &timeline);
+        Simulator(SimConfig::espFull(true)).run(*workload, inst);
     const SimResult without =
         Simulator(SimConfig::espFull(true)).run(*workload);
     EXPECT_EQ(with.cycles, without.cycles);
     EXPECT_DOUBLE_EQ(with.ipc, without.ipc);
-}
-
-TEST(Timeline, StreamedTraceMatchesBufferedRender)
-{
-    // A counter sampler adds the interval counter tracks, so the
-    // check covers every record kind the trace can hold.
-    const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    const Simulator sim(SimConfig::espFull(true));
-    const auto traced = [&](EventTimeline &timeline) {
-        LiveTelemetry live;
-        live.period.cycles = 5'000;
-        RunInstrumentation inst;
-        inst.timeline = &timeline;
-        inst.telemetry = &live;
-        (void)sim.run(*workload, inst);
-    };
-
-    EventTimeline buffered;
-    traced(buffered);
-    const std::string expected = buffered.renderChromeTrace();
-    ASSERT_NE(expected.find("\"cat\":\"interval\""), std::string::npos);
-
-    const std::string path =
-        ::testing::TempDir() + "timeline_streamed.trace.json";
-    EventTimeline streamed;
-    ASSERT_TRUE(streamed.streamTo(path));
-    traced(streamed);
-    ASSERT_TRUE(streamed.closeStream());
-    std::ifstream in(path, std::ios::binary);
-    const std::string actual((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-    std::remove(path.c_str());
-    EXPECT_EQ(actual, expected);
 }
 
 TEST(Timeline, IntervalIpcTrackFollowsTheCounterStream)
@@ -487,12 +480,12 @@ TEST(Timeline, IntervalIpcTrackFollowsTheCounterStream)
     TelemetryStream stream;
     stream.captureTo(&captured);
     LiveTelemetry live;
-    live.period.cycles = 5'000;
+    live.periodCycles = 5'000;
     live.stream = &stream;
     RunInstrumentation inst;
-    inst.timeline = &timeline;
     inst.telemetry = &live;
-    (void)Simulator(SimConfig::espFull(true)).run(*workload, inst);
+    const TracedRun run = runTraced(Simulator(SimConfig::espFull(true)),
+                                    *workload, timeline, inst);
 
     std::istringstream lines(captured);
     std::string line;
@@ -526,7 +519,7 @@ TEST(Timeline, IntervalIpcTrackFollowsTheCounterStream)
     }
     ASSERT_GT(expected.size(), 1u);
 
-    const auto trace = parseJson(timeline.renderChromeTrace());
+    const auto trace = parseJson(run.trace);
     ASSERT_TRUE(trace);
     std::size_t points = 0;
     for (const JsonValue &e : trace->at("traceEvents").array) {
@@ -549,12 +542,13 @@ TEST(Timeline, EventLimitKeepsOnlyTheFirstEventsAndTheirSlices)
     ASSERT_GT(workload->numEvents(), kept);
     EventTimeline timeline;
     timeline.setEventLimit(kept);
-    Simulator(SimConfig::espFull(true)).run(*workload, &timeline);
+    const TracedRun run = runTraced(Simulator(SimConfig::espFull(true)),
+                                    *workload, timeline);
     EXPECT_EQ(timeline.numEvents(), kept);
     EXPECT_EQ(timeline.droppedEvents(), workload->numEvents() - kept);
 
     std::string err;
-    const auto root = parseJson(timeline.renderChromeTrace(), &err);
+    const auto root = parseJson(run.trace, &err);
     ASSERT_TRUE(root) << err;
     std::size_t event_slices = 0;
     std::size_t stall_slices = 0;
@@ -581,17 +575,4 @@ TEST(Timeline, EventLimitKeepsOnlyTheFirstEventsAndTheirSlices)
     EXPECT_EQ(esp_slices, timeline.numEspWindows());
     EXPECT_DOUBLE_EQ(root->at("otherData").at("dropped_events").number,
                      static_cast<double>(workload->numEvents() - kept));
-}
-
-TEST(Timeline, StallNamesAreStable)
-{
-    EXPECT_STREQ(timelineStallName(TimelineStall::InstrMiss),
-                 "icache-miss");
-    EXPECT_STREQ(timelineStallName(TimelineStall::DataMiss),
-                 "dcache-miss");
-    EXPECT_STREQ(timelineStallName(TimelineStall::LsqFull), "lsq-full");
-    EXPECT_STREQ(timelineStallName(TimelineStall::Mispredict),
-                 "mispredict-flush");
-    EXPECT_STREQ(timelineStallName(TimelineStall::BtbMiss),
-                 "btb-miss");
 }

@@ -41,16 +41,16 @@ tinyProfile()
     return p;
 }
 
-/** Run @p workload under ESP+NL with a live sampler paced by @p cfg
- *  whose stream is captured into @p captured. */
+/** Run @p workload under ESP+NL with a live sampler paced every
+ *  @p period cycles whose stream is captured into @p captured. */
 SimResult
-runWithTelemetry(const Workload &workload, SamplePeriod cfg,
+runWithTelemetry(const Workload &workload, Cycle period,
                  std::string *captured, LiveTelemetry *live = nullptr)
 {
     LiveTelemetry local;
     if (live == nullptr)
         live = &local;
-    live->period = cfg;
+    live->periodCycles = period;
     TelemetryStream stream;
     stream.captureTo(captured);
     live->stream = &stream;
@@ -88,11 +88,10 @@ splitLines(const std::string &text)
 TEST(Telemetry, FinalSnapshotEqualsRegistryExactly)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    SamplePeriod cfg;
-    cfg.cycles = 5'000;
+    const Cycle period = 5'000;
     std::string captured;
     const SimResult result =
-        runWithTelemetry(*workload, cfg, &captured);
+        runWithTelemetry(*workload, period, &captured);
 
     const std::vector<std::string> lines = splitLines(captured);
     ASSERT_GE(lines.size(), 2u); // header + at least the final line
@@ -127,10 +126,9 @@ TEST(Telemetry, FinalSnapshotEqualsRegistryExactly)
 TEST(Telemetry, StreamIsMonotoneWithContiguousSeq)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    SamplePeriod cfg;
-    cfg.cycles = 2'000;
+    const Cycle period = 2'000;
     std::string captured;
-    (void)runWithTelemetry(*workload, cfg, &captured);
+    (void)runWithTelemetry(*workload, period, &captured);
 
     const std::vector<std::string> lines = splitLines(captured);
     ASSERT_GE(lines.size(), 3u); // header + >=1 periodic + final
@@ -168,10 +166,9 @@ TEST(Telemetry, StreamIsMonotoneWithContiguousSeq)
 TEST(Telemetry, HeaderCarriesRunIdentityAndSortedNames)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    SamplePeriod cfg;
-    cfg.cycles = 5'000;
+    const Cycle period = 5'000;
     std::string captured;
-    (void)runWithTelemetry(*workload, cfg, &captured);
+    (void)runWithTelemetry(*workload, period, &captured);
 
     const auto header = parseJson(splitLines(captured).front());
     ASSERT_TRUE(header);
@@ -204,12 +201,11 @@ TEST(Telemetry, ProgressAndSnapshotCountsMatchTheStream)
     // One run: the final snapshot counts every retired event, and the
     // snapshot count is the stream's lines minus its one header.
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    SamplePeriod cfg;
-    cfg.cycles = 5'000;
+    const Cycle period = 5'000;
     std::string captured;
     LiveTelemetry live;
     const SimResult result =
-        runWithTelemetry(*workload, cfg, &captured, &live);
+        runWithTelemetry(*workload, period, &captured, &live);
     const std::vector<std::string> run_lines = splitLines(captured);
     const auto final_line = parseJson(run_lines.back());
     ASSERT_TRUE(final_line);
@@ -223,7 +219,7 @@ TEST(Telemetry, ProgressAndSnapshotCountsMatchTheStream)
     ServeOptions opts;
     opts.events = 200;
     opts.arrival.meanGapCycles = 2000.0;
-    opts.telemetry.period.cycles = 3'000;
+    opts.telemetry.periodCycles = 3'000;
     opts.telemetry.jsonlPath =
         ::testing::TempDir() + "telemetry_counts.jsonl";
     const std::vector<SimConfig> configs = {SimConfig::baseline(),
@@ -285,12 +281,11 @@ TEST(Telemetry, CountersAreZeroWhenTheSamplerStartsForEveryConfig)
 TEST(Telemetry, StreamBytesIdenticalUnderConcurrentRuns)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    SamplePeriod cfg;
-    cfg.cycles = 7'000;
+    const Cycle period = 7'000;
 
     // Serial reference stream (the "--jobs 1" world).
     std::string solo;
-    (void)runWithTelemetry(*workload, cfg, &solo);
+    (void)runWithTelemetry(*workload, period, &solo);
     ASSERT_GT(splitLines(solo).size(), 2u);
 
     // Four concurrent samplers over the same immutable workload (the
@@ -299,8 +294,8 @@ TEST(Telemetry, StreamBytesIdenticalUnderConcurrentRuns)
     std::vector<std::string> captured(4);
     std::vector<std::thread> threads;
     for (std::string &out : captured) {
-        threads.emplace_back([&workload, &cfg, &out] {
-            (void)runWithTelemetry(*workload, cfg, &out);
+        threads.emplace_back([&workload, period, &out] {
+            (void)runWithTelemetry(*workload, period, &out);
         });
     }
     for (std::thread &t : threads)
@@ -315,7 +310,7 @@ TEST(Telemetry, LatencyArtifactBytesIdenticalOnAndOff)
     off.events = 200;
     off.arrival.meanGapCycles = 2000.0;
     ServeOptions on = off;
-    on.telemetry.period.cycles = 3'000;
+    on.telemetry.periodCycles = 3'000;
 
     ArtifactManifest manifest;
     manifest.source = "test";

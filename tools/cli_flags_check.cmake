@@ -93,9 +93,19 @@ expect_rejected(--sample-cycles
 expect_rejected(--sample-events
     run --app amazon --config base --sample-events 1)
 expect_rejected(--json run --app amazon --config base --json x)
-# A flag that does nothing without --telemetry or --trace-spans.
+# The retired wall-clock telemetry pacing: snapshots are taken only at
+# event retires either way, and a cycle-paced stream is deterministic.
+expect_rejected(--telemetry-wall-ms
+    run --app amazon --config base --telemetry --telemetry-wall-ms 100)
+expect_rejected(--telemetry-wall-ms
+    serve --profile testsrv --events 50 --configs base --telemetry
+    --telemetry-wall-ms 100)
+# A flag that does nothing without --telemetry, --timeline or
+# --trace-spans.
 expect_rejected(--telemetry-period
     run --app amazon --config base --telemetry-period 1000)
+expect_rejected(--timeline-limit
+    run --app bing --config base --timeline-limit 5)
 expect_rejected(--worst
     serve --profile testsrv --events 50 --configs base --worst 3)
 

@@ -32,7 +32,8 @@
  * one), on a flag the
  * subcommand does not take, and on a flag that would do nothing
  * without another one (--telemetry-period without --telemetry,
- * --worst without --trace-spans).
+ * --timeline-limit without --timeline, --worst without
+ * --trace-spans).
  * `espsim diff` exits 0 when the artifacts agree within tolerance,
  * 1 on a headline regression or config mismatch, 2 on load failure.
  * `espsim suite` exits 1 when any sweep cell failed (its artifact
@@ -86,7 +87,6 @@ usage()
         "[--stats] [--timeline <file>]\n"
         "               [--timeline-limit N] [--telemetry [path]] "
         "[--telemetry-period N]\n"
-        "               [--telemetry-wall-ms M]\n"
         "  espsim suite [--configs a,b,c] [--apps a,b] [--jobs N] "
         "[--json [path]] [--csv [path]]\n"
         "  espsim serve [--profile memcached|http|testsrv] "
@@ -96,8 +96,7 @@ usage()
         "               [--concurrency N] [--think CYCLES] [--seed S] "
         "[--json [path]]\n"
         "               [--trace-spans [path]] [--worst N]\n"
-        "               [--telemetry [path]] [--telemetry-period N] "
-        "[--telemetry-wall-ms M]\n"
+        "               [--telemetry [path]] [--telemetry-period N]\n"
         "  espsim gen   --app <name> --out <file> [--events N]\n"
         "  espsim diff  <baseline.json> <candidate.json> "
         "[--rel-tol F] [--abs-tol F]\n"
@@ -225,14 +224,12 @@ commandFlags()
         {"list", {}},
         {"run",
          {"app", "trace", "config", "stats", "timeline",
-          "timeline-limit", "telemetry", "telemetry-period",
-          "telemetry-wall-ms"}},
+          "timeline-limit", "telemetry", "telemetry-period"}},
         {"suite", {"configs", "apps", "jobs", "json", "csv"}},
         {"serve",
          {"profile", "configs", "events", "window", "reservoir",
           "arrival", "gap", "concurrency", "think", "seed", "json",
-          "trace-spans", "worst", "telemetry", "telemetry-period",
-          "telemetry-wall-ms"}},
+          "trace-spans", "worst", "telemetry", "telemetry-period"}},
         {"gen", {"app", "out", "events"}},
         {"fuzz", {"runs", "seed", "verbose"}},
     };
@@ -272,7 +269,9 @@ cmdRun(const std::map<std::string, std::string> &flags)
 {
     const bool telemetry_on = flags.count("telemetry") != 0;
     requireWith(flags, "telemetry-period", telemetry_on, "--telemetry");
-    requireWith(flags, "telemetry-wall-ms", telemetry_on, "--telemetry");
+    const auto tl_it = flags.find("timeline");
+    const bool want_timeline = tl_it != flags.end();
+    requireWith(flags, "timeline-limit", want_timeline, "--timeline");
     const auto cfg_it = flags.find("config");
     const std::string cfg_name =
         cfg_it == flags.end() ? "ESP+NL" : cfg_it->second;
@@ -297,14 +296,12 @@ cmdRun(const std::map<std::string, std::string> &flags)
 
     printRunManifest();
     EventTimeline timeline;
-    const auto tl_it = flags.find("timeline");
-    const bool want_timeline = tl_it != flags.end();
     if (auto it = flags.find("timeline-limit"); it != flags.end()) {
         timeline.setEventLimit(static_cast<std::size_t>(
             parseUnsignedOption(it->second, "timeline-limit")));
     }
     // Timelines stream to disk record-by-record so a long run never
-    // buffers its whole trace; the bytes match buffered rendering.
+    // buffers its whole trace.
     if (want_timeline && !timeline.streamTo(tl_it->second)) {
         logLine(LogLevel::Error, "cannot write timeline '%s'",
                 tl_it->second.c_str());
@@ -330,13 +327,10 @@ cmdRun(const std::map<std::string, std::string> &flags)
         inst.telemetry = &live;
     }
     if (auto it = flags.find("telemetry-period"); it != flags.end())
-        live.period.cycles =
+        live.periodCycles =
             parseUnsignedOption(it->second, "telemetry-period");
-    if (auto it = flags.find("telemetry-wall-ms"); it != flags.end())
-        live.period.wallMs =
-            parseDoubleOption(it->second, "telemetry-wall-ms");
-    if (telemetry_on && !live.period.enabled())
-        live.period.cycles = 1'000'000;
+    if (telemetry_on && live.periodCycles == 0)
+        live.periodCycles = 1'000'000;
 
     const SimResult r = Simulator(*config).run(*workload, inst);
     if (telemetry_on) {
@@ -576,22 +570,18 @@ cmdServe(const std::map<std::string, std::string> &flags)
     // --- live telemetry ----------------------------------------------
     const bool telemetry_on = flags.count("telemetry") != 0;
     requireWith(flags, "telemetry-period", telemetry_on, "--telemetry");
-    requireWith(flags, "telemetry-wall-ms", telemetry_on, "--telemetry");
     if (auto it = flags.find("telemetry"); it != flags.end()) {
         opts.telemetry.jsonlPath = it->second == "1"
             ? "espsim_telemetry.jsonl"
             : it->second;
     }
     if (auto it = flags.find("telemetry-period"); it != flags.end())
-        opts.telemetry.period.cycles =
+        opts.telemetry.periodCycles =
             parseUnsignedOption(it->second, "telemetry-period");
-    if (auto it = flags.find("telemetry-wall-ms"); it != flags.end())
-        opts.telemetry.period.wallMs =
-            parseDoubleOption(it->second, "telemetry-wall-ms");
     // A sink without a pace would never snapshot; default to a cycle
     // grid coarse enough to be invisible in the overhead gate.
-    if (telemetry_on && !opts.telemetry.period.enabled())
-        opts.telemetry.period.cycles = 1'000'000;
+    if (telemetry_on && opts.telemetry.periodCycles == 0)
+        opts.telemetry.periodCycles = 1'000'000;
 
     printRunManifest();
     const auto wall_start = std::chrono::steady_clock::now();

@@ -417,11 +417,10 @@ def _check_telemetry_header(doc, where, problems):
             or any(c not in "0123456789abcdef" for c in config_hash)):
         _fail(problems, f"{where}: config_hash is not a 16-digit "
                         "lowercase hex string")
-    for key in ("period_cycles", "wall_ms"):
-        value = doc.get(key)
-        if not isinstance(value, (int, float)) or value < 0:
-            _fail(problems,
-                  f"{where}: {key} is not a non-negative number")
+    period = doc.get("period_cycles")
+    if not isinstance(period, (int, float)) or period < 0:
+        _fail(problems, f"{where}: period_cycles is not a non-negative "
+                        "number")
     names = doc.get("names")
     if not isinstance(names, list) or not names \
             or not all(isinstance(n, str) and n for n in names):
