@@ -186,9 +186,6 @@ class MemoryHierarchy
     void registerStats(StatRegistry &reg,
                        const std::string &prefix) const;
 
-    /** Snapshot all counters into @p stats (view over the registry). */
-    void report(StatGroup &stats, const std::string &prefix) const;
-
   private:
     /** One L1 side (instruction or data) with its prefetch state. */
     struct Side

@@ -115,15 +115,6 @@ logLine(LogLevel level, const char *fmt, ...)
 }
 
 void
-logDebug(const char *fmt, ...)
-{
-    std::va_list args;
-    va_start(args, fmt);
-    vlogLine(LogLevel::Debug, "debug", fmt, args);
-    va_end(args);
-}
-
-void
 panic(const char *fmt, ...)
 {
     std::va_list args;

@@ -68,10 +68,6 @@ void vlogLine(LogLevel level, const char *prefix, const char *fmt,
 void logLine(LogLevel level, const char *fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
-/** Debug-level report with a "debug: " prefix. */
-void logDebug(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
 /** Report an internal simulator bug and abort(). */
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));

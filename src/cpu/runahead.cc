@@ -157,14 +157,4 @@ RunaheadEngine::registerStats(StatRegistry &reg,
     reg.registerScalar(prefix + "invalid_ops", &stats_.invalidOps);
 }
 
-void
-RunaheadEngine::report(StatGroup &out, const std::string &prefix) const
-{
-    StatRegistry reg;
-    registerStats(reg, prefix);
-    const StatGroup snap = reg.snapshot();
-    for (const auto &[name, value] : snap.values())
-        out.set(name, value);
-}
-
 } // namespace espsim

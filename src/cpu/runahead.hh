@@ -68,9 +68,6 @@ class RunaheadEngine : public CoreHooks
     void registerStats(StatRegistry &reg,
                        const std::string &prefix) const;
 
-    /** Snapshot all counters into @p out (view over the registry). */
-    void report(StatGroup &out, const std::string &prefix) const;
-
   private:
     const RunaheadConfig config_;
     MemoryHierarchy &mem_;

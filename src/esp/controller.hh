@@ -122,9 +122,6 @@ class EspController : public CoreHooks
     void registerStats(StatRegistry &reg,
                        const std::string &prefix) const;
 
-    /** Snapshot all counters into @p out (view over the registry). */
-    void report(StatGroup &out, const std::string &prefix) const;
-
     /** Attach a timeline sink; pre-execution windows are recorded
      *  into it as ESP-depth slices (nullptr detaches). */
     void setTimeline(EventTimeline *timeline) { timeline_ = timeline; }

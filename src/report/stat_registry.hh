@@ -5,10 +5,9 @@
  * Components own their counters as plain struct fields (cheap to bump
  * on the simulation fast path — no map lookup, no virtual call) and
  * *register* them here by name: the registry stores a getter per stat
- * and materialises a point-in-time StatGroup snapshot on demand. This
- * inverts the old flow — instead of every component hand-writing a
- * report() that copies fields into a StatGroup, the wiring happens
- * once at construction and the name space is checked for collisions.
+ * and materialises a point-in-time StatGroup snapshot on demand. The
+ * snapshot is the one stat surface: the wiring happens once at
+ * construction and the name space is checked for collisions.
  *
  * Three kinds of stats:
  *  - scalars backed by a component counter (uint64 or double field),

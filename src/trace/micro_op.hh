@@ -12,8 +12,8 @@
  * fits; the setter checks), and the op type shares a byte with the
  * taken flag. Only `pc`, `memAddr` and the register ids remain
  * directly-addressable fields; type, taken and branchTarget go through
- * accessors. Stored traces pack each op further, into 16 bytes (see
- * OpSequence in op_sequence.hh).
+ * accessors. Stored traces pack each op further, into 12 bytes with a
+ * 35-bit data address (see OpSequence in op_sequence.hh).
  */
 
 #ifndef ESPSIM_TRACE_MICRO_OP_HH

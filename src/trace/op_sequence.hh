@@ -5,19 +5,25 @@
  * ESP pre-executes upcoming events from their recorded streams, so
  * every event's ops stay resident for the whole run and their storage
  * dominates the process footprint. OpSequence therefore keeps each op
- * in one 16-byte record instead of a 24-byte MicroOp:
+ * in one 12-byte record instead of a 24-byte MicroOp:
  *
- *  - word 0: the 32-bit pc (low half), then the type/taken byte and
- *    the srcA, srcB and dest register ids;
- *  - word 1: the payload, which is the memory address of a load or
- *    store, the zero-extended branch target of a control op, and 0
- *    for every other op.
+ *  - bytes 0-3: the 32-bit pc;
+ *  - byte 4: the op type in bits 0-3, payload bits 32-34 in bits 4-6
+ *    and the taken flag in bit 7;
+ *  - bytes 5-7: the srcA, srcB and dest register ids;
+ *  - bytes 8-11: payload bits 0-31.
+ *
+ * The 35-bit payload is the memory address of a load or store, the
+ * zero-extended 32-bit branch target of a control op, and 0 for every
+ * other op.
  *
  * push_back() panics on an op the record cannot hold: a pc at or
- * above 2^32, a memory address on a non-memory op, or a branch target
- * on a non-control op. MicroOp remains the exchange currency:
- * operator[] rebuilds one by value, and const-reference bindings at
- * call sites keep working through lifetime extension.
+ * above 2^32, a memory address at or above 2^35, a memory address on
+ * a non-memory op, or a branch target on a non-control op. The
+ * generator's data layout fits (see `layout` in generator.hh).
+ * MicroOp remains the exchange currency: operator[] rebuilds one by
+ * value, and const-reference bindings at call sites keep working
+ * through lifetime extension.
  */
 
 #ifndef ESPSIM_TRACE_OP_SEQUENCE_HH
@@ -54,13 +60,17 @@ class OpSequence
     void reserve(std::size_t n) { records_.reserve(n); }
     void clear() { records_.clear(); }
 
-    /** True if the packed record can hold @p op: a 32-bit pc, and a
-     *  memory address only on a load or store and a branch target
-     *  only on a control op. */
+    /** Memory addresses must stay below this to be packed. */
+    static constexpr Addr dataAddrLimit = Addr{1} << 35;
+
+    /** True if the packed record can hold @p op: a 32-bit pc, a
+     *  memory address below dataAddrLimit and only on a load or
+     *  store, and a branch target only on a control op. */
     static bool
     holds(const MicroOp &op)
     {
-        return !(op.pc >> 32) && (!op.memAddr || op.isMemoryOp()) &&
+        return !(op.pc >> 32) && op.memAddr < dataAddrLimit &&
+            (!op.memAddr || op.isMemoryOp()) &&
             (!op.target32_ || op.isBranchOp());
     }
 
@@ -127,42 +137,59 @@ class OpSequence
     const_iterator end() const { return {this, size()}; }
 
   private:
-    /** One op: the header word and the payload word. */
+    /** One op; the field map is in the file comment. */
     struct Record
     {
-        std::uint64_t head;
-        std::uint64_t payload;
+        std::uint32_t pc;
+        std::uint8_t typeTaken;
+        std::uint8_t srcA;
+        std::uint8_t srcB;
+        std::uint8_t dest;
+        std::uint32_t payloadLow;
     };
 
-    static_assert(sizeof(Record) == 16, "an op must pack into 16 bytes");
+    static_assert(sizeof(Record) == 12, "an op must pack into 12 bytes");
+    static_assert(static_cast<unsigned>(OpType::Return) < 16,
+                  "the op type must fit in bits 0-3 of the type byte");
+
+    /** Payload bits 32-34, where they sit in Record::typeTaken. */
+    static constexpr std::uint8_t payloadHighBits = 0x70;
 
     /** @pre holds(op), so at most one of memAddr and the target is
      *  non-zero. */
     static Record
     pack(const MicroOp &op)
     {
-        return {op.pc | (std::uint64_t{op.typeTaken_} << 32) |
-                    (std::uint64_t{op.srcA} << 40) |
-                    (std::uint64_t{op.srcB} << 48) |
-                    (std::uint64_t{op.dest} << 56),
-                op.memAddr | op.target32_};
+        const std::uint64_t payload = op.memAddr | op.target32_;
+        return {static_cast<std::uint32_t>(op.pc),
+                static_cast<std::uint8_t>(op.typeTaken_ |
+                                          ((payload >> 32) << 4)),
+                op.srcA,
+                op.srcB,
+                op.dest,
+                static_cast<std::uint32_t>(payload)};
     }
 
     static MicroOp
     unpack(const Record &r)
     {
         MicroOp op;
-        op.pc = static_cast<std::uint32_t>(r.head);
-        op.typeTaken_ = static_cast<std::uint8_t>(r.head >> 32);
-        op.srcA = static_cast<std::uint8_t>(r.head >> 40);
-        op.srcB = static_cast<std::uint8_t>(r.head >> 48);
-        op.dest = static_cast<std::uint8_t>(r.head >> 56);
+        op.pc = r.pc;
+        op.typeTaken_ =
+            static_cast<std::uint8_t>(r.typeTaken & ~payloadHighBits);
+        op.srcA = r.srcA;
+        op.srcB = r.srcB;
+        op.dest = r.dest;
+        const std::uint64_t payload =
+            (static_cast<std::uint64_t>(r.typeTaken & payloadHighBits)
+             << 28) |
+            r.payloadLow;
         // All ones for a load or store, zero otherwise: the payload
         // goes to exactly one of the two fields without a branch.
         const std::uint64_t mem_mask =
             0 - std::uint64_t{isMemory(op.type())};
-        op.memAddr = r.payload & mem_mask;
-        op.target32_ = static_cast<std::uint32_t>(r.payload & ~mem_mask);
+        op.memAddr = payload & mem_mask;
+        op.target32_ = static_cast<std::uint32_t>(payload & ~mem_mask);
         return op;
     }
 
@@ -173,6 +200,11 @@ class OpSequence
             panic("OpSequence: pc %#llx exceeds the 32-bit code address "
                   "space of the packed record",
                   static_cast<unsigned long long>(op.pc));
+        }
+        if (op.memAddr >= dataAddrLimit) {
+            panic("OpSequence: memory address %#llx exceeds the 35-bit "
+                  "data address space of the packed record",
+                  static_cast<unsigned long long>(op.memAddr));
         }
         if (op.memAddr && !op.isMemoryOp()) {
             panic("OpSequence: memory address %#llx on non-memory op "

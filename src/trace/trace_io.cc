@@ -76,8 +76,9 @@ getOp(std::istream &in, MicroOp &op)
     op.srcB = b;
     op.dest = d;
     // Likewise reject an op the packed trace storage cannot hold (a
-    // wide pc, an address on a non-memory op, a target on a
-    // non-control op), which OpSequence::push_back would panic on.
+    // wide pc, an address at or above 2^35, an address on a
+    // non-memory op, a target on a non-control op), which
+    // OpSequence::push_back would panic on.
     return OpSequence::holds(op);
 }
 

@@ -35,12 +35,13 @@ TEST(OpSequence, PackingRoundTripsEveryRepresentableOp)
 {
     const std::uint8_t regs[] = {0, numArchRegs - 1, noReg};
     const Addr pcs[] = {0, (Addr{1} << 32) - 4};
-    const Addr data_addr = (Addr{1} << 40) + 0x2345'6780;
+    // The largest data address the record holds: every payload bit set.
+    const Addr data_addr = (Addr{1} << 35) - 1;
     const Addr target = 0xffff'ffff;
     const Addr payloads[] = {0, data_addr, target};
     const unsigned num_types = static_cast<unsigned>(OpType::Return) + 1;
 
-    // Every field combination the 16-byte record can hold, against a
+    // Every field combination the 12-byte record can hold, against a
     // plain vector of the same MicroOps. `combo` counts in mixed radix
     // over type x taken x srcA x srcB x dest x pc x payload.
     OpSequence seq;
@@ -91,6 +92,15 @@ TEST(OpSequenceDeathTest, PcBeyondThirtyTwoBitsPanics)
     MicroOp op;
     op.pc = Addr{1} << 32;
     EXPECT_DEATH(seq.push_back(op), "pc 0x100000000 exceeds");
+}
+
+TEST(OpSequenceDeathTest, AddressBeyondThirtyFiveBitsPanics)
+{
+    OpSequence seq;
+    MicroOp op;
+    op.setType(OpType::Store);
+    op.memAddr = Addr{1} << 35;
+    EXPECT_DEATH(seq.push_back(op), "address 0x800000000 exceeds");
 }
 
 TEST(OpSequenceDeathTest, AddressOnNonMemoryOpPanics)

@@ -50,20 +50,21 @@ expectEqualWorkloads(const Workload &a, const Workload &b)
 constexpr std::size_t opRecordBytes = 29;
 
 /**
- * Serialize the one-op workload @p w, set bit 0 of byte @p field_byte
- * of its op record (pc at 0, memAddr at 8, target at 16) and read the
- * result back. The clean bytes must load, so a rejection is the
- * corruption's doing.
+ * Serialize the one-op workload @p w, set bit @p bit of its op record
+ * (the little-endian pc from bit 0, memAddr from bit 64, target from
+ * bit 128) and read the result back. The clean bytes must load, so a
+ * rejection is the corruption's doing.
  */
 std::unique_ptr<InMemoryWorkload>
-readWithOpByteSet(const Workload &w, std::size_t field_byte)
+readWithOpBitSet(const Workload &w, std::size_t bit)
 {
     std::stringstream buf;
     writeWorkload(buf, w);
     std::string bytes = buf.str();
     std::stringstream clean(bytes);
     EXPECT_NE(readWorkload(clean), nullptr);
-    bytes[bytes.size() - opRecordBytes + field_byte] |= 0x01;
+    bytes[bytes.size() - opRecordBytes + bit / 8] |=
+        static_cast<char>(1 << (bit % 8));
     std::stringstream bad(bytes);
     return readWorkload(bad);
 }
@@ -169,22 +170,30 @@ TEST(TraceIo, RejectsPcBeyondThirtyTwoBits)
 {
     WorkloadBuilder b;
     b.beginEvent(0x1000).alu(0x1000);
-    // Byte 4 of the pc: the op claims pc 0x1'0000'1000.
-    EXPECT_EQ(readWithOpByteSet(*b.build("pc"), 4), nullptr);
+    // Bit 32 of the pc: the op claims pc 0x1'0000'1000.
+    EXPECT_EQ(readWithOpBitSet(*b.build("pc"), 32), nullptr);
+}
+
+TEST(TraceIo, RejectsAddressBeyondThirtyFiveBits)
+{
+    WorkloadBuilder b;
+    b.beginEvent(0x1000).load(0x1000, 0x5000);
+    // Bit 35 of memAddr: the load claims address 0x8'0000'5000.
+    EXPECT_EQ(readWithOpBitSet(*b.build("wide"), 64 + 35), nullptr);
 }
 
 TEST(TraceIo, RejectsAddressOnNonMemoryOp)
 {
     WorkloadBuilder b;
     b.beginEvent(0x1000).branch(0x1000, true, 0x1100);
-    EXPECT_EQ(readWithOpByteSet(*b.build("mem"), 8), nullptr);
+    EXPECT_EQ(readWithOpBitSet(*b.build("mem"), 64), nullptr);
 }
 
 TEST(TraceIo, RejectsTargetOnNonControlOp)
 {
     WorkloadBuilder b;
     b.beginEvent(0x1000).load(0x1000, 0x5000);
-    EXPECT_EQ(readWithOpByteSet(*b.build("tgt"), 16), nullptr);
+    EXPECT_EQ(readWithOpBitSet(*b.build("tgt"), 128), nullptr);
 }
 
 TEST(TraceIo, RejectsInsaneDivergencePoint)
