@@ -238,6 +238,38 @@ TEST(Generator, ArgObjectsDistinctPerEvent)
     EXPECT_NE(a.argObjectAddr, b.argObjectAddr);
 }
 
+// pixlr allocates the most blocks per event, so its allocation slots
+// reach the packed record's limit first: unwrapped, event id
+// eventSlots would start its allocations at exactly 2^35.
+TEST(Generator, EventIdsWrapOntoSlotsInsideTheOpRecord)
+{
+    const AppProfile p = AppProfile::byName("pixlr");
+    ASSERT_EQ(p.allocBlocksPerEvent, layout::maxAllocBlocksPerEvent);
+    const Addr slot_bytes = 2 * Addr{p.allocBlocksPerEvent} * blockBytes;
+    ASSERT_EQ(layout::allocBase + layout::eventSlots * slot_bytes,
+              OpSequence::dataAddrLimit);
+
+    SyntheticGenerator gen(p);
+    for (const std::uint64_t id :
+         {layout::eventSlots - 1, layout::eventSlots,
+          (std::uint64_t{1} << 40) + 3}) {
+        const std::uint64_t slot = id % layout::eventSlots;
+        const EventTrace t = gen.generateEvent(id);
+        EXPECT_EQ(t.argObjectAddr,
+                  layout::argObjectBase + slot * layout::argObjectBytes);
+        const Addr alloc_lo = layout::allocBase + slot * slot_bytes;
+        std::size_t in_slot = 0;
+        for (const MicroOp &op : t.ops) {
+            if (!op.isMemoryOp())
+                continue;
+            EXPECT_LT(op.memAddr, OpSequence::dataAddrLimit);
+            if (op.memAddr >= alloc_lo && op.memAddr < alloc_lo + slot_bytes)
+                ++in_slot;
+        }
+        EXPECT_GT(in_slot, 0u) << "event " << id;
+    }
+}
+
 TEST(Generator, SuiteProfilesAreWellFormed)
 {
     const auto suite = AppProfile::webSuite();
@@ -269,6 +301,13 @@ TEST(GeneratorDeathTest, ZeroEventsFatal)
     AppProfile p = AppProfile::testProfile();
     p.numEvents = 0;
     EXPECT_DEATH(SyntheticGenerator{p}, "zero events");
+}
+
+TEST(GeneratorDeathTest, AllocBlocksBeyondTheLayoutFatal)
+{
+    AppProfile p = AppProfile::testProfile();
+    p.allocBlocksPerEvent = layout::maxAllocBlocksPerEvent + 1;
+    EXPECT_DEATH(SyntheticGenerator{p}, "blocks per event");
 }
 
 namespace
