@@ -11,6 +11,7 @@
 
 #include "branch/pentium_m.hh"
 #include "cache/hierarchy.hh"
+#include "check/artifact_check.hh"
 #include "common/rng.hh"
 #include "esp/controller.hh"
 #include "report/artifact.hh"
@@ -159,8 +160,8 @@ sweepMismatch(const std::vector<SuiteRow> &a,
 }
 
 /**
- * Oracle: the suite JSON artifact re-parses, carries the expected
- * shape, and every stat value round-trips exactly (the writer uses
+ * Oracle: the suite JSON artifact passes the artifact checker, and
+ * every stat value round-trips exactly (the writer uses
  * shortest-round-trip formatting).
  */
 std::string
@@ -171,34 +172,17 @@ roundtripMismatch(const std::vector<SimConfig> &configs,
     manifest.source = "espsim-fuzz";
     const std::string json =
         renderSuiteArtifactJson(manifest, configs, rows);
-    std::string err;
-    const std::unique_ptr<JsonValue> doc = parseJson(json, &err);
-    if (!doc)
-        return "artifact does not re-parse: " + err;
-    const JsonValue *schema = doc->find("schema");
-    if (!schema || schema->string != "espsim-suite-artifact")
-        return "artifact schema tag missing or wrong";
-    const JsonValue *results = doc->find("results");
-    if (!results || !results->isArray())
-        return "artifact results block missing";
-    if (results->array.size() != rows.size() * configs.size()) {
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "artifact has %zu results, expected %zu",
-                      results->array.size(),
-                      rows.size() * configs.size());
-        return buf;
-    }
+    if (const Problems problems = checkArtifact(json); !problems.empty())
+        return "artifact: " + problems.front();
+    const std::unique_ptr<JsonValue> doc = parseJson(json);
     std::size_t i = 0;
     for (const SuiteRow &row : rows) {
         for (std::size_t cfg = 0; cfg < configs.size(); ++cfg, ++i) {
-            const JsonValue &point = results->array[i];
-            const JsonValue *stats = point.find("stats");
-            if (!stats || !stats->isObject())
-                return "result point lost its stats object";
+            const JsonValue &stats =
+                doc->at("results").array[i].at("stats");
             for (const auto &[name, value] :
                  row.results[cfg].stats.values()) {
-                const JsonValue *parsed = stats->find(name);
+                const JsonValue *parsed = stats.find(name);
                 if (!parsed || !parsed->isNumber() ||
                     parsed->number != value) {
                     return "stat '" + name +
@@ -273,57 +257,26 @@ counterStreamMismatch(const FuzzCase &c, const Workload &workload)
 
     const std::string period =
         " (period " + std::to_string(live.periodCycles) + " cycles)";
-    std::vector<std::string> names;
-    std::vector<double> prev; // counters start at zero
-    double prev_cycle = 0;
-    double prev_events = 0;
-    double seq = 0;
-    bool closed = false;
-    const std::string_view text(captured);
-    for (std::size_t start = 0; start < text.size();) {
-        const std::size_t end = text.find('\n', start);
-        const auto doc = parseJson(text.substr(start, end - start));
-        start = end == std::string_view::npos ? text.size() : end + 1;
-        if (!doc)
-            return "unparseable stream line" + period;
-        if (names.empty()) {
-            const JsonValue *header = doc->find("names");
-            if (header == nullptr || header->array.empty())
-                return "block header lacks counter names";
-            for (const JsonValue &name : header->array)
-                names.push_back(name.string);
-            prev.assign(names.size(), 0.0);
-            continue;
-        }
-        if (closed)
-            return "snapshot after the final line" + period;
-        const JsonValue *values = doc->find("values");
-        if (values == nullptr || values->array.size() != names.size())
-            return "snapshot width != names width" + period;
-        if (doc->at("seq").number != ++seq)
-            return "seq is not contiguous" + period;
-        const double cycle = doc->at("cycle").number;
-        const double events = doc->at("events").number;
-        if (cycle < prev_cycle || events < prev_events)
-            return "cycle or events decreased" + period;
-        prev_cycle = cycle;
-        prev_events = events;
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            if (values->array[i].number < prev[i])
-                return names[i] + " decreased" + period;
-            prev[i] = values->array[i].number;
-        }
-        closed = doc->find("final") != nullptr;
-    }
-    if (!closed)
-        return "the block has no final line" + period;
+    if (const Problems problems = checkArtifact(captured, true);
+        !problems.empty())
+        return problems.front() + period;
+    // One block: the header names the counters, the last line is the
+    // final snapshot.
+    const std::size_t last = captured.rfind('\n', captured.size() - 2);
+    const auto header = parseJson(captured.substr(0, captured.find('\n')));
+    const auto final_ = parseJson(captured.substr(last + 1));
+    const std::vector<JsonValue> &names = header->at("names").array;
+    const std::vector<JsonValue> &values = final_->at("values").array;
+    if (values.size() != names.size())
+        return "the run wrote more than one block" + period;
     for (std::size_t i = 0; i < names.size(); ++i) {
-        if (!r.stats.has(names[i]) || prev[i] != r.stats.get(names[i])) {
+        const std::string &name = names[i].string;
+        if (!r.stats.has(name) || values[i].number != r.stats.get(name)) {
             char buf[192];
             std::snprintf(buf, sizeof(buf),
                           "%s: final line %.17g != end-of-run %.17g",
-                          names[i].c_str(), prev[i],
-                          r.stats.get(names[i]));
+                          name.c_str(), values[i].number,
+                          r.stats.get(name));
             return buf + period;
         }
     }

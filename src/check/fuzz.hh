@@ -14,8 +14,9 @@
  *                            architectural L1/L2 (paper §3.4)
  *   - jobs-determinism:      a --jobs 1 sweep and a --jobs 4 sweep
  *                            produce bit-identical stat snapshots
- *   - artifact-roundtrip:    the suite JSON artifact re-parses and
- *                            reproduces every stat value exactly
+ *   - artifact-roundtrip:    the suite JSON artifact passes the
+ *                            artifact checker and reproduces every
+ *                            stat value exactly
  *   - counter-stream-closure: at any cycle period, the telemetry
  *                            stream has contiguous seq, monotone
  *                            counters, one final line, and final

@@ -2,12 +2,12 @@
  * @file
  * Minimal recursive-descent JSON parser.
  *
- * Exists so the repo can *consume* its own artifacts — round-trip
- * tests, the timeline structural checks, and any future tool that
- * wants to diff two suite artifacts — without growing a third-party
+ * Exists so the repo can *consume* its own artifacts — `espsim
+ * diff`, the artifact checker (check/artifact_check), the fuzz
+ * oracles and the round-trip tests — without growing a third-party
  * dependency. It parses strict RFC 8259 JSON into a small value tree;
- * it is not optimised for huge documents (artifacts are a few hundred
- * KB at most).
+ * it is not optimised for huge documents (an artifact is a few MB at
+ * most, a per-event timeline the largest).
  */
 
 #ifndef ESPSIM_REPORT_JSON_READER_HH

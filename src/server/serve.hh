@@ -8,8 +8,8 @@
  * the queue/service/total latency summaries and a power-of-two
  * total-latency histogram. renderLatencyArtifactJson() writes the
  * versioned `espsim-latency-artifact` (validated by
- * tools/validate_artifact.py) — deterministic and free of wall-clock
- * facts, like every other espsim artifact.
+ * check/artifact_check) — deterministic and free of wall-clock facts,
+ * like every other espsim artifact.
  *
  * ServeTelemetryOptions arms the live side of a sweep: one JSONL
  * snapshot stream spanning the whole sweep, a block per config. It

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "check/artifact_check.hh"
 #include "report/json_reader.hh"
 #include "report/telemetry.hh"
 #include "server/profile.hh"
@@ -130,37 +131,10 @@ TEST(Telemetry, StreamIsMonotoneWithContiguousSeq)
     std::string captured;
     (void)runWithTelemetry(*workload, period, &captured);
 
-    const std::vector<std::string> lines = splitLines(captured);
-    ASSERT_GE(lines.size(), 3u); // header + >=1 periodic + final
-    std::uint64_t prev_seq = 0;
-    double prev_cycle = -1.0;
-    double prev_events = -1.0;
-    std::vector<double> prev_values;
-    std::size_t finals = 0;
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-        const auto snap = parseJson(lines[i]);
-        ASSERT_TRUE(snap) << lines[i];
-        EXPECT_EQ(static_cast<std::uint64_t>(snap->at("seq").number),
-                  prev_seq + 1);
-        ++prev_seq;
-        EXPECT_GE(snap->at("cycle").number, prev_cycle);
-        prev_cycle = snap->at("cycle").number;
-        EXPECT_GE(snap->at("events").number, prev_events);
-        prev_events = snap->at("events").number;
-        const JsonValue &values = snap->at("values");
-        if (!prev_values.empty()) {
-            ASSERT_EQ(values.array.size(), prev_values.size());
-            for (std::size_t j = 0; j < prev_values.size(); ++j)
-                EXPECT_GE(values.array[j].number, prev_values[j]);
-        }
-        prev_values.clear();
-        for (const JsonValue &v : values.array)
-            prev_values.push_back(v.number);
-        finals += snap->find("final") != nullptr;
-    }
-    // Exactly one final line, and it is the last one.
-    EXPECT_EQ(finals, 1u);
-    EXPECT_TRUE(parseJson(lines.back())->find("final") != nullptr);
+    // header + >=1 periodic + final, and the stream contract holds:
+    // contiguous seq, monotone counters, one final line, the last.
+    ASSERT_GE(splitLines(captured).size(), 3u);
+    EXPECT_EQ(checkArtifact(captured, true), Problems{});
 }
 
 TEST(Telemetry, HeaderCarriesRunIdentityAndSortedNames)
@@ -176,9 +150,7 @@ TEST(Telemetry, HeaderCarriesRunIdentityAndSortedNames)
     EXPECT_FALSE(header->at("config").string.empty());
     EXPECT_EQ(header->at("workload").string, "amazon-tiny");
     EXPECT_EQ(header->at("period_cycles").number, 5'000.0);
-    const JsonValue &names = header->at("names");
-    for (std::size_t i = 1; i < names.array.size(); ++i)
-        EXPECT_LT(names.array[i - 1].string, names.array[i].string);
+    EXPECT_EQ(checkArtifact(captured, true), Problems{}); // sorted names
 }
 
 TEST(Telemetry, FinalizeAloneStillClosesTheBlock)
