@@ -1,9 +1,8 @@
 /**
  * @file
  * Design-space exploration with the EspConfig knobs: jump-ahead depth,
- * re-entrancy, cachelet size, list capacity, and prefetch lead — the
- * ablatable decisions DESIGN.md calls out. Run on one application for
- * quick turnaround.
+ * cachelet size, list capacity, prefetch lead and the unbounded ideal.
+ * Run on one application for quick turnaround.
  */
 
 #include <cstdio>
@@ -50,8 +49,6 @@ main(int argc, char **argv)
          [](EspConfig &c) { c.maxDepth = 1; }},
         {"depth 4",
          [](EspConfig &c) { c.maxDepth = 4; }},
-        {"non-reentrant",
-         [](EspConfig &c) { c.reentrant = false; }},
         {"half-size cachelets",
          [](EspConfig &c) {
              c.icachelet.sizeBytes = 3 * 1024;
@@ -85,7 +82,7 @@ main(int argc, char **argv)
     }
     std::fputs(table.render().c_str(), stdout);
     std::puts("\nExpected shape: the paper design is near the knee — "
-              "depth > 2 and bigger structures add little; removing "
-              "re-entrancy or shrinking structures costs performance.");
+              "depth > 2 and bigger structures add little; shrinking "
+              "structures costs performance.");
     return 0;
 }

@@ -37,9 +37,6 @@ struct EspConfig
      *  working-set study instruments deeper). */
     unsigned maxDepth = 2;
 
-    /** Resume pre-execution where it was suspended (§3.4). */
-    bool reentrant = true;
-
     /**
      * The strawman of Figure 10: no cachelets and no lists;
      * pre-execution fills L1/L2 directly and trains the shared branch

@@ -72,7 +72,6 @@ EspController::EspController(const EspConfig &config,
             config_.listBytes(config_.bListDirBytes, d),
             config_.listBytes(config_.bListTgtBytes, d));
     }
-    queue_.refill(workload_, 0);
 }
 
 void
@@ -98,11 +97,6 @@ EspController::activate(SpecContext &sc, std::size_t event_idx)
         !config_.naiveMode) {
         sc.replica = std::make_unique<PentiumMPredictor>(bp_.clone());
         sc.replica->swapContext(BpContext{});
-    }
-    if (d < HardwareEventQueue::depth) {
-        EventQueueEntry &entry = queue_.entry(d);
-        if (entry.valid && entry.eventIdx == event_idx)
-            entry.executionUnderway = true;
     }
 
     ++stats_.eventsPreExecuted;
@@ -196,22 +190,12 @@ EspController::runSpec(unsigned d, std::uint64_t budget_q,
 {
     want_deeper = false;
     SpecContext &sc = slots_[d];
-    // The runtime predicts which event runs d+1 dispatches from now
-    // (§4.5); for single-queue loopers this is simply current + d + 1.
-    const std::size_t target =
-        workload_.predictedNext(curEventIdx_, d + 1);
-    if (target >= workload_.numEvents() || target == curEventIdx_)
+    const std::size_t target = curEventIdx_ + d + 1;
+    if (target >= workload_.numEvents())
         return 0;
 
     if (!sc.active || sc.eventIdx != target)
         activate(sc, target);
-    if (!config_.reentrant && sc.active && sc.opIdx > 0 &&
-        !sc.exhausted) {
-        // Non-re-entrant ablation: restart from the event beginning on
-        // every visit (the design §3.4 argues against).
-        sc.opIdx = 0;
-        sc.curFetchBlock = ~Addr{0};
-    }
     if (sc.exhausted) {
         want_deeper = true;
         return 0;
@@ -274,8 +258,7 @@ EspController::runSpec(unsigned d, std::uint64_t budget_q,
                 spent += (res.latency - l1_lat) * width_ / 8;
             }
             if (res.llcMiss() && d + 1 < config_.maxDepth &&
-                workload_.predictedNext(curEventIdx_, d + 2) <
-                    workload_.numEvents()) {
+                target + 1 < workload_.numEvents()) {
                 // Jump ahead one more event; the fill completes in the
                 // background (already inserted into the cachelet).
                 spent += config_.contextSwitchCycles * width_;
@@ -321,8 +304,7 @@ EspController::runSpec(unsigned d, std::uint64_t budget_q,
             }
             if (res.llcMiss() && op.isLoad() &&
                 d + 1 < config_.maxDepth &&
-                workload_.predictedNext(curEventIdx_, d + 2) <
-                    workload_.numEvents()) {
+                target + 1 < workload_.numEvents()) {
                 spent += config_.contextSwitchCycles * width_;
                 jumped_on_data = true;
             }
@@ -406,10 +388,9 @@ EspController::promoteContexts(std::size_t finished_idx)
 {
     curEventIdx_ = finished_idx + 1;
 
-    // Hand slot 0's recordings to the next normal execution — unless
-    // the runtime's dispatch prediction was wrong, in which case the
-    // queue entry's incorrect-prediction bit vetoes the stale hints
-    // (§4.5).
+    // Hand slot 0's recordings to the next normal execution, if they
+    // are for the event that runs next (an out-of-band onEventStart
+    // resync can leave them for another one).
     arena_.reset();
     consume_.valid = false;
     consume_.irecs = {};
@@ -420,8 +401,6 @@ EspController::promoteContexts(std::size_t finished_idx)
     consume_.nextDrainOp = 0;
     consume_.trainCtx.clear();
     SpecContext &s0 = slots_[0];
-    if (s0.active && s0.eventIdx != finished_idx + 1)
-        ++stats_.mispredictedDispatches;
     if (s0.active && s0.eventIdx == finished_idx + 1 &&
         !config_.naiveMode) {
         consume_.valid = true;
@@ -491,7 +470,6 @@ EspController::promoteContexts(std::size_t finished_idx)
 
     icachelet_.rotateReservedWay();
     dcachelet_.rotateReservedWay();
-    queue_.refill(workload_, curEventIdx_);
 }
 
 void
@@ -578,7 +556,6 @@ EspController::onEventStart(std::size_t event_idx, Cycle now)
         // First event of the run (or a harness driving events out of
         // band): resynchronise.
         curEventIdx_ = event_idx;
-        queue_.refill(workload_, event_idx);
     }
     if (!consume_.valid)
         return;
@@ -701,8 +678,6 @@ EspController::registerStats(StatRegistry &reg,
     });
     reg.registerScalar(prefix + "diverged_events_pre_executed",
                        &stats_.divergedEventsPreExecuted);
-    reg.registerScalar(prefix + "mispredicted_dispatches",
-                       &stats_.mispredictedDispatches);
     reg.registerDerived(prefix + "spec_match_fraction", [this] {
         return stats_.eventsPreExecuted == 0
             ? 0.0

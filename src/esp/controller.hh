@@ -3,11 +3,11 @@
  * The Event Sneak Peek controller (paper §3-§4).
  *
  * Attached to the core's stall hook, it spends LLC-miss idle windows
- * speculatively pre-executing the next events in the hardware event
- * queue (ESP-1, then ESP-2 on a further LLC miss or event end). Each
- * pre-execution runs against its own cachelet partition and PIR/RAS
- * context, is re-entrant across stall windows, and records I/D-block
- * addresses and branch outcomes into the compressed lists. When a
+ * speculatively pre-executing the next two queued events (ESP-1, then
+ * ESP-2 on a further LLC miss or event end). Each pre-execution runs
+ * against its own cachelet partition and PIR/RAS context, is
+ * re-entrant across stall windows, and records I/D-block addresses
+ * and branch outcomes into the compressed lists. When a
  * pre-executed event is later dispatched for real, the controller
  * replays the lists: timely prefetches 190 instructions ahead of
  * recorded use (primed before the event starts, during the looper
@@ -30,7 +30,6 @@
 #include "common/stats.hh"
 #include "cpu/hooks.hh"
 #include "esp/config.hh"
-#include "esp/event_queue.hh"
 #include "esp/lists.hh"
 #include "report/stat_registry.hh"
 #include "trace/workload.hh"
@@ -66,9 +65,6 @@ struct EspStats
     std::uint64_t dListRetouches = 0;
     std::uint64_t dListEscapes = 0;
     std::uint64_t divergedEventsPreExecuted = 0;
-    /** Promotions vetoed by the incorrect-prediction bit (§4.5):
-     *  the runtime dispatched a different event than predicted. */
-    std::uint64_t mispredictedDispatches = 0;
     /** Sum over pre-executed events of the fraction of speculative ops
      *  matching the normal view (accuracy numerator; divide by
      *  eventsPreExecuted). */
@@ -105,7 +101,6 @@ class EspController : public CoreHooks
 
     const EspStats &stats() const { return stats_; }
     const EspConfig &config() const { return config_; }
-    const HardwareEventQueue &eventQueue() const { return queue_; }
 
     /** Pre-execution working-set sizes per depth (Figure 13; only
      *  populated when config.trackWorkingSets). Index 0 = ESP-1. */
@@ -183,7 +178,6 @@ class EspController : public CoreHooks
     const Workload &workload_;
     const unsigned width_;
 
-    HardwareEventQueue queue_;
     Cachelet icachelet_;
     Cachelet dcachelet_;
     std::vector<SpecContext> slots_; //!< slot d pre-executes cur+d+1

@@ -86,7 +86,6 @@ configCanonical(const SimConfig &c)
     field(out, "pf.stride", c.prefetch.strideData);
 
     field(out, "esp.depth", c.esp.maxDepth);
-    field(out, "esp.reentrant", c.esp.reentrant);
     field(out, "esp.naive", c.esp.naiveMode);
     field(out, "esp.iList", c.esp.useIList);
     field(out, "esp.dList", c.esp.useDList);

@@ -4,9 +4,9 @@
  * asynchronous program's looper thread would dequeue and execute.
  *
  * The simulator only ever looks at the current event and the next two
- * (the events visible in ESP's 2-entry hardware event queue), so
- * implementations may generate traces lazily; InMemoryWorkload is the
- * eager implementation produced by the synthetic generator.
+ * queued ones (the events ESP pre-executes), so implementations may
+ * generate traces lazily; InMemoryWorkload is the eager implementation
+ * produced by the synthetic generator.
  */
 
 #ifndef ESPSIM_TRACE_WORKLOAD_HH
@@ -51,19 +51,6 @@ class Workload
      * the measured region). The simulator pre-warms the L2 with these.
      */
     virtual std::vector<AddrRange> warmSet() const { return {}; }
-
-    /**
-     * The software runtime's prediction of which event runs @p ahead
-     * dispatches after event @p current (paper §4.5). For the common
-     * single-queue looper this is exact (current + ahead); multi-queue
-     * systems (InterleavedWorkload) may mispredict, in which case ESP's
-     * incorrect-prediction bit discards the stale hints at promotion.
-     */
-    virtual std::size_t
-    predictedNext(std::size_t current, unsigned ahead) const
-    {
-        return current + ahead;
-    }
 
     /** Total normal-view instructions across all events. */
     InstCount totalInstructions() const;

@@ -56,18 +56,21 @@ constexpr Addr coldDataBytes = Addr{1} << 30;
 
 /**
  * Per-event slots. Event id i takes argument-object and allocation
- * slot i % eventSlots: the most allocation slots of the largest size
- * below the packed record's dataAddrLimit (2^35), 7,733,248. Every
- * event id below that keeps its own slots; a longer stream reuses
- * them instead of leaving the record.
+ * slot i % eventSlots: as many argument objects as fit below
+ * allocBase, 65,536. Every event id below that keeps its own slots; a
+ * longer stream reuses them instead of running into the next region.
  */
 constexpr std::uint64_t eventSlots =
-    (OpSequence::dataAddrLimit - allocBase) /
-    (2 * maxAllocBlocksPerEvent * blockBytes);
-static_assert(argObjectBase + eventSlots * argObjectBytes <=
-                      OpSequence::dataAddrLimit &&
+    (allocBase - argObjectBase) / argObjectBytes;
+static_assert(argObjectBase + eventSlots * argObjectBytes <= allocBase &&
+                  allocBase + eventSlots * 2 * maxAllocBlocksPerEvent *
+                          blockBytes <=
+                      sharedHeapBase &&
+                  sharedHeapBase < kvHeapBase &&
+                  kvHeapBase < coldDataBase &&
                   coldDataBase + coldDataBytes <= OpSequence::dataAddrLimit,
-              "the synthetic data layout must fit the packed op record");
+              "the synthetic data regions must be disjoint and fit the "
+              "packed op record");
 } // namespace layout
 
 /**

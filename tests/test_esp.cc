@@ -1,16 +1,15 @@
 /**
  * @file
- * Tests for the ESP controller and hardware event queue: jump-ahead on
- * stalls, re-entrant pre-execution, cachelet isolation from L1/L2,
- * list recording and promotion, normal-mode list-driven prefetching
- * and branch pre-training, divergence behaviour, the naive strawman,
- * and the working-set instrumentation.
+ * Tests for the ESP controller: jump-ahead on stalls, re-entrant
+ * pre-execution, cachelet isolation from L1/L2, list recording and
+ * promotion, normal-mode list-driven prefetching and branch
+ * pre-training, divergence behaviour, the naive strawman, and the
+ * working-set instrumentation.
  */
 
 #include <gtest/gtest.h>
 
 #include "esp/controller.hh"
-#include "esp/event_queue.hh"
 #include "report/stat_registry.hh"
 #include "workload/builder.hh"
 #include "workload/generator.hh"
@@ -20,12 +19,12 @@ using namespace espsim;
 namespace
 {
 
-/** Three-event workload with far-apart code/data per event. */
+/** @p n events with far-apart code/data per event. */
 std::unique_ptr<InMemoryWorkload>
-threeEvents()
+farApartEvents(int n)
 {
     WorkloadBuilder b;
-    for (int e = 0; e < 3; ++e) {
+    for (int e = 0; e < n; ++e) {
         const Addr code = 0x100000 * (e + 1);
         const Addr data = 0x8000000 + 0x100000 * e;
         b.beginEvent(code, 0x9000000 + 4096 * e);
@@ -36,7 +35,13 @@ threeEvents()
             b.branch(code + 256 * i + 20, true, code + 256 * (i + 1));
         }
     }
-    return b.build("three");
+    return b.build("far");
+}
+
+std::unique_ptr<InMemoryWorkload>
+threeEvents()
+{
+    return farApartEvents(3);
 }
 
 StallContext
@@ -70,48 +75,6 @@ struct Rig
 
 } // namespace
 
-TEST(EventQueue, RefillShowsNextTwoEvents)
-{
-    auto w = threeEvents();
-    HardwareEventQueue q;
-    q.refill(*w, 0);
-    EXPECT_TRUE(q.entry(0).valid);
-    EXPECT_EQ(q.entry(0).eventIdx, 1u);
-    EXPECT_EQ(q.entry(0).handlerPc, w->event(1).handlerPc);
-    EXPECT_EQ(q.entry(0).argObjectAddr, w->event(1).argObjectAddr);
-    EXPECT_TRUE(q.entry(1).valid);
-    EXPECT_EQ(q.entry(1).eventIdx, 2u);
-}
-
-TEST(EventQueue, RefillAtTailInvalidates)
-{
-    auto w = threeEvents();
-    HardwareEventQueue q;
-    q.refill(*w, 2); // last event running: nothing waits
-    EXPECT_FALSE(q.entry(0).valid);
-    EXPECT_FALSE(q.entry(1).valid);
-}
-
-TEST(EventQueue, EuBitSurvivesRefillOfSameEvent)
-{
-    auto w = threeEvents();
-    HardwareEventQueue q;
-    q.refill(*w, 0);
-    q.entry(0).executionUnderway = true;
-    q.refill(*w, 0);
-    EXPECT_TRUE(q.entry(0).executionUnderway);
-}
-
-TEST(EventQueue, PopSlidesEntries)
-{
-    auto w = threeEvents();
-    HardwareEventQueue q;
-    q.refill(*w, 0);
-    q.pop();
-    EXPECT_EQ(q.entry(0).eventIdx, 2u);
-    EXPECT_FALSE(q.entry(1).valid);
-}
-
 TEST(Esp, StallTriggersPreExecutionOfNextEvent)
 {
     Rig rig(threeEvents());
@@ -123,7 +86,6 @@ TEST(Esp, StallTriggersPreExecutionOfNextEvent)
     // A long window can spill into the second queued event (ESP-2).
     EXPECT_GE(esp.stats().eventsPreExecuted, 1u);
     EXPECT_LE(esp.stats().eventsPreExecuted, 2u);
-    EXPECT_TRUE(esp.eventQueue().entry(0).executionUnderway);
 }
 
 TEST(Esp, PreExecutionIsReentrant)
@@ -142,20 +104,6 @@ TEST(Esp, PreExecutionIsReentrant)
     // possibly the deeper context.
     EXPECT_LE(esp.stats().preExecutedInstrs,
               rig.w->event(1).size() + rig.w->event(2).size());
-}
-
-TEST(Esp, NonReentrantAblationRestarts)
-{
-    Rig rig(threeEvents());
-    rig.cfg.reentrant = false;
-    auto esp = rig.controller();
-    esp.onEventStart(0, 0);
-    esp.onStall(dataStall(0, 60));
-    const auto first = esp.stats().preExecutedInstrs;
-    esp.onStall(dataStall(10, 60));
-    // Restarting re-executes the same head: roughly double the count
-    // without advancing coverage much; at minimum it re-pre-executes.
-    EXPECT_GE(esp.stats().preExecutedInstrs, 2 * first - 5);
 }
 
 TEST(Esp, CacheletsIsolateSpeculativeTraffic)
@@ -307,6 +255,42 @@ TEST(Esp, NoJumpWhenQueueEmpty)
     const auto jumps_before = esp.stats().jumps;
     esp.onStall(dataStall());
     EXPECT_EQ(esp.stats().jumps, jumps_before);
+}
+
+TEST(Esp, NoDeepJumpPastTheLastEvent)
+{
+    // Event 1 runs and event 2 is the last: ESP-1 pre-executes it, and
+    // its LLC misses have no further event to jump to.
+    Rig rig(threeEvents());
+    auto esp = rig.controller();
+    esp.onEventStart(0, 0);
+    esp.onEventEnd(0, 100);
+    esp.onEventStart(1, 101);
+    esp.onStall(dataStall(0, 60)); // cold code and data: LLC misses
+    EXPECT_EQ(esp.stats().deepJumps, 0u);
+    EXPECT_EQ(esp.stats().eventsPreExecuted, 1u);
+    // The window ends inside the event (finishing it would count as a
+    // deep jump of its own).
+    EXPECT_GT(esp.stats().preExecutedInstrs, 0u);
+    EXPECT_LT(esp.stats().preExecutedInstrs, rig.w->event(2).size());
+}
+
+TEST(Esp, ResyncDropsListsRecordedForAnotherEvent)
+{
+    // Lists recorded for event 1 while event 0 ran must not drive
+    // event 6 after a harness resyncs to event 5 out of band.
+    Rig rig(farApartEvents(8));
+    auto esp = rig.controller();
+    esp.onEventStart(0, 0);
+    for (int k = 0; k < 8; ++k)
+        esp.onStall(dataStall(5 * k));
+    ASSERT_GT(esp.stats().iListBlocksRecorded, 0u);
+    esp.onEventStart(5, 1000);
+    esp.onEventEnd(5, 2000);
+    esp.onEventStart(6, 2100);
+    EXPECT_EQ(esp.stats().listPrefetchesInstr, 0u);
+    EXPECT_EQ(esp.stats().listPrefetchesData, 0u);
+    EXPECT_FALSE(esp.perOpActive());
 }
 
 TEST(Esp, DivergentEventRecordsWrongTail)

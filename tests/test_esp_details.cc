@@ -353,47 +353,3 @@ TEST(EspDetailDeathTest, ZeroDepthFatals)
     cfg.maxDepth = 0;
     EXPECT_DEATH(EspController(cfg, mem, bp, *w, 4), "maxDepth");
 }
-
-TEST(EspDetail, RefillPreservesEuAndResetsIncorrectPrediction)
-{
-    WorkloadBuilder b;
-    for (int e = 0; e < 4; ++e) {
-        b.beginEvent(0x100000 + 0x1000 * e);
-        b.aluBlock(0x100000 + 0x1000 * e, 8);
-    }
-    const auto w = b.build("queue");
-
-    HardwareEventQueue q;
-    q.refill(*w, 0); // queue shows events 1 and 2
-    ASSERT_TRUE(q.entry(0).valid);
-    ASSERT_TRUE(q.entry(1).valid);
-    EXPECT_EQ(q.entry(0).eventIdx, 1u);
-    EXPECT_EQ(q.entry(1).eventIdx, 2u);
-
-    // A pre-execution is underway on both entries, and the runtime
-    // has flagged a misprediction on the first.
-    q.entry(0).executionUnderway = true;
-    q.entry(0).incorrectPrediction = true;
-    q.entry(1).executionUnderway = true;
-
-    // Refilling with the same current event must keep the EU bits
-    // (the pre-executions are still running) but clear the
-    // incorrect-prediction veto, which is per-enqueue state.
-    q.refill(*w, 0);
-    EXPECT_TRUE(q.entry(0).executionUnderway);
-    EXPECT_FALSE(q.entry(0).incorrectPrediction);
-    EXPECT_TRUE(q.entry(1).executionUnderway);
-
-    // Advancing the current event slides different events into the
-    // slots; a stale EU bit must not survive onto a new event.
-    q.refill(*w, 1);
-    EXPECT_EQ(q.entry(0).eventIdx, 2u);
-    EXPECT_FALSE(q.entry(0).executionUnderway);
-    EXPECT_EQ(q.entry(1).eventIdx, 3u);
-    EXPECT_FALSE(q.entry(1).executionUnderway);
-
-    // Past the end of the stream the entries invalidate.
-    q.refill(*w, 3);
-    EXPECT_FALSE(q.entry(0).valid);
-    EXPECT_FALSE(q.entry(1).valid);
-}

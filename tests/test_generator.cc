@@ -239,15 +239,28 @@ TEST(Generator, ArgObjectsDistinctPerEvent)
 }
 
 // pixlr allocates the most blocks per event, so its allocation slots
-// reach the packed record's limit first: unwrapped, event id
-// eventSlots would start its allocations at exactly 2^35.
+// reach furthest: unwrapped, event id eventSlots would put its argument
+// object at allocBase.
 TEST(Generator, EventIdsWrapOntoSlotsInsideTheOpRecord)
 {
+    // Every event slot's argument object and allocations stay inside
+    // their own region, and the shared heap below the KV heap, so no
+    // event id aliases another region's data.
     const AppProfile p = AppProfile::byName("pixlr");
     ASSERT_EQ(p.allocBlocksPerEvent, layout::maxAllocBlocksPerEvent);
     const Addr slot_bytes = 2 * Addr{p.allocBlocksPerEvent} * blockBytes;
-    ASSERT_EQ(layout::allocBase + layout::eventSlots * slot_bytes,
-              OpSequence::dataAddrLimit);
+    EXPECT_EQ(layout::eventSlots, 65'536u);
+    EXPECT_LE(layout::argObjectBase +
+                  layout::eventSlots * layout::argObjectBytes,
+              layout::allocBase);
+    EXPECT_LE(layout::allocBase + layout::eventSlots * slot_bytes,
+              layout::sharedHeapBase);
+    for (const AppProfile &app : AppProfile::webSuite()) {
+        EXPECT_LE(layout::sharedHeapBase +
+                      Addr{app.sharedHeapBlocks} * blockBytes,
+                  layout::kvHeapBase)
+            << app.name;
+    }
 
     SyntheticGenerator gen(p);
     for (const std::uint64_t id :
@@ -255,8 +268,9 @@ TEST(Generator, EventIdsWrapOntoSlotsInsideTheOpRecord)
           (std::uint64_t{1} << 40) + 3}) {
         const std::uint64_t slot = id % layout::eventSlots;
         const EventTrace t = gen.generateEvent(id);
-        EXPECT_EQ(t.argObjectAddr,
-                  layout::argObjectBase + slot * layout::argObjectBytes);
+        const Addr arg_lo =
+            layout::argObjectBase + slot * layout::argObjectBytes;
+        EXPECT_EQ(t.argObjectAddr, arg_lo);
         const Addr alloc_lo = layout::allocBase + slot * slot_bytes;
         std::size_t in_slot = 0;
         for (const MicroOp &op : t.ops) {
@@ -265,6 +279,12 @@ TEST(Generator, EventIdsWrapOntoSlotsInsideTheOpRecord)
             EXPECT_LT(op.memAddr, OpSequence::dataAddrLimit);
             if (op.memAddr >= alloc_lo && op.memAddr < alloc_lo + slot_bytes)
                 ++in_slot;
+            else if (op.memAddr >= layout::argObjectBase &&
+                     op.memAddr < layout::sharedHeapBase) {
+                EXPECT_GE(op.memAddr, arg_lo) << "event " << id;
+                EXPECT_LT(op.memAddr, arg_lo + layout::argObjectBytes)
+                    << "event " << id;
+            }
         }
         EXPECT_GT(in_slot, 0u) << "event " << id;
     }
