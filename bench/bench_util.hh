@@ -11,11 +11,11 @@
  * strictly serial behaviour. Tables are byte-identical either way.
  *
  * Every figure binary also accepts `--version` (print the build
- * manifest and exit), `--json [path]` and `--csv [path]` (export the
- * full per-(app, config) stat dump as a versioned artifact; the
- * default path is BENCH_<fig>.json / .csv). The ASCII tables on
- * stdout are untouched; run chatter (manifest, progress, wall time)
- * goes to stderr. See docs/OBSERVABILITY.md.
+ * manifest and exit) and `--json [path]` (export the full
+ * per-(app, config) stat dump as a versioned artifact; the default
+ * path is BENCH_<fig>.json). The ASCII tables on stdout are
+ * untouched; run chatter (manifest, progress, wall time) goes to
+ * stderr. See docs/OBSERVABILITY.md.
  */
 
 #ifndef ESPSIM_BENCH_BENCH_UTIL_HH
@@ -76,7 +76,6 @@ struct ReportOptions
 {
     std::string source;   //!< producing binary, e.g. "fig09_performance"
     std::string jsonPath; //!< empty = no JSON artifact
-    std::string csvPath;  //!< empty = no CSV artifact
     unsigned jobs = 0;    //!< requested parallelism (0 = auto)
     std::chrono::steady_clock::time_point start =
         std::chrono::steady_clock::now();
@@ -85,9 +84,9 @@ struct ReportOptions
 /**
  * Handle the flags every figure binary shares. Exits after printing
  * the build manifest when `--version` is given; otherwise parses
- * `--json [path]` / `--csv [path]` (default `BENCH_<tag>.json|csv`
- * when no path follows the flag) and prints the run manifest — tool
- * version, build type, requested jobs — to stderr. Volatile facts
+ * `--json [path]` (default `BENCH_<tag>.json` when no path follows
+ * the flag) and prints the run manifest — tool version, build type,
+ * requested jobs — to stderr. Volatile facts
  * like jobs and wall time stay on stderr so the artifacts themselves
  * are byte-identical at any `--jobs` count.
  */
@@ -109,9 +108,6 @@ reportSetup(int argc, char **argv, const std::string &source,
         if (std::strcmp(argv[i], "--json") == 0)
             opts.jsonPath = has_path ? argv[++i]
                                      : "BENCH_" + tag + ".json";
-        else if (std::strcmp(argv[i], "--csv") == 0)
-            opts.csvPath = has_path ? argv[++i]
-                                    : "BENCH_" + tag + ".csv";
     }
     if (opts.jobs == 0)
         logLine(LogLevel::Info, "# %s %s (%s build), jobs=auto",
@@ -144,15 +140,6 @@ reportFinish(const ReportOptions &opts,
         }
         logLine(LogLevel::Info, "# wrote %s", opts.jsonPath.c_str());
     }
-    if (!opts.csvPath.empty()) {
-        if (!writeTextFile(opts.csvPath, renderSuiteArtifactCsv(
-                                             manifest, configs, rows))) {
-            logLine(LogLevel::Error, "# error: cannot write %s",
-                    opts.csvPath.c_str());
-            std::exit(1);
-        }
-        logLine(LogLevel::Info, "# wrote %s", opts.csvPath.c_str());
-    }
     const auto wall = std::chrono::duration_cast<std::chrono::
         milliseconds>(std::chrono::steady_clock::now() - opts.start);
     logLine(LogLevel::Info, "# %s done in %.2f s", opts.source.c_str(),
@@ -177,15 +164,6 @@ reportFinishTable(const ReportOptions &opts, const TextTable &table)
             std::exit(1);
         }
         logLine(LogLevel::Info, "# wrote %s", opts.jsonPath.c_str());
-    }
-    if (!opts.csvPath.empty()) {
-        if (!writeTextFile(opts.csvPath,
-                           renderTableArtifactCsv(manifest, table))) {
-            logLine(LogLevel::Error, "# error: cannot write %s",
-                    opts.csvPath.c_str());
-            std::exit(1);
-        }
-        logLine(LogLevel::Info, "# wrote %s", opts.csvPath.c_str());
     }
 }
 

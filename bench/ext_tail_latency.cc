@@ -41,7 +41,6 @@ main(int argc, char **argv)
     for (const double gap : {4000.0, 2000.0, 1000.0, 500.0, 250.0}) {
         ServeOptions opts;
         opts.events = 2000;
-        opts.arrival.kind = ArrivalKind::Poisson;
         opts.arrival.meanGapCycles = gap;
         const ServeReport r = runServe(profile, configs, opts);
         const LatencySummary &base = r.cells[0].total;
@@ -74,7 +73,6 @@ main(int argc, char **argv)
     {
         ServeOptions opts;
         opts.events = 2000;
-        opts.arrival.kind = ArrivalKind::Poisson;
         opts.arrival.meanGapCycles = 250.0;
         opts.spans.enabled = true;
         opts.spans.worstK = 5;

@@ -117,7 +117,7 @@ const std::map<std::string, std::string> specs = {
      provenance + "} title:s header:L rows:l !widths"},
     {"espsim-latency-artifact",
      served + " window:n reservoir_capacity:n "
-         "arrival:o{kind=poisson|bursty|closed}} !perConfig "
+         "arrival:o{mean_gap_cycles:f seed:n}} !perConfig "
          "results:L{!listed cycles:n idle_cycles:n events:n ipc:f "
          "latency:o{queue" + summary + " service" + summary + " total" +
          summary + "} handlers:l{handler:n events:n queue" + summary +

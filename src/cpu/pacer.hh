@@ -5,10 +5,9 @@
  *
  * Without a pacer the core replays events back-to-back (the paper's
  * saturated-looper setup — the queue never runs dry). A pacer models a
- * *server* instead: events arrive by an open-loop (Poisson, bursty) or
- * closed-loop (fixed concurrency + think time) process, the core idles
- * when the queue is empty, and per-event queue/service/total latency
- * becomes measurable. Idle cycles are charged to their own cycle
+ * *server* instead: events arrive by an open-loop Poisson process, the
+ * core idles when the queue is empty, and per-event
+ * queue/service/total latency becomes measurable. Idle cycles are charged to their own cycle
  * bucket so accounting closure (sum of buckets == cycles) still holds.
  *
  * Implementations live in src/server/; the core only sees this

@@ -235,71 +235,6 @@ renderSuiteArtifactJson(const ArtifactManifest &manifest,
 }
 
 std::string
-renderSuiteArtifactCsv(const ArtifactManifest &manifest,
-                       const std::vector<SimConfig> &configs,
-                       const std::vector<SuiteRow> &rows)
-{
-    std::string out;
-    out += "# schema=espsim-suite-artifact-csv\n";
-    out += "# format_version=" + std::to_string(artifactFormatVersion) +
-        "\n";
-    out += "# source=" + manifest.source + "\n";
-    out += std::string("# tool_version=") +
-        versionOr(manifest.toolVersion, versionString()) + "\n";
-    out += "# config_hash=" + configsHash(configs) + "\n";
-    for (const SuiteRow &row : rows) {
-        for (std::size_t c = 0;
-             c < configs.size() && c < row.errors.size(); ++c) {
-            if (!row.ok(c)) {
-                out += "# error " + row.app + "," + configs[c].name +
-                    ": " + row.errors[c].message + "\n";
-            }
-        }
-    }
-    out += "app,config,stat,value\n";
-    for (const SuiteRow &row : rows) {
-        for (std::size_t c = 0;
-             c < configs.size() && c < row.results.size(); ++c) {
-            if (!row.ok(c))
-                continue;
-            const SimResult &r = row.results[c];
-            for (const auto &[name, value] : r.stats.values()) {
-                out += row.app;
-                out += ',';
-                out += configs[c].name;
-                out += ',';
-                out += name;
-                out += ',';
-                out += jsonNumber(value);
-                out += '\n';
-            }
-        }
-    }
-    return out;
-}
-
-namespace
-{
-
-/** RFC-4180 style quoting for table cells that need it. */
-std::string
-csvCell(const std::string &cell)
-{
-    if (cell.find_first_of(",\"\n") == std::string::npos)
-        return cell;
-    std::string out = "\"";
-    for (const char c : cell) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
-
-std::string
 renderTableArtifactJson(const ArtifactManifest &manifest,
                         const TextTable &table)
 {
@@ -329,32 +264,6 @@ renderTableArtifactJson(const ArtifactManifest &manifest,
     w.endArray();
     w.endObject();
     return w.str();
-}
-
-std::string
-renderTableArtifactCsv(const ArtifactManifest &manifest,
-                       const TextTable &table)
-{
-    std::string out;
-    out += "# schema=espsim-table-artifact-csv\n";
-    out += "# format_version=" + std::to_string(artifactFormatVersion) +
-        "\n";
-    out += "# source=" + manifest.source + "\n";
-    out += std::string("# tool_version=") +
-        versionOr(manifest.toolVersion, versionString()) + "\n";
-    out += "# title=" + table.title() + "\n";
-    auto emitRow = [&out](const std::vector<std::string> &cells) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (i)
-                out += ',';
-            out += csvCell(cells[i]);
-        }
-        out += '\n';
-    };
-    emitRow(table.headerCells());
-    for (const auto &row : table.dataRows())
-        emitRow(row);
-    return out;
 }
 
 bool

@@ -3,11 +3,10 @@
  * Versioned machine-readable artifacts for suite sweeps.
  *
  * Every figure binary and `espsim suite` can export the full
- * per-(app, config) stat dump as JSON (the canonical artifact) or CSV
- * (a flat convenience view). Artifacts carry a manifest — format
- * version, tool version (git describe), build type, producing binary,
- * and a hash of the swept configurations — so results can be diffed
- * across commits and machines with confidence.
+ * per-(app, config) stat dump as a JSON artifact. Artifacts carry a
+ * manifest — format version, tool version (git describe), build type,
+ * producing binary, and a hash of the swept configurations — so
+ * results can be diffed across commits and machines with confidence.
  *
  * Artifacts are **deterministic and byte-identical at any `--jobs`
  * count**: results are index-ordered, stat maps are name-ordered, and
@@ -62,24 +61,12 @@ std::string renderSuiteArtifactJson(const ArtifactManifest &manifest,
                                     const std::vector<SuiteRow> &rows);
 
 /**
- * Render the flat CSV view: `app,config,stat,value` rows, preceded by
- * `# key=value` manifest comment lines.
- */
-std::string renderSuiteArtifactCsv(const ArtifactManifest &manifest,
-                                   const std::vector<SimConfig> &configs,
-                                   const std::vector<SuiteRow> &rows);
-
-/**
  * Render a printed table (Figures 6-8 and other descriptive tables
  * with no per-(app, config) sweep behind them) as a machine-readable
  * artifact: the manifest plus the table's title, header and rows.
  */
 std::string renderTableArtifactJson(const ArtifactManifest &manifest,
                                     const TextTable &table);
-
-/** CSV view of a printed table: manifest comments + header + rows. */
-std::string renderTableArtifactCsv(const ArtifactManifest &manifest,
-                                   const TextTable &table);
 
 /** Write @p text to @p path (binary mode). @return false on I/O. */
 bool writeTextFile(const std::string &path, const std::string &text);

@@ -16,7 +16,7 @@
  *    .max / .p95 scalars in the snapshot.
  *
  * Snapshots are name-ordered, so every downstream consumer (text dump,
- * JSON artifact, CSV) is deterministic by construction.
+ * JSON artifact) is deterministic by construction.
  */
 
 #ifndef ESPSIM_REPORT_STAT_REGISTRY_HH

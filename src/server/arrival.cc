@@ -2,191 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <vector>
-
-#include "common/logging.hh"
-#include "common/rng.hh"
 
 namespace espsim
 {
 
-const char *
-arrivalKindName(ArrivalKind kind)
+ArrivalProcess::ArrivalProcess(const ArrivalConfig &config)
+    : rng_(config.seed), meanGap_(std::max(config.meanGapCycles, 1.0))
 {
-    switch (kind) {
-      case ArrivalKind::Poisson: return "poisson";
-      case ArrivalKind::Bursty: return "bursty";
-      case ArrivalKind::ClosedLoop: return "closed";
-    }
-    panic("arrivalKindName: bad kind %u", static_cast<unsigned>(kind));
 }
 
-bool
-parseArrivalKind(const std::string &token, ArrivalKind &out)
+Cycle
+ArrivalProcess::arrivalCycle()
 {
-    if (token == "poisson") {
-        out = ArrivalKind::Poisson;
-    } else if (token == "bursty") {
-        out = ArrivalKind::Bursty;
-    } else if (token == "closed") {
-        out = ArrivalKind::ClosedLoop;
-    } else {
-        return false;
-    }
-    return true;
+    // Unit-mean exponential draw (inverse CDF; u < 1 by Rng contract).
+    time_ += meanGap_ * -std::log(1.0 - rng_.real());
+    return static_cast<Cycle>(time_);
 }
-
-namespace
-{
-
-/** Unit-mean exponential draw (inverse CDF; u < 1 by Rng contract). */
-double
-expDraw(Rng &rng)
-{
-    return -std::log(1.0 - rng.real());
-}
-
-class PoissonProcess final : public ArrivalProcess
-{
-  public:
-    PoissonProcess(double meanGap, std::uint64_t seed)
-        : rng_(seed), meanGap_(std::max(meanGap, 1.0))
-    {
-    }
-
-    const char *kindName() const override { return "poisson"; }
-
-    Cycle
-    arrivalCycle(std::uint64_t idx) override
-    {
-        (void)idx;
-        time_ += meanGap_ * expDraw(rng_);
-        return static_cast<Cycle>(time_);
-    }
-
-  private:
-    Rng rng_;
-    double meanGap_;
-    double time_ = 0.0;
-};
-
-/**
- * Two-state MMPP. Each event carries a unit-exponential "work" budget;
- * it is spent against the current state's rate until exhausted,
- * crossing state boundaries (with their own exponential dwell draws)
- * as needed — the standard thinning-free MMPP sampler.
- */
-class BurstyProcess final : public ArrivalProcess
-{
-  public:
-    BurstyProcess(const ArrivalConfig &c)
-        : rng_(c.seed),
-          burstGap_(std::max(c.meanGapCycles * c.burstGapFactor, 1.0)),
-          calmGap_(std::max(c.meanGapCycles * c.calmGapFactor, 1.0)),
-          meanBurst_(std::max(c.meanBurstCycles, 1.0)),
-          meanCalm_(std::max(c.meanCalmCycles, 1.0))
-    {
-        stateEnd_ = meanCalm_ * expDraw(rng_); // start calm
-    }
-
-    const char *kindName() const override { return "bursty"; }
-
-    Cycle
-    arrivalCycle(std::uint64_t idx) override
-    {
-        (void)idx;
-        double work = expDraw(rng_);
-        while (true) {
-            const double gap = inBurst_ ? burstGap_ : calmGap_;
-            const double span = stateEnd_ - time_;
-            if (work * gap <= span) {
-                time_ += work * gap;
-                break;
-            }
-            work -= span / gap;
-            time_ = stateEnd_;
-            inBurst_ = !inBurst_;
-            stateEnd_ = time_ +
-                (inBurst_ ? meanBurst_ : meanCalm_) * expDraw(rng_);
-        }
-        return static_cast<Cycle>(time_);
-    }
-
-  private:
-    Rng rng_;
-    double burstGap_;
-    double calmGap_;
-    double meanBurst_;
-    double meanCalm_;
-    double time_ = 0.0;
-    double stateEnd_ = 0.0;
-    bool inBurst_ = false;
-};
-
-class ClosedLoopProcess final : public ArrivalProcess
-{
-  public:
-    ClosedLoopProcess(const ArrivalConfig &c)
-        : think_(c.thinkCycles)
-    {
-        Rng rng(c.seed);
-        const unsigned clients = std::max(c.concurrency, 1u);
-        ready_.reserve(clients);
-        // Stagger session starts so the first C requests don't all
-        // land on cycle 0 (deterministic given the seed).
-        for (unsigned i = 0; i < clients; ++i)
-            ready_.push_back(rng.below(think_ + 1));
-        std::make_heap(ready_.begin(), ready_.end(),
-                       std::greater<Cycle>());
-    }
-
-    const char *kindName() const override { return "closed"; }
-
-    Cycle
-    arrivalCycle(std::uint64_t idx) override
-    {
-        (void)idx;
-        if (ready_.empty())
-            panic("closed-loop arrival with no ready client (more "
-                  "arrivals than retirements + concurrency)");
-        std::pop_heap(ready_.begin(), ready_.end(),
-                      std::greater<Cycle>());
-        const Cycle t = ready_.back();
-        ready_.pop_back();
-        return t;
-    }
-
-    void
-    onEventRetired(std::uint64_t idx, Cycle retireCycle) override
-    {
-        (void)idx;
-        ready_.push_back(retireCycle + think_);
-        std::push_heap(ready_.begin(), ready_.end(),
-                       std::greater<Cycle>());
-    }
-
-  private:
-    Cycle think_;
-    std::vector<Cycle> ready_; //!< min-heap of client ready times
-};
-
-} // namespace
 
 std::unique_ptr<ArrivalProcess>
 makeArrivalProcess(const ArrivalConfig &config)
 {
-    switch (config.kind) {
-      case ArrivalKind::Poisson:
-        return std::make_unique<PoissonProcess>(config.meanGapCycles,
-                                                config.seed);
-      case ArrivalKind::Bursty:
-        return std::make_unique<BurstyProcess>(config);
-      case ArrivalKind::ClosedLoop:
-        return std::make_unique<ClosedLoopProcess>(config);
-    }
-    panic("makeArrivalProcess: bad kind %u",
-          static_cast<unsigned>(config.kind));
+    return std::make_unique<ArrivalProcess>(config);
 }
 
 } // namespace espsim

@@ -1,22 +1,9 @@
 /**
  * @file
- * Seeded-deterministic request arrival processes for the serve path.
- *
- * Three disciplines, all pure functions of (config, seed):
- *  - Poisson: open-loop, exponentially distributed inter-arrival gaps
- *    at a fixed mean — the classic memoryless request stream.
- *  - Bursty: open-loop Markov-modulated Poisson process (MMPP) with
- *    two states; the stream alternates between a burst state (short
- *    gaps) and a calm state (long gaps), with exponentially
- *    distributed state dwell times. Same long-run mean structure as
- *    Poisson but with the traffic variance real services see.
- *  - Closed-loop: a fixed population of @c concurrency clients, each
- *    issuing its next request @c thinkCycles after its previous one
- *    retired. Load self-regulates with service time — the canonical
- *    benchmark-harness discipline.
- *
- * Open-loop processes ignore retire feedback; the closed-loop one is
- * driven by it (the pacer forwards every retirement).
+ * Seeded-deterministic request arrivals for the serve path: an
+ * open-loop Poisson stream, whose exponentially distributed
+ * inter-arrival gaps at a fixed mean are a pure function of
+ * (mean gap, seed).
  */
 
 #ifndef ESPSIM_SERVER_ARRIVAL_HH
@@ -24,74 +11,41 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
+#include "common/rng.hh"
 #include "common/types.hh"
 
 namespace espsim
 {
 
-/** Which arrival discipline drives the serve run. */
-enum class ArrivalKind
-{
-    Poisson,
-    Bursty,
-    ClosedLoop,
-};
-
-/** Stable CLI/artifact token for @p kind. */
-const char *arrivalKindName(ArrivalKind kind);
-
-/** Parse a CLI token; returns false on an unknown name. */
-bool parseArrivalKind(const std::string &token, ArrivalKind &out);
-
-/** Knobs for every discipline (unused fields are ignored). */
+/** Knobs of the arrival schedule. */
 struct ArrivalConfig
 {
-    ArrivalKind kind = ArrivalKind::Poisson;
-    /** Open-loop mean inter-arrival gap, cycles. */
+    /** Mean inter-arrival gap, cycles. */
     double meanGapCycles = 3000.0;
-    /** Burst-state gap multiplier (< 1 = faster than the mean). */
-    double burstGapFactor = 0.25;
-    /** Calm-state gap multiplier (> 1 = slower than the mean). */
-    double calmGapFactor = 2.5;
-    /** Mean dwell in the burst state, cycles. */
-    double meanBurstCycles = 150000.0;
-    /** Mean dwell in the calm state, cycles. */
-    double meanCalmCycles = 450000.0;
-    /** Closed-loop client population. */
-    unsigned concurrency = 4;
-    /** Closed-loop think time between retire and next issue. */
-    Cycle thinkCycles = 2000;
-    /** Seed for the discipline's private random stream. */
+    /** Seed for the schedule's private random stream. */
     std::uint64_t seed = 0x5eed;
 };
 
 /**
- * One request-arrival schedule. arrivalCycle() is called exactly once
- * per event, in event order; onEventRetired() once per retirement, in
- * order. Implementations must be deterministic given the config.
+ * One Poisson request-arrival schedule. arrivalCycle() is called
+ * exactly once per event, in event order.
  */
-class ArrivalProcess
+class ArrivalProcess final
 {
   public:
-    virtual ~ArrivalProcess() = default;
+    explicit ArrivalProcess(const ArrivalConfig &config);
 
-    /** The discipline's stable name (artifact metadata). */
-    virtual const char *kindName() const = 0;
+    /** Arrival cycle of the next event (non-decreasing). */
+    Cycle arrivalCycle();
 
-    /** Arrival cycle of event @p idx (non-decreasing in idx). */
-    virtual Cycle arrivalCycle(std::uint64_t idx) = 0;
-
-    /** Feedback: event @p idx retired at @p retireCycle. */
-    virtual void onEventRetired(std::uint64_t idx, Cycle retireCycle)
-    {
-        (void)idx;
-        (void)retireCycle;
-    }
+  private:
+    Rng rng_;
+    double meanGap_;
+    double time_ = 0.0;
 };
 
-/** Build the configured process (panics on a bad config). */
+/** Build the configured schedule. */
 std::unique_ptr<ArrivalProcess>
 makeArrivalProcess(const ArrivalConfig &config);
 

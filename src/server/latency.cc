@@ -40,7 +40,7 @@ ServePacer::ServePacer(std::unique_ptr<ArrivalProcess> arrival,
     }
     // Per-handler breakdowns: a smaller reservoir per handler (each
     // handler sees only a slice of the stream) keeps the table's
-    // memory bounded for many-route profiles.
+    // memory bounded.
     handlers_.resize(numHandlers);
     if (reservoirCapacity > 0) {
         const std::size_t per_handler =
@@ -58,7 +58,8 @@ Cycle
 ServePacer::eventArrival(std::size_t idx, Cycle now)
 {
     (void)now;
-    curArrival_ = arrival_->arrivalCycle(idx);
+    (void)idx;
+    curArrival_ = arrival_->arrivalCycle();
     return curArrival_;
 }
 
@@ -72,6 +73,7 @@ ServePacer::eventDispatched(std::size_t idx, Cycle now)
 void
 ServePacer::eventRetired(std::size_t idx, Cycle now)
 {
+    (void)idx;
     // The core dispatches in arrival order, so dispatch/retire always
     // trail this event's recorded arrival.
     const Cycle queue_cycles =
@@ -96,7 +98,6 @@ ServePacer::eventRetired(std::size_t idx, Cycle now)
         h.queue.record(static_cast<double>(queue_cycles));
         h.service.record(static_cast<double>(service_cycles));
     }
-    arrival_->onEventRetired(idx, now);
 }
 
 void

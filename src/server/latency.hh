@@ -2,9 +2,9 @@
  * @file
  * End-to-end request-latency accounting for paced (server) runs.
  *
- * ServePacer sits between the core's event loop and an ArrivalProcess:
- * it asks the process when each event arrives, lets the core idle or
- * queue accordingly, and splits every request's lifetime into
+ * ServePacer sits between the core's event loop and the Poisson
+ * ArrivalProcess: it asks the schedule when each event arrives, lets
+ * the core idle or queue accordingly, and splits every request's lifetime into
  *   queue   = dispatch - arrival   (waiting behind the loop)
  *   service = retire  - dispatch   (running on the core)
  *   total   = retire  - arrival
@@ -54,7 +54,7 @@ struct HandlerLatency
     SampleStat service;
 };
 
-/** EventPacer that drives an ArrivalProcess and records latency. */
+/** EventPacer that drives Poisson arrivals and records latency. */
 class ServePacer final : public EventPacer
 {
   public:
@@ -78,8 +78,6 @@ class ServePacer final : public EventPacer
     /** Register `<prefix>handler.<id>.{events,queue,service}.*`. */
     void registerStats(StatRegistry &reg,
                        const std::string &prefix) const override;
-
-    const ArrivalProcess &arrival() const { return *arrival_; }
 
     /** Per-handler breakdowns, indexed by handler type. */
     const std::vector<HandlerLatency> &handlers() const

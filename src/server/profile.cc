@@ -53,18 +53,10 @@ ZipfSampler::draw(double u) const
 ServerTraceSource::ServerTraceSource(ServerProfile profile)
     : profile_(std::move(profile)),
       generator_(profile_.app),
-      zipf_(profile_.numRoutes > 0 ? profile_.numRoutes
-                                   : profile_.numKeys,
-            profile_.zipfSkew)
+      zipf_(profile_.numKeys, profile_.zipfSkew)
 {
-    if (profile_.numRoutes > 0 &&
-        profile_.numRoutes != profile_.app.numHandlerTypes) {
-        fatal("server profile '%s': %u routes but %u handler types",
-              profile_.name.c_str(), profile_.numRoutes,
-              profile_.app.numHandlerTypes);
-    }
-    if (profile_.numRoutes == 0 && profile_.app.numHandlerTypes < 3)
-        fatal("server profile '%s': KV mode needs 3 handler types",
+    if (profile_.app.numHandlerTypes < 3)
+        fatal("server profile '%s': GET/SET/DEL need 3 handler types",
               profile_.name.c_str());
 }
 
@@ -76,27 +68,18 @@ ServerTraceSource::requestFor(std::uint64_t id) const
     RequestInfo req;
 
     double len_scale = 1.0;
-    if (p.numRoutes > 0) {
-        req.kind = RequestKind::Route;
-        req.key = zipf_.draw(rng.real());
-        // Per-route length class: routes differ in handler weight.
-        len_scale = 0.5 +
-            static_cast<double>(mix(p.app.seed, req.key, 0x10e) % 256) /
-                128.0;
+    const double u = rng.real();
+    if (u < p.getFrac) {
+        req.kind = RequestKind::Get;
+        len_scale = p.getLenScale;
+    } else if (u < p.getFrac + p.setFrac) {
+        req.kind = RequestKind::Set;
+        len_scale = p.setLenScale;
     } else {
-        const double u = rng.real();
-        if (u < p.getFrac) {
-            req.kind = RequestKind::Get;
-            len_scale = p.getLenScale;
-        } else if (u < p.getFrac + p.setFrac) {
-            req.kind = RequestKind::Set;
-            len_scale = p.setLenScale;
-        } else {
-            req.kind = RequestKind::Del;
-            len_scale = p.delLenScale;
-        }
-        req.key = zipf_.draw(rng.real());
+        req.kind = RequestKind::Del;
+        len_scale = p.delLenScale;
     }
+    req.key = zipf_.draw(rng.real());
 
     // Exponential length draw around the kind's mean, clamped like
     // the generator's drawLength.
@@ -131,14 +114,10 @@ ServerTraceSource::makeEvent(std::uint64_t id) const
     const RequestInfo req = requestFor(id);
     EventShape shape;
     shape.targetLen = req.targetLen;
-    if (profile_.numRoutes > 0) {
-        shape.handler = static_cast<std::uint32_t>(req.key);
-    } else {
-        shape.handler = static_cast<std::uint32_t>(req.kind);
-        shape.keyRegion = valueBase(req.key);
-        shape.keyBytes = valueBytes(req.key);
-        shape.keyFrac = profile_.keyAccessFrac;
-    }
+    shape.handler = static_cast<std::uint32_t>(req.kind);
+    shape.keyRegion = valueBase(req.key);
+    shape.keyBytes = valueBytes(req.key);
+    shape.keyFrac = profile_.keyAccessFrac;
     return generator_.generateEvent(id, shape);
 }
 
@@ -146,13 +125,11 @@ std::vector<AddrRange>
 ServerTraceSource::warmSet() const
 {
     std::vector<AddrRange> ranges = generator_.warmSet();
-    if (profile_.numRoutes == 0) {
-        // The popular head of the key space is resident in a running
-        // cache server; the long tail is not.
-        const std::uint64_t hot_keys =
-            std::max<std::uint64_t>(profile_.numKeys / 16, 1);
-        ranges.emplace_back(layout::kvHeapBase, valueBase(hot_keys));
-    }
+    // The popular head of the key space is resident in a running cache
+    // server; the long tail is not.
+    const std::uint64_t hot_keys =
+        std::max<std::uint64_t>(profile_.numKeys / 16, 1);
+    ranges.emplace_back(layout::kvHeapBase, valueBase(hot_keys));
     return ranges;
 }
 
@@ -180,26 +157,6 @@ ServerProfile::memcached()
 }
 
 ServerProfile
-ServerProfile::httpRouter()
-{
-    ServerProfile p;
-    p.name = "http";
-    p.description = "HTTP router: 24 routes, Zipfian popularity";
-    p.app.name = "http";
-    p.app.description = p.description;
-    p.app.seed = 0x477b;
-    p.app.numEvents = 20000;
-    p.app.avgEventLen = 900;
-    p.app.minEventLen = 150;
-    p.app.numHandlerTypes = 24;
-    p.app.windowsPerEvent = 10;
-    p.app.dependencyRate = 0.004;
-    p.numRoutes = 24;
-    p.zipfSkew = 0.9;
-    return p;
-}
-
-ServerProfile
 ServerProfile::testProfile()
 {
     ServerProfile p;
@@ -223,7 +180,7 @@ ServerProfile::testProfile()
 std::vector<ServerProfile>
 ServerProfile::all()
 {
-    return {memcached(), httpRouter()};
+    return {memcached()};
 }
 
 ServerProfile
@@ -235,8 +192,7 @@ ServerProfile::byName(const std::string &name)
     }
     if (name == "testsrv")
         return testProfile();
-    fatal("unknown server profile '%s' (try: memcached, http, "
-          "testsrv)",
+    fatal("unknown server profile '%s' (try: memcached, testsrv)",
           name.c_str());
 }
 

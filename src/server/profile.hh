@@ -3,19 +3,13 @@
  * Request-serving workload profiles (the server-side counterpart of
  * the browser suite in workload/app_profile.hh).
  *
- * Two families, both built on the synthetic generator via EventShape:
- *  - memcached: a GET/SET/DEL key/value mix. Each request picks a key
- *    by Zipfian popularity; a slice of its memory accesses lands on
- *    that key's value object in the dedicated KV heap, so the data
- *    working set is the hot head of the key space plus a long tail of
- *    cold keys — the classic cache-server profile. The three op kinds
- *    run three distinct handlers with distinct length classes (DELs
- *    short, SETs long).
- *  - http: an HTTP-router profile. Each request resolves a route by
- *    Zipfian popularity and runs that route's handler — many distinct
- *    handlers with skewed popularity, which is exactly the
- *    instruction-locality-destroying pattern ESP targets, now at
- *    server request granularity.
+ * One family, built on the synthetic generator via EventShape: a
+ * memcached-style GET/SET/DEL key/value mix. Each request picks a key
+ * by Zipfian popularity; a slice of its memory accesses lands on that
+ * key's value object in the dedicated KV heap, so the data working set
+ * is the hot head of the key space plus a long tail of cold keys — the
+ * classic cache-server profile. The three op kinds run three distinct
+ * handlers with distinct length classes (DELs short, SETs long).
  *
  * Everything is deterministic from (profile seed, request id): the
  * request stream regenerates bit-identically event by event, so these
@@ -41,14 +35,13 @@ enum class RequestKind : std::uint8_t
     Get = 0,
     Set = 1,
     Del = 2,
-    Route = 3,
 };
 
-/** A decoded request: kind, key (or route), length class. */
+/** A decoded request: kind, key, length class. */
 struct RequestInfo
 {
     RequestKind kind = RequestKind::Get;
-    std::uint64_t key = 0; //!< KV key index, or route index
+    std::uint64_t key = 0; //!< KV key index
     std::size_t targetLen = 0;
 };
 
@@ -59,10 +52,10 @@ struct ServerProfile
     std::string description;
 
     /** Code image / instruction mix / seed; numHandlerTypes is the
-     *  op-kind count (KV) or route count (HTTP). */
+     *  op-kind count. */
     AppProfile app;
 
-    // --- Key/value mix (ignored when numRoutes > 0).
+    // --- Key/value mix.
     double getFrac = 0.90;
     double setFrac = 0.08;
     double delFrac = 0.02;
@@ -76,15 +69,10 @@ struct ServerProfile
     double setLenScale = 1.4;
     double delLenScale = 0.35;
 
-    // --- Router mode: > 0 routes turns key popularity into route
-    // --- popularity and disables the KV overlay.
-    unsigned numRoutes = 0;
-
-    /** Zipf exponent of key/route popularity. */
+    /** Zipf exponent of key popularity. */
     double zipfSkew = 0.99;
 
     static ServerProfile memcached();
-    static ServerProfile httpRouter();
     /** Tiny profile for fast unit tests / smoke ctests. */
     static ServerProfile testProfile();
 

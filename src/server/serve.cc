@@ -40,21 +40,11 @@ runServe(const ServerProfile &profile,
     // Live telemetry: one record and stream span the whole sweep
     // (each config opens its own JSONL block).
     std::unique_ptr<LiveTelemetry> live;
-    std::unique_ptr<TelemetryStream> stream;
     if (opts.telemetry.any()) {
         live = std::make_unique<LiveTelemetry>();
         live->periodCycles = opts.telemetry.periodCycles;
         live->configHash = report.configHash;
-        if (!opts.telemetry.jsonlPath.empty()) {
-            stream = std::make_unique<TelemetryStream>();
-            if (!stream->openFile(opts.telemetry.jsonlPath)) {
-                logLine(LogLevel::Error,
-                        "cannot open telemetry stream '%s'",
-                        opts.telemetry.jsonlPath.c_str());
-                stream.reset();
-            }
-            live->stream = stream.get();
-        }
+        live->stream = opts.telemetry.stream;
     }
 
     for (const SimConfig &config : configs) {
@@ -112,9 +102,6 @@ runServe(const ServerProfile &profile,
 
     if (live)
         report.telemetrySnapshots = live->snapshots;
-    if (stream && !stream->close())
-        logLine(LogLevel::Error, "telemetry stream '%s': write failed",
-                opts.telemetry.jsonlPath.c_str());
     return report;
 }
 
@@ -169,16 +156,7 @@ writeManifestCommon(JsonWriter &w, const ArtifactManifest &manifest,
     w.key("reservoir_capacity")
         .value(std::uint64_t{report.reservoirCapacity});
     w.key("arrival").beginObject();
-    w.key("kind").value(arrivalKindName(report.arrival.kind));
     w.key("mean_gap_cycles").value(report.arrival.meanGapCycles);
-    w.key("burst_gap_factor").value(report.arrival.burstGapFactor);
-    w.key("calm_gap_factor").value(report.arrival.calmGapFactor);
-    w.key("mean_burst_cycles").value(report.arrival.meanBurstCycles);
-    w.key("mean_calm_cycles").value(report.arrival.meanCalmCycles);
-    w.key("concurrency")
-        .value(std::uint64_t{report.arrival.concurrency});
-    w.key("think_cycles")
-        .value(std::uint64_t{report.arrival.thinkCycles});
     w.key("seed").value(std::uint64_t{report.arrival.seed});
     w.endObject();
     w.key("configs").beginArray();

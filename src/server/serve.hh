@@ -1,7 +1,7 @@
 /**
  * @file
  * The serve driver: stream a request-serving profile through the
- * simulator under an arrival discipline, once per config, and collect
+ * simulator under Poisson arrivals, once per config, and collect
  * tail-latency reports.
  *
  * One ServeCell per config carries the architectural headlines plus
@@ -13,9 +13,7 @@
  *
  * ServeTelemetryOptions arms the live side of a sweep: one JSONL
  * snapshot stream spanning the whole sweep, a block per config. It
- * never reaches the artifacts. A serve run is single-threaded; a
- * wedged run shows as a stream that stops advancing under wall-clock
- * pacing.
+ * never reaches the artifacts.
  */
 
 #ifndef ESPSIM_SERVER_SERVE_HH
@@ -35,6 +33,8 @@
 namespace espsim
 {
 
+class TelemetryStream;
+
 /** Span-tracing knobs of one serve run (see report/spans.hh). */
 struct ServeSpanOptions
 {
@@ -53,13 +53,14 @@ struct ServeTelemetryOptions
     /** Snapshot pacing in simulated cycles; 0 still takes each
      *  config's final snapshot. */
     Cycle periodCycles = 0;
-    /** JSONL snapshot stream path ("" = no stream). */
-    std::string jsonlPath;
+    /** Open JSONL snapshot stream (nullptr = no stream); the caller
+     *  opens and closes it around runServe. */
+    TelemetryStream *stream = nullptr;
 
     bool
     any() const
     {
-        return periodCycles > 0 || !jsonlPath.empty();
+        return periodCycles > 0 || stream != nullptr;
     }
 };
 

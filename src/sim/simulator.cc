@@ -68,7 +68,7 @@ Simulator::run(const Workload &workload,
 
     // The canonical stats surface: every component registers its
     // counters once; one snapshot at the end of the run feeds the
-    // text dump, the JSON/CSV artifacts, and the SimResult views.
+    // text dump, the JSON artifacts, and the SimResult views.
     StatRegistry reg;
     core.registerStats(reg, "core.");
     mem.registerStats(reg, "mem.");

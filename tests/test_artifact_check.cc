@@ -157,7 +157,8 @@ const Mutation mutations[] = {
     {L, "manifest.window is not", R"("window":\d+)", R"("window":1.5)"},
     {L, "manifest.configs is not", R"("configs":)", R"("c":)"},
     {L, "manifest.arrival is not", R"("arrival":)", R"("arrival":1,"a":)"},
-    {L, "manifest.arrival.kind is not", "poisson", "uniform"},
+    {L, "manifest.arrival.mean_gap_cycles is not", R"("mean_gap_cycles":)",
+     R"("mean_gap_cycles":-1,"g":)"},
     {L, "results is not a non-empty list", R"("results":)", R"("r":)"},
     {L, "results length != manifest.configs length", R"("configs":\[)",
      R"("configs":["NL",)"},

@@ -448,7 +448,6 @@ TEST(Generator, OutputDigestIsPinned)
         {"test-dep", 0x7a5a9b0371d313ccULL, 9},
         {"amazon-dep", 0xaf7ddd202db1afa8ULL, 4},
         {"memcached", 0x61d34feced41642aULL, 0},
-        {"http", 0x504dcc2aaaa33fbdULL, 3},
         {"testsrv", 0xdd00dac519f0eb0aULL, 7},
     };
     ASSERT_EQ(got.size(), want.size());

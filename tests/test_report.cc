@@ -281,8 +281,6 @@ TEST(Artifact, ByteIdenticalAcrossJobsCounts)
     const auto parallel = tinySweep(4, configs);
     EXPECT_EQ(renderSuiteArtifactJson(manifest, configs, serial),
               renderSuiteArtifactJson(manifest, configs, parallel));
-    EXPECT_EQ(renderSuiteArtifactCsv(manifest, configs, serial),
-              renderSuiteArtifactCsv(manifest, configs, parallel));
 }
 
 TEST(Artifact, ConfigsHashTracksParameters)
@@ -298,30 +296,6 @@ TEST(Artifact, ConfigsHashTracksParameters)
     std::vector<SimConfig> c{SimConfig::baseline()};
     c[0].esp.maxDepth = 1;
     EXPECT_NE(configsHash(a), configsHash(c));
-}
-
-TEST(Artifact, CsvHasOneRowPerStat)
-{
-    const std::vector<SimConfig> configs{SimConfig::baseline()};
-    const auto rows = tinySweep(1, configs);
-    ArtifactManifest manifest;
-    manifest.source = "test_report";
-    const std::string csv =
-        renderSuiteArtifactCsv(manifest, configs, rows);
-
-    std::size_t data_lines = 0;
-    std::size_t comment_lines = 0;
-    for (std::size_t pos = 0; pos < csv.size();) {
-        const std::size_t eol = csv.find('\n', pos);
-        if (csv[pos] == '#')
-            ++comment_lines;
-        else
-            ++data_lines;
-        pos = (eol == std::string::npos) ? csv.size() : eol + 1;
-    }
-    // header line + one line per stat in the single result
-    EXPECT_EQ(data_lines, 1 + rows[0].results[0].stats.values().size());
-    EXPECT_GE(comment_lines, 4u);
 }
 
 TEST(Artifact, TableArtifactRoundTrips)
@@ -344,11 +318,6 @@ TEST(Artifact, TableArtifactRoundTrips)
     EXPECT_EQ(root->at("title").string, "Figure T: test table");
     ASSERT_EQ(root->at("rows").array.size(), 2u);
     EXPECT_EQ(root->at("rows").array[1].array[0].string, "bing");
-
-    // The CSV quotes the comma-bearing header cell.
-    const std::string csv = renderTableArtifactCsv(manifest, table);
-    EXPECT_NE(csv.find("\"va,lue\""), std::string::npos);
-    EXPECT_NE(csv.find("amazon,1.5"), std::string::npos);
 }
 
 // --------------------------------------------------------------------

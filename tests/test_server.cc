@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the server subsystem: arrival-process statistics
- * (exponential inter-arrivals, MMPP burstiness, closed-loop feedback),
- * Zipfian key popularity, request-mix fractions, the reservoir-backed
+ * Tests for the server subsystem: the Poisson arrival schedule
+ * (exponential inter-arrivals, a pinned seeded schedule), Zipfian key
+ * popularity, request-mix fractions, the reservoir-backed
  * SampleStat, and the end-to-end serve path (deterministic latency
  * artifacts, Idle-bucket cycle closure).
  */
@@ -35,9 +35,9 @@ gapsOf(ArrivalProcess &proc, std::size_t n)
 {
     std::vector<double> gaps;
     gaps.reserve(n);
-    Cycle prev = proc.arrivalCycle(0);
+    Cycle prev = proc.arrivalCycle();
     for (std::size_t i = 1; i <= n; ++i) {
-        const Cycle t = proc.arrivalCycle(i);
+        const Cycle t = proc.arrivalCycle();
         EXPECT_GE(t, prev) << "arrivals must be non-decreasing";
         gaps.push_back(static_cast<double>(t - prev));
         prev = t;
@@ -55,13 +55,12 @@ meanOf(const std::vector<double> &v)
 } // namespace
 
 // --------------------------------------------------------------------
-// Arrival processes
+// Arrival schedule
 // --------------------------------------------------------------------
 
 TEST(Arrival, PoissonGapsAreExponential)
 {
     ArrivalConfig cfg;
-    cfg.kind = ArrivalKind::Poisson;
     cfg.meanGapCycles = 3000.0;
     const auto proc = makeArrivalProcess(cfg);
     const std::vector<double> gaps = gapsOf(*proc, 20'000);
@@ -95,73 +94,36 @@ TEST(Arrival, PoissonGapsAreExponential)
     EXPECT_LT(chi2, 35.0);
 }
 
-TEST(Arrival, BurstyMeanLandsBetweenBurstAndCalmRates)
-{
-    ArrivalConfig cfg;
-    cfg.kind = ArrivalKind::Bursty;
-    cfg.meanGapCycles = 2000.0;
-    const auto proc = makeArrivalProcess(cfg);
-    const std::vector<double> gaps = gapsOf(*proc, 20'000);
-    const double mean = meanOf(gaps);
-    // An MMPP's long-run mean gap sits strictly between the two
-    // states' gaps; hitting either bound means a state is never
-    // visited (or the modulation is broken).
-    EXPECT_GT(mean, cfg.burstGapFactor * cfg.meanGapCycles);
-    EXPECT_LT(mean, cfg.calmGapFactor * cfg.meanGapCycles);
-}
-
-TEST(Arrival, ClosedLoopIssuesThinkTimeAfterRetire)
-{
-    ArrivalConfig cfg;
-    cfg.kind = ArrivalKind::ClosedLoop;
-    cfg.concurrency = 3;
-    cfg.thinkCycles = 500;
-    const auto proc = makeArrivalProcess(cfg);
-
-    // Service time far above the initial stagger (<= thinkCycles), so
-    // the first C arrivals consume the staggered starts and every
-    // later arrival i is exactly retire(i - C) + think.
-    constexpr Cycle kService = 10'000;
-    std::vector<Cycle> arrivals, retires;
-    for (std::size_t i = 0; i < 40; ++i) {
-        const Cycle a = proc->arrivalCycle(i);
-        if (i >= cfg.concurrency) {
-            EXPECT_EQ(a,
-                      retires[i - cfg.concurrency] + cfg.thinkCycles)
-                << "event " << i;
-        } else {
-            EXPECT_LE(a, cfg.thinkCycles) << "staggered start";
-        }
-        const Cycle start = arrivals.empty()
-            ? a
-            : std::max(a, retires.back());
-        arrivals.push_back(a);
-        retires.push_back(start + kService);
-        proc->onEventRetired(i, retires.back());
-    }
-}
-
 TEST(Arrival, SameSeedSameSchedule)
 {
-    ArrivalConfig cfg;
-    cfg.kind = ArrivalKind::Bursty;
-    const auto a = makeArrivalProcess(cfg);
-    const auto b = makeArrivalProcess(cfg);
-    for (std::size_t i = 0; i < 500; ++i)
-        ASSERT_EQ(a->arrivalCycle(i), b->arrivalCycle(i)) << i;
-}
-
-TEST(Arrival, KindNamesRoundTrip)
-{
-    for (const ArrivalKind kind :
-         {ArrivalKind::Poisson, ArrivalKind::Bursty,
-          ArrivalKind::ClosedLoop}) {
-        ArrivalKind parsed;
-        ASSERT_TRUE(parseArrivalKind(arrivalKindName(kind), parsed));
-        EXPECT_EQ(parsed, kind);
+    // Two schedules from one config agree draw for draw, and the
+    // schedule itself is pinned: an FNV-1a digest of the first 10,000
+    // arrival cycles at the serve default (gap 3000, seed 0x5eed) and
+    // at a short gap. A digest moves only with an intended change to
+    // the arrival stream, which moves every serve latency; record the
+    // new value then.
+    struct Pin
+    {
+        ArrivalConfig config;
+        std::uint64_t digest;
+    };
+    for (const Pin &pin : {Pin{ArrivalConfig{}, 0x610dc9cb5ea178b7ULL},
+                           Pin{ArrivalConfig{250.0, 7},
+                               0x9ae424421b5d0051ULL}}) {
+        SCOPED_TRACE(pin.config.meanGapCycles);
+        const auto a = makeArrivalProcess(pin.config);
+        const auto b = makeArrivalProcess(pin.config);
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        for (std::size_t i = 0; i < 10'000; ++i) {
+            const Cycle t = a->arrivalCycle();
+            ASSERT_EQ(t, b->arrivalCycle()) << i;
+            for (int byte = 0; byte < 8; ++byte) {
+                h ^= (t >> (8 * byte)) & 0xff;
+                h *= 0x100000001b3ULL;
+            }
+        }
+        EXPECT_EQ(h, pin.digest) << std::hex << "0x" << h;
     }
-    ArrivalKind out;
-    EXPECT_FALSE(parseArrivalKind("uniform", out));
 }
 
 // --------------------------------------------------------------------
@@ -219,19 +181,6 @@ TEST(ServerProfile, RequestMixMatchesConfiguredFractions)
     EXPECT_NEAR(frac[0], p.getFrac, 0.02);
     EXPECT_NEAR(frac[1], p.setFrac, 0.02);
     EXPECT_NEAR(frac[2], p.delFrac, 0.02);
-}
-
-TEST(ServerProfile, RouterModeUsesRouteHandlers)
-{
-    const ServerProfile p = ServerProfile::httpRouter();
-    ASSERT_GT(p.numRoutes, 0u);
-    ASSERT_EQ(p.numRoutes, p.app.numHandlerTypes);
-    const ServerTraceSource source(p);
-    for (std::size_t id = 0; id < 200; ++id) {
-        const RequestInfo r = source.requestFor(id);
-        EXPECT_EQ(r.kind, RequestKind::Route);
-        EXPECT_LT(r.key, p.numRoutes);
-    }
 }
 
 TEST(ServerProfile, TracesRegenerateBitIdentically)

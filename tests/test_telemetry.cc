@@ -10,10 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -192,18 +189,16 @@ TEST(Telemetry, ProgressAndSnapshotCountsMatchTheStream)
     opts.events = 200;
     opts.arrival.meanGapCycles = 2000.0;
     opts.telemetry.periodCycles = 3'000;
-    opts.telemetry.jsonlPath =
-        ::testing::TempDir() + "telemetry_counts.jsonl";
+    std::string serve_captured;
+    TelemetryStream serve_stream;
+    serve_stream.captureTo(&serve_captured);
+    opts.telemetry.stream = &serve_stream;
     const std::vector<SimConfig> configs = {SimConfig::baseline(),
                                             SimConfig::espFull(true)};
     const ServeReport report =
         runServe(ServerProfile::testProfile(), configs, opts);
-    std::ifstream in(opts.telemetry.jsonlPath);
-    std::stringstream text;
-    text << in.rdbuf();
-    std::remove(opts.telemetry.jsonlPath.c_str());
     std::size_t headers = 0;
-    const std::vector<std::string> lines = splitLines(text.str());
+    const std::vector<std::string> lines = splitLines(serve_captured);
     for (const std::string &line : lines)
         headers += parseJson(line)->find("schema") != nullptr;
     EXPECT_EQ(headers, configs.size());

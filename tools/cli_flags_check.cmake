@@ -100,6 +100,18 @@ expect_rejected(--telemetry-wall-ms
 expect_rejected(--telemetry-wall-ms
     serve --profile testsrv --events 50 --configs base --telemetry
     --telemetry-wall-ms 100)
+# The retired bursty and closed-loop arrival disciplines: serve runs
+# the Poisson schedule it is measured on (--gap, --seed) and nothing
+# else.
+expect_rejected(--arrival
+    serve --profile testsrv --events 50 --configs base --arrival bursty)
+expect_rejected(--concurrency
+    serve --profile testsrv --events 50 --configs base --concurrency 4)
+expect_rejected(--think
+    serve --profile testsrv --events 50 --configs base --think 2000)
+# The retired CSV view of the suite artifact: nothing read it, and the
+# JSON artifact carries the same stats.
+expect_rejected(--csv suite --apps amazon --configs base --csv x.csv)
 # A flag that does nothing without --telemetry, --timeline or
 # --trace-spans.
 expect_rejected(--telemetry-period
@@ -124,9 +136,6 @@ expect_rejected("invalid value"
 
 # Options stored in an `unsigned` must reject 2^32 rather than pass the
 # range check on the 64-bit value and wrap to 0 in the cast.
-expect_rejected("invalid value"
-    serve --profile testsrv --events 50 --configs base --arrival closed
-    --concurrency 4294967296)
 expect_rejected("invalid value"
     suite --apps amazon --configs base --jobs 4294967296)
 

@@ -8,9 +8,9 @@
  *                [--timeline-limit N] [--telemetry [path]]
  *                [--telemetry-period N]
  *   espsim suite --configs base,NL,ESP+NL [--jobs N] [--apps a,b]
- *                [--json [path]] [--csv [path]]
+ *                [--json [path]]
  *   espsim serve --profile memcached --events 1000000
- *                [--configs base,ESP+NL] [--arrival poisson]
+ *                [--configs base,ESP+NL] [--gap CYCLES]
  *                [--json [path]] [--trace-spans [path]] [--worst N]
  *   espsim gen   --app gmaps --out gmaps.espw [--events N]
  *   espsim diff  baseline.json candidate.json [--rel-tol F]
@@ -88,12 +88,10 @@ usage()
         "               [--timeline-limit N] [--telemetry [path]] "
         "[--telemetry-period N]\n"
         "  espsim suite [--configs a,b,c] [--apps a,b] [--jobs N] "
-        "[--json [path]] [--csv [path]]\n"
-        "  espsim serve [--profile memcached|http|testsrv] "
+        "[--json [path]]\n"
+        "  espsim serve [--profile memcached|testsrv] "
         "[--configs a,b] [--events N] [--window N]\n"
-        "               [--reservoir N] "
-        "[--arrival poisson|bursty|closed] [--gap CYCLES]\n"
-        "               [--concurrency N] [--think CYCLES] [--seed S] "
+        "               [--reservoir N] [--gap CYCLES] [--seed S] "
         "[--json [path]]\n"
         "               [--trace-spans [path]] [--worst N]\n"
         "               [--telemetry [path]] [--telemetry-period N]\n"
@@ -225,11 +223,11 @@ commandFlags()
         {"run",
          {"app", "trace", "config", "stats", "timeline",
           "timeline-limit", "telemetry", "telemetry-period"}},
-        {"suite", {"configs", "apps", "jobs", "json", "csv"}},
+        {"suite", {"configs", "apps", "jobs", "json"}},
         {"serve",
-         {"profile", "configs", "events", "window", "reservoir",
-          "arrival", "gap", "concurrency", "think", "seed", "json",
-          "trace-spans", "worst", "telemetry", "telemetry-period"}},
+         {"profile", "configs", "events", "window", "reservoir", "gap",
+          "seed", "json", "trace-spans", "worst", "telemetry",
+          "telemetry-period"}},
         {"gen", {"app", "out", "events"}},
         {"fuzz", {"runs", "seed", "verbose"}},
     };
@@ -454,31 +452,14 @@ cmdSuite(const std::map<std::string, std::string> &flags)
         }
     }
 
-    // "--json"/"--csv" with no following path get parseFlags' "1"
+    // "--json" with no following path gets parseFlags' "1"
     // placeholder; map that to the default artifact name.
     ArtifactManifest manifest;
     manifest.source = "espsim suite";
-    auto artifactPath = [&flags](const char *key,
-                                 const char *def) -> std::string {
-        auto it = flags.find(key);
-        if (it == flags.end())
-            return "";
-        return it->second == "1" ? def : it->second;
-    };
-    if (const std::string path =
-            artifactPath("json", "espsim_suite.json");
-        !path.empty()) {
+    if (auto it = flags.find("json"); it != flags.end()) {
+        const std::string path =
+            it->second == "1" ? "espsim_suite.json" : it->second;
         if (!writeTextFile(path, renderSuiteArtifactJson(
-                                     manifest, configs, rows))) {
-            logLine(LogLevel::Error, "cannot write '%s'",
-                    path.c_str());
-            return 1;
-        }
-        logLine(LogLevel::Info, "# wrote %s", path.c_str());
-    }
-    if (const std::string path = artifactPath("csv", "espsim_suite.csv");
-        !path.empty()) {
-        if (!writeTextFile(path, renderSuiteArtifactCsv(
                                      manifest, configs, rows))) {
             logLine(LogLevel::Error, "cannot write '%s'",
                     path.c_str());
@@ -492,11 +473,10 @@ cmdSuite(const std::map<std::string, std::string> &flags)
 }
 
 /**
- * `espsim serve` — server-scale tail-latency runs. Streams a
- * request-serving profile (memcached-style KV or HTTP router) through
- * every requested config under one arrival discipline, prints a
- * tail-latency table, and writes the versioned espsim-latency-artifact
- * (see docs/WORKLOADS.md). Peak RSS is logged to stderr so the
+ * `espsim serve` — server-scale tail-latency runs. Streams the
+ * memcached-style key/value request profile through every requested
+ * config under Poisson arrivals, prints a tail-latency table, and
+ * writes the versioned espsim-latency-artifact (see docs/WORKLOADS.md). Peak RSS is logged to stderr so the
  * serve_1m ctest can assert flat memory between 100k and 1M runs.
  */
 int
@@ -534,28 +514,9 @@ cmdServe(const std::map<std::string, std::string> &flags)
     if (auto it = flags.find("reservoir"); it != flags.end())
         opts.reservoirCapacity = static_cast<std::size_t>(
             parseUnsignedOption(it->second, "reservoir"));
-    if (auto it = flags.find("arrival"); it != flags.end()) {
-        if (!parseArrivalKind(it->second, opts.arrival.kind)) {
-            logLine(LogLevel::Error,
-                    "invalid value '%s' for --arrival (expected "
-                    "poisson|bursty|closed)",
-                    it->second.c_str());
-            usage();
-            return 2;
-        }
-    }
     if (auto it = flags.find("gap"); it != flags.end())
         opts.arrival.meanGapCycles =
             parseDoubleOption(it->second, "gap");
-    if (auto it = flags.find("concurrency"); it != flags.end()) {
-        const unsigned long n =
-            parseUnsignedOption(it->second, "concurrency", UINT_MAX);
-        opts.arrival.concurrency =
-            n >= 1 ? static_cast<unsigned>(n) : 1;
-    }
-    if (auto it = flags.find("think"); it != flags.end())
-        opts.arrival.thinkCycles =
-            parseUnsignedOption(it->second, "think");
     if (auto it = flags.find("seed"); it != flags.end())
         opts.arrival.seed = parseUnsignedOption(it->second, "seed");
 
@@ -570,11 +531,6 @@ cmdServe(const std::map<std::string, std::string> &flags)
     // --- live telemetry ----------------------------------------------
     const bool telemetry_on = flags.count("telemetry") != 0;
     requireWith(flags, "telemetry-period", telemetry_on, "--telemetry");
-    if (auto it = flags.find("telemetry"); it != flags.end()) {
-        opts.telemetry.jsonlPath = it->second == "1"
-            ? "espsim_telemetry.jsonl"
-            : it->second;
-    }
     if (auto it = flags.find("telemetry-period"); it != flags.end())
         opts.telemetry.periodCycles =
             parseUnsignedOption(it->second, "telemetry-period");
@@ -582,6 +538,19 @@ cmdServe(const std::map<std::string, std::string> &flags)
     // grid coarse enough to be invisible in the overhead gate.
     if (telemetry_on && opts.telemetry.periodCycles == 0)
         opts.telemetry.periodCycles = 1'000'000;
+    // Opened before any config runs, so an unwritable path fails at
+    // once instead of after the sweep.
+    TelemetryStream telemetry_stream;
+    if (auto it = flags.find("telemetry"); it != flags.end()) {
+        const std::string path =
+            it->second == "1" ? "espsim_telemetry.jsonl" : it->second;
+        if (!telemetry_stream.openFile(path)) {
+            logLine(LogLevel::Error,
+                    "cannot open telemetry stream '%s'", path.c_str());
+            return 1;
+        }
+        opts.telemetry.stream = &telemetry_stream;
+    }
 
     printRunManifest();
     const auto wall_start = std::chrono::steady_clock::now();
@@ -590,6 +559,10 @@ cmdServe(const std::map<std::string, std::string> &flags)
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - wall_start)
             .count();
+    if (telemetry_on && !telemetry_stream.close()) {
+        logLine(LogLevel::Error, "telemetry stream: write failed");
+        return 1;
+    }
     // Always on stderr: the serve_1m RSS gate parses this line from
     // two separate process runs.
     logLine(LogLevel::Info, "# serve peak RSS %.1f MiB", peakRssMb());
@@ -603,8 +576,7 @@ cmdServe(const std::map<std::string, std::string> &flags)
     }
 
     TextTable table("serve tail latency (cycles, '" + report.profile +
-                    "', " + arrivalKindName(report.arrival.kind) +
-                    " arrivals)");
+                    "')");
     table.header({"config", "cycles", "idle", "p50", "p95", "p99",
                   "p99.9", "max"});
     for (const ServeCell &cell : report.cells) {
