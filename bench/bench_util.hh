@@ -13,15 +13,19 @@
  * Every figure binary also accepts `--version` (print the build
  * manifest and exit) and `--json [path]` (export the full
  * per-(app, config) stat dump as a versioned artifact; the default
- * path is BENCH_<fig>.json). The ASCII tables on stdout are
- * untouched; run chatter (manifest, progress, wall time) goes to
+ * path is BENCH_<fig>.json), and nothing else: any other argument,
+ * or a malformed `--jobs` value, exits 2. The ASCII tables on stdout
+ * are untouched; run chatter (manifest, progress, wall time) goes to
  * stderr. See docs/OBSERVABILITY.md.
  */
 
 #ifndef ESPSIM_BENCH_BENCH_UTIL_HH
 #define ESPSIM_BENCH_BENCH_UTIL_HH
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,22 +43,28 @@ namespace espsim::benchutil
 
 /**
  * Degree of parallelism requested on a figure binary's command line:
- * the value of `--jobs N` if present, else 0 (auto — SuiteRunner
- * resolves it to ESPSIM_JOBS or hardware_concurrency).
+ * the value of `--jobs N` if present (0 runs as 1, as in `espsim
+ * suite`), else 0 (auto — SuiteRunner resolves it to ESPSIM_JOBS or
+ * hardware_concurrency). Like the CLI's checked parser, exits 2 on a
+ * value that does not start with a digit (strtoul would wrap "-3"),
+ * has trailing garbage, or exceeds UINT_MAX (2^32 would wrap to 0).
  */
 inline unsigned
 jobsFromArgs(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
+    for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--jobs") != 0)
             continue;
+        const char *value = i + 1 < argc ? argv[i + 1] : "";
         char *end = nullptr;
-        const long v = std::strtol(argv[i + 1], &end, 10);
-        if (end == argv[i + 1] || *end != '\0') {
+        errno = 0;
+        const unsigned long v = std::strtoul(value, &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+            *end != '\0' || errno == ERANGE || v > UINT_MAX) {
             logLine(LogLevel::Error,
-                    "invalid value '%s' for --jobs (expected a "
-                    "positive integer)",
-                    argv[i + 1]);
+                    "invalid value '%s' for --jobs (expected an integer "
+                    "from 0 to %u)",
+                    value, UINT_MAX);
             std::exit(2);
         }
         return v >= 1 ? static_cast<unsigned>(v) : 1;
@@ -82,11 +92,13 @@ struct ReportOptions
 };
 
 /**
- * Handle the flags every figure binary shares. Exits after printing
- * the build manifest when `--version` is given; otherwise parses
- * `--json [path]` (default `BENCH_<tag>.json` when no path follows
- * the flag) and prints the run manifest — tool version, build type,
- * requested jobs — to stderr. Volatile facts
+ * Handle the flags every figure binary shares — `--jobs N`,
+ * `--json [path]` and `--version` — and exit 2 on any other argument,
+ * so a misspelled or retired flag fails instead of being ignored.
+ * Exits after printing the build manifest when `--version` is given;
+ * otherwise takes the `--json` path (default `BENCH_<tag>.json` when
+ * no path follows the flag) and prints the run manifest — tool
+ * version, build type, requested jobs — to stderr. Volatile facts
  * like jobs and wall time stay on stderr so the artifacts themselves
  * are byte-identical at any `--jobs` count.
  */
@@ -102,12 +114,20 @@ reportSetup(int argc, char **argv, const std::string &source,
             std::printf("%s %s (%s build)\n", source.c_str(),
                         versionString(), buildTypeString());
             std::exit(0);
-        }
-        const bool has_path =
-            i + 1 < argc && argv[i + 1][0] != '-';
-        if (std::strcmp(argv[i], "--json") == 0)
+        } else if (std::strcmp(argv[i], "--jobs") == 0) {
+            ++i; // checked by jobsFromArgs
+        } else if (std::strcmp(argv[i], "--json") == 0) {
+            const bool has_path =
+                i + 1 < argc && argv[i + 1][0] != '-';
             opts.jsonPath = has_path ? argv[++i]
                                      : "BENCH_" + tag + ".json";
+        } else {
+            logLine(LogLevel::Error,
+                    "unknown argument '%s' for %s (it takes --jobs N, "
+                    "--json [path] and --version)",
+                    argv[i], source.c_str());
+            std::exit(2);
+        }
     }
     if (opts.jobs == 0)
         logLine(LogLevel::Info, "# %s %s (%s build), jobs=auto",

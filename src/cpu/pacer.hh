@@ -19,14 +19,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "common/types.hh"
 
 namespace espsim
 {
-
-class StatRegistry;
 
 /** Arrival discipline + latency probe for the core's event loop. */
 class EventPacer
@@ -67,18 +64,6 @@ class EventPacer
     {
         (void)idx;
         (void)handler_type;
-    }
-
-    /**
-     * Register pacer-owned stats (per-handler latency quantiles etc.)
-     * under @p prefix. The simulator calls this after the run, right
-     * before the registry snapshot.
-     */
-    virtual void registerStats(StatRegistry &reg,
-                               const std::string &prefix) const
-    {
-        (void)reg;
-        (void)prefix;
     }
 };
 

@@ -20,7 +20,7 @@ DiffResult::exitCode() const
 {
     if (!loaded)
         return 2;
-    if (headlineRegressions > 0 || !configHashMatch)
+    if (!drifts.empty() || candidateErrorCells > 0 || !configHashMatch)
         return 1;
     return 0;
 }
@@ -162,14 +162,6 @@ bucketAttribution(const StatMap &base, const StatMap &cand)
     return out;
 }
 
-bool
-isHeadline(const DiffOptions &opts, const std::string &stat)
-{
-    return std::find(opts.headlineStats.begin(),
-                     opts.headlineStats.end(),
-                     stat) != opts.headlineStats.end();
-}
-
 } // namespace
 
 DiffResult
@@ -196,9 +188,6 @@ diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate,
     res.baselineErrorCells = baseErrors.size();
     res.candidateErrorCells = candErrors.size();
 
-    const double headlineRel =
-        opts.headlineRelTol >= 0.0 ? opts.headlineRelTol : opts.relTol;
-
     // Points present in only one artifact always fail the gate: the
     // candidate silently dropping an (app, config) point is itself a
     // regression, and a grown matrix deserves a fresh baseline.
@@ -210,7 +199,6 @@ diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate,
             d.config = key.second;
             d.stat = "(entire point)";
             d.onlyInBaseline = true;
-            d.headline = true;
             d.relDrift = -std::numeric_limits<double>::infinity();
             // The candidate's errors block explains why the point is
             // missing; surface the cell's message in the report.
@@ -218,7 +206,6 @@ diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate,
                 eit != candErrors.end())
                 d.attribution = "error: " + eit->second;
             res.drifts.push_back(std::move(d));
-            ++res.headlineRegressions;
         }
     }
     // Candidate error cells whose point the baseline results also
@@ -231,12 +218,10 @@ diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate,
         d.app = key.first;
         d.config = key.second;
         d.stat = "(error cell)";
-        d.headline = true;
         d.relDrift = std::numeric_limits<double>::infinity();
         d.onlyInCandidate = candPoints.count(key) == 0;
         d.attribution = "error: " + message;
         res.drifts.push_back(std::move(d));
-        ++res.headlineRegressions;
     }
     for (const auto &[key, stats] : candPoints) {
         (void)stats;
@@ -246,10 +231,8 @@ diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate,
             d.config = key.second;
             d.stat = "(entire point)";
             d.onlyInCandidate = true;
-            d.headline = true;
             d.relDrift = std::numeric_limits<double>::infinity();
             res.drifts.push_back(std::move(d));
-            ++res.headlineRegressions;
         }
     }
 
@@ -286,27 +269,17 @@ diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate,
                 d.candidate = ci->second;
                 d.relDrift = relativeDrift(d.baseline, d.candidate);
                 ++res.statsCompared;
-                const bool headline = isHeadline(opts, d.stat);
-                const bool ok = withinTolerance(
-                    d.baseline, d.candidate,
-                    headline ? headlineRel : opts.relTol, opts.absTol);
+                const bool ok = withinTolerance(d.baseline, d.candidate,
+                                                opts.relTol, opts.absTol);
                 ++bi;
                 ++ci;
                 if (ok)
                     continue;
-                d.headline = headline;
                 if (d.stat == "core.cycles")
                     d.attribution = bucketAttribution(base, cand);
-                if (headline)
-                    ++res.headlineRegressions;
-                res.drifts.push_back(std::move(d));
-                continue;
             }
-            // A stat existing on only one side is a schema drift; it
-            // fails the gate only when the stat is a headline one.
-            d.headline = isHeadline(opts, d.stat);
-            if (d.headline)
-                ++res.headlineRegressions;
+            // A value out of tolerance, or a stat on only one side
+            // (a schema drift).
             res.drifts.push_back(std::move(d));
         }
     }
@@ -418,10 +391,7 @@ renderDiffReport(const DiffResult &result, const DiffOptions &opts)
                           100.0 * d.relDrift);
             drift = buf;
         }
-        std::string stat = d.stat;
-        if (d.headline)
-            stat += " [headline]";
-        table.row({d.app, d.config, stat,
+        table.row({d.app, d.config, d.stat,
                    d.onlyInCandidate ? "-" : TextTable::num(d.baseline, 6),
                    d.onlyInBaseline ? "-" : TextTable::num(d.candidate, 6),
                    drift, d.attribution});
@@ -432,9 +402,6 @@ renderDiffReport(const DiffResult &result, const DiffOptions &opts)
                       result.drifts.size() - shown);
         out += buf;
     }
-    std::snprintf(buf, sizeof(buf), "headline regressions: %zu\n",
-                  result.headlineRegressions);
-    out += buf;
     return out;
 }
 

@@ -12,8 +12,9 @@
  * slower" comes annotated with "dcache_miss +3211, esp_pre_exec -890".
  *
  * Exit-code contract (stable; CI depends on it):
- *   0 — artifacts agree within tolerance on every headline stat
- *   1 — headline regression, missing point, candidate error cell, or
+ *   0 — artifacts agree within tolerance on every stat
+ *   1 — any stat drift beyond tolerance (an added or removed stat
+ *       included), a missing point, a candidate error cell, or a
  *       config-hash mismatch
  *   2 — an input failed to load or parse
  *
@@ -57,13 +58,6 @@ struct DiffOptions
     /** Cap on drift rows printed by renderDiffReport. */
     std::size_t maxRows = 20;
 
-    /** Stats whose out-of-tolerance drift fails the gate (exit 1). */
-    std::vector<std::string> headlineStats{"core.cycles", "derived.ipc",
-                                           "energy.total"};
-
-    /** Headline-specific relative tolerance; negative → use relTol. */
-    double headlineRelTol = -1.0;
-
     /** Compare artifacts from different machine configs anyway. */
     bool ignoreConfigHash = false;
 };
@@ -80,7 +74,6 @@ struct StatDrift
     double relDrift = 0.0;
     bool onlyInBaseline = false;
     bool onlyInCandidate = false;
-    bool headline = false;
     /** Cycle-bucket deltas explaining a core.cycles drift. */
     std::string attribution;
 };
@@ -93,9 +86,9 @@ struct DiffResult
     bool configHashMatch = true;
     std::size_t pointsCompared = 0;
     std::size_t statsCompared = 0;
-    /** Beyond-tolerance drifts, ranked by |relDrift| descending. */
+    /** Beyond-tolerance drifts, ranked by |relDrift| descending;
+     *  any one fails the gate (exit 1). */
     std::vector<StatDrift> drifts;
-    std::size_t headlineRegressions = 0;
     /** Failed cells declared in each artifact's `errors` block. A
      *  candidate error cell always fails the gate (exit 1). */
     std::size_t baselineErrorCells = 0;

@@ -13,9 +13,10 @@
  * RequestSpan is the one per-event record that leaves the core: each
  * retired event's span goes to every SpanSink on the core's sink list
  * (OoOCore::addSpanSink), and the core builds no span while the list
- * is empty. Every per-event observer is such a sink: the timeline
- * (report/timeline.hh), the counter sampler behind the telemetry
- * stream (report/telemetry.hh), and SpanCollector.
+ * is empty. Every per-event observer is such a sink, and none feeds
+ * another: the timeline (report/timeline.hh), the counter sampler
+ * behind the telemetry stream (report/telemetry.hh), and
+ * SpanCollector.
  * SpanCollector is the standard request-tracing sink: a span count
  * and a bounded worst-K table. Steady state allocates nothing (see
  * tests/test_zero_alloc.cc for the allocation-count assertion). Runs

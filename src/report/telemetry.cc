@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "report/json_writer.hh"
-#include "report/timeline.hh"
 
 namespace espsim
 {
@@ -89,9 +88,8 @@ CounterSampler::CounterSampler(const StatRegistry &reg,
                                LiveTelemetry &live,
                                const std::string &config,
                                const std::string &workload,
-                               const std::string &configHash,
-                               EventTimeline *timeline)
-    : live_(live), period_(live.periodCycles), timeline_(timeline)
+                               const std::string &configHash)
+    : live_(live), period_(live.periodCycles)
 {
     // Freeze the counter name set now: stats registered after the run
     // (handler breakdown, derived metrics) never appear, so every
@@ -105,8 +103,6 @@ CounterSampler::CounterSampler(const StatRegistry &reg,
     snap_.values.resize(getters_.size(), 0.0);
     nextCycle_ = period_;
     writeHeader(config, workload, configHash);
-    if (timeline_ != nullptr)
-        timeline_->beginCounterSeries(names_);
 }
 
 void
@@ -147,8 +143,6 @@ CounterSampler::sample(Cycle now, std::uint64_t events_retired,
     ++live_.snapshots;
     if (live_.stream != nullptr)
         live_.stream->writeLine(renderSnapshotLine(snap_));
-    if (timeline_ != nullptr)
-        timeline_->onCounterSnapshot(snap_);
 }
 
 void

@@ -16,9 +16,11 @@
  *    are monotone across snapshots, and the final snapshot equals
  *    the end-of-run registry values exactly (uint64 counters are
  *    exact in double below 2^53). Each snapshot is
- *    streamed as a versioned JSON line through a TelemetryStream,
- *    and handed to the run's timeline (if any), which draws its
- *    interval counter tracks from consecutive snapshots.
+ *    streamed as a versioned JSON line through a TelemetryStream.
+ *    Interval rates (IPC, MPKI, miss rates, ESP occupancy) are
+ *    derived from consecutive snapshots by the stream's reader,
+ *    tools/plot_intervals.py; the per-event timeline
+ *    (report/timeline.hh) is an independent observer.
  *
  *  - **TelemetryStream** — a JSON-lines sink (file or in-memory for
  *    tests). One stream may carry several run blocks (a serve sweep
@@ -54,8 +56,6 @@
 
 namespace espsim
 {
-
-class EventTimeline;
 
 /** Version of the telemetry-stream schema this build writes. */
 constexpr std::uint32_t telemetryStreamFormatVersion = 1;
@@ -133,15 +133,14 @@ class CounterSampler final : public SpanSink
   public:
     /**
      * A sampler paced by @p live.periodCycles: each snapshot is
-     * counted in @p live, streamed to its stream (if any) and handed
-     * to @p timeline (if any). The stream's block header, naming
-     * @p config, @p workload and @p configHash, is written now.
+     * counted in @p live and streamed to its stream (if any). The
+     * stream's block header, naming @p config, @p workload and
+     * @p configHash, is written now.
      */
     CounterSampler(const StatRegistry &reg, LiveTelemetry &live,
                    const std::string &config,
                    const std::string &workload,
-                   const std::string &configHash,
-                   EventTimeline *timeline);
+                   const std::string &configHash);
 
     /** Snapshot if the retire at span.retire crossed a grid point. */
     void onSpan(const RequestSpan &span) override;
@@ -156,7 +155,6 @@ class CounterSampler final : public SpanSink
   private:
     LiveTelemetry &live_;
     const Cycle period_; //!< snapshot pace in cycles (0 = final only)
-    EventTimeline *timeline_;
     std::vector<std::string> names_;
     std::vector<StatRegistry::Getter> getters_;
     TelemetrySnapshot snap_; //!< reused for every snapshot

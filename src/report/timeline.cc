@@ -1,12 +1,9 @@
 #include "report/timeline.hh"
 
-#include <algorithm>
 #include <fstream>
-#include <limits>
 
 #include "common/logging.hh"
 #include "report/json_writer.hh"
-#include "report/telemetry.hh"
 
 namespace espsim
 {
@@ -39,52 +36,6 @@ EventTimeline::~EventTimeline()
 }
 
 void
-EventTimeline::onSpan(const RequestSpan &span)
-{
-    EventRecord record = pending_;
-    pending_ = EventRecord{};
-    pending_.span.index = span.index + 1;
-    if (full()) {
-        ++droppedEvents_;
-        return;
-    }
-    record.span = span;
-    events_.push_back(record);
-    flushRecords();
-}
-
-void
-EventTimeline::recordStall(CycleBucket bucket, Cycle start, Cycle dur)
-{
-    if (full())
-        return;
-    StallSpan span;
-    span.bucket = bucket;
-    span.eventIdx = pending_.span.index;
-    span.start = start;
-    span.dur = dur;
-    stalls_.push_back(span);
-    ++pending_.stallCount;
-}
-
-void
-EventTimeline::recordEspWindow(unsigned depth,
-                               std::size_t spec_event_idx, Cycle start,
-                               Cycle dur)
-{
-    if (full())
-        return;
-    EspSpan span;
-    span.depth = depth;
-    span.specEventIdx = spec_event_idx;
-    span.triggerEventIdx = pending_.span.index;
-    span.start = start;
-    span.dur = dur;
-    windows_.push_back(span);
-    ++pending_.espWindows;
-}
-
-void
 EventTimeline::setRunInfo(const std::string &config_name,
                           const std::string &workload_name)
 {
@@ -101,13 +52,12 @@ EventTimeline::setEventLimit(std::size_t max_events)
 namespace
 {
 
-/** Trace rows: one pid, five named tids. */
+/** Trace rows: one pid, four named tids. */
 constexpr int tracePid = 1;
 constexpr int tidEvents = 1;
 constexpr int tidStalls = 2;
 constexpr int tidEsp = 3;
 constexpr int tidAccounting = 4;
-constexpr int tidIntervals = 5;
 
 void
 metadataRecord(JsonWriter &w, const char *name, int tid,
@@ -135,18 +85,6 @@ sliceCommon(JsonWriter &w, const char *cat, Cycle ts, Cycle dur,
     w.key("tid").value(tid);
 }
 
-constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-/** Position of @p name in sorted @p names, or npos. */
-std::size_t
-indexOf(const std::vector<std::string> &names, const char *name)
-{
-    const auto it = std::lower_bound(names.begin(), names.end(), name);
-    if (it == names.end() || *it != name)
-        return npos;
-    return static_cast<std::size_t>(it - names.begin());
-}
-
 /** The span's cycle buckets as a {name: cycles} object. */
 void
 bucketArgs(JsonWriter &w, const RequestSpan &span)
@@ -159,73 +97,15 @@ bucketArgs(JsonWriter &w, const RequestSpan &span)
     w.endObject();
 }
 
-} // namespace
-
+/**
+ * One retired event's records: the event slice carrying its
+ * @p stalls and @p esp_windows tallies, its cycle-bucket counter
+ * sample and its execute slice.
+ */
 void
-EventTimeline::beginCounterSeries(const std::vector<std::string> &names)
+renderEvent(JsonWriter &w, const RequestSpan &span, std::uint32_t stalls,
+            std::uint32_t esp_windows)
 {
-    counterIdx_ = {indexOf(names, "core.cycles"),
-                   indexOf(names, "core.instructions"),
-                   indexOf(names, "mem.l1i.misses"),
-                   indexOf(names, "mem.l1d.accesses"),
-                   indexOf(names, "mem.l1d.misses"),
-                   indexOf(names, "core.cycle_bucket.esp_pre_exec")};
-    prevCounters_.assign(names.size(), 0.0);
-}
-
-void
-EventTimeline::onCounterSnapshot(const TelemetrySnapshot &snap)
-{
-    if (snap.isFinal && snap.values == prevCounters_)
-        return;
-    const auto delta = [&](std::size_t idx) {
-        return idx == npos ? 0.0 : snap.values[idx] - prevCounters_[idx];
-    };
-    const CounterIndex &ix = counterIdx_;
-    const double cycles = delta(ix.cycles);
-    const double instrs = delta(ix.instrs);
-    const double l1d_accesses = delta(ix.l1dAccesses);
-    CounterSample sample;
-    sample.ts = snap.cycle;
-    if (cycles > 0) {
-        sample.values.emplace_back("interval.ipc", instrs / cycles);
-        if (ix.espCycles != npos) {
-            sample.values.emplace_back("interval.esp_occupancy",
-                                       delta(ix.espCycles) / cycles);
-        }
-    }
-    if (instrs > 0 && ix.l1iMisses != npos) {
-        sample.values.emplace_back(
-            "interval.l1i_mpki", delta(ix.l1iMisses) / (instrs / 1000.0));
-    }
-    if (l1d_accesses > 0 && ix.l1dMisses != npos) {
-        sample.values.emplace_back("interval.l1d_miss_rate",
-                                   delta(ix.l1dMisses) / l1d_accesses);
-    }
-    if (!sample.values.empty())
-        counters_.push_back(std::move(sample));
-    prevCounters_ = snap.values;
-}
-
-void
-EventTimeline::renderHeader(JsonWriter &w) const
-{
-    w.beginObject();
-    w.key("traceEvents").beginArray();
-
-    metadataRecord(w, "process_name", -1, "espsim");
-    metadataRecord(w, "thread_name", tidEvents, "events");
-    metadataRecord(w, "thread_name", tidStalls, "stalls");
-    metadataRecord(w, "thread_name", tidEsp, "esp pre-execution");
-    metadataRecord(w, "thread_name", tidAccounting, "cycle accounting");
-    metadataRecord(w, "thread_name", tidIntervals, "interval stats");
-}
-
-void
-EventTimeline::renderEvent(JsonWriter &w, const EventRecord &ev) const
-{
-    const RequestSpan &span = ev.span;
-
     // The full event span: queue-head to retire.
     w.beginObject();
     w.key("name").value("event " + std::to_string(span.index));
@@ -237,8 +117,8 @@ EventTimeline::renderEvent(JsonWriter &w, const EventRecord &ev) const
     w.key("dispatch_cycle").value(std::uint64_t{span.dispatch});
     w.key("retire_cycle").value(std::uint64_t{span.retire});
     w.key("instructions").value(std::uint64_t{span.instructions});
-    w.key("stall_count").value(std::uint64_t{ev.stallCount});
-    w.key("esp_windows").value(std::uint64_t{ev.espWindows});
+    w.key("stall_count").value(std::uint64_t{stalls});
+    w.key("esp_windows").value(std::uint64_t{esp_windows});
     w.key("cycle_buckets");
     bucketArgs(w, span);
     w.key("prefetches").beginObject();
@@ -277,73 +157,82 @@ EventTimeline::renderEvent(JsonWriter &w, const EventRecord &ev) const
     w.endObject();
 }
 
+} // namespace
+
 void
-EventTimeline::renderRecords(JsonWriter &w) const
+EventTimeline::onSpan(const RequestSpan &span)
 {
-    // Stalls and ESP windows are recorded in event order, so a cursor
-    // walk puts each event's slices after it without indexing; the
-    // final walk emits any recorded after the last span.
-    std::size_t stall_cursor = 0;
-    std::size_t window_cursor = 0;
-    const auto slicesUpTo = [&](std::size_t last_event) {
-        while (stall_cursor < stalls_.size() &&
-               stalls_[stall_cursor].eventIdx <= last_event) {
-            const StallSpan &st = stalls_[stall_cursor++];
-            w.beginObject();
-            w.key("name").value(cycleBucketName(st.bucket));
-            sliceCommon(w, "stall", st.start, st.dur, tidStalls);
-            w.key("args")
-                .beginObject()
-                .key("event")
-                .value(std::uint64_t{st.eventIdx})
-                .endObject();
-            w.endObject();
-        }
-        while (window_cursor < windows_.size() &&
-               windows_[window_cursor].triggerEventIdx <= last_event) {
-            const EspSpan &sp = windows_[window_cursor++];
-            w.beginObject();
-            w.key("name").value("ESP-" + std::to_string(sp.depth));
-            sliceCommon(w, "esp", sp.start, sp.dur, tidEsp);
-            w.key("args").beginObject();
-            w.key("depth").value(sp.depth);
-            w.key("pre_executed_event")
-                .value(std::uint64_t{sp.specEventIdx});
-            w.key("triggering_event")
-                .value(std::uint64_t{sp.triggerEventIdx});
-            w.endObject();
-            w.endObject();
-        }
-    };
-    for (const EventRecord &ev : events_) {
-        renderEvent(w, ev);
-        slicesUpTo(ev.span.index);
+    const std::uint32_t stalls = eventStalls_;
+    const std::uint32_t esp_windows = eventEspWindows_;
+    eventIdx_ = span.index + 1;
+    eventStalls_ = 0;
+    eventEspWindows_ = 0;
+    if (full()) {
+        ++droppedEvents_;
+        return;
     }
-    slicesUpTo(std::numeric_limits<std::size_t>::max());
+    ++numEvents_;
+    if (stream_) {
+        renderEvent(stream_->writer, span, stalls, esp_windows);
+        stream_->drainTo();
+    }
 }
 
 void
-EventTimeline::renderCounterSamples(JsonWriter &w) const
+EventTimeline::recordStall(CycleBucket bucket, Cycle start, Cycle dur)
 {
-    // One record per metric per sample: each metric gets its own
-    // Perfetto counter track on the interval row.
-    for (const CounterSample &sample : counters_) {
-        for (const auto &[name, value] : sample.values) {
-            w.beginObject();
-            w.key("name").value(name);
-            w.key("cat").value("interval");
-            w.key("ph").value("C");
-            w.key("ts").value(std::uint64_t{sample.ts});
-            w.key("pid").value(tracePid);
-            w.key("tid").value(tidIntervals);
-            w.key("args")
-                .beginObject()
-                .key("value")
-                .value(value)
-                .endObject();
-            w.endObject();
-        }
-    }
+    if (full())
+        return;
+    ++numStalls_;
+    ++eventStalls_;
+    if (!stream_)
+        return;
+    JsonWriter &w = stream_->writer;
+    w.beginObject();
+    w.key("name").value(cycleBucketName(bucket));
+    sliceCommon(w, "stall", start, dur, tidStalls);
+    w.key("args")
+        .beginObject()
+        .key("event")
+        .value(std::uint64_t{eventIdx_})
+        .endObject();
+    w.endObject();
+}
+
+void
+EventTimeline::recordEspWindow(unsigned depth,
+                               std::size_t spec_event_idx, Cycle start,
+                               Cycle dur)
+{
+    if (full())
+        return;
+    ++numEspWindows_;
+    ++eventEspWindows_;
+    if (!stream_)
+        return;
+    JsonWriter &w = stream_->writer;
+    w.beginObject();
+    w.key("name").value("ESP-" + std::to_string(depth));
+    sliceCommon(w, "esp", start, dur, tidEsp);
+    w.key("args").beginObject();
+    w.key("depth").value(depth);
+    w.key("pre_executed_event").value(std::uint64_t{spec_event_idx});
+    w.key("triggering_event").value(std::uint64_t{eventIdx_});
+    w.endObject();
+    w.endObject();
+}
+
+void
+EventTimeline::renderHeader(JsonWriter &w) const
+{
+    w.beginObject();
+    w.key("traceEvents").beginArray();
+
+    metadataRecord(w, "process_name", -1, "espsim");
+    metadataRecord(w, "thread_name", tidEvents, "events");
+    metadataRecord(w, "thread_name", tidStalls, "stalls");
+    metadataRecord(w, "thread_name", tidEsp, "esp pre-execution");
+    metadataRecord(w, "thread_name", tidAccounting, "cycle accounting");
 }
 
 void
@@ -390,29 +279,13 @@ EventTimeline::streamTo(const std::string &path)
 }
 
 bool
-EventTimeline::flushRecords()
-{
-    if (stream_)
-        renderRecords(stream_->writer);
-    flushedEvents_ += events_.size();
-    flushedStalls_ += stalls_.size();
-    flushedWindows_ += windows_.size();
-    events_.clear();
-    stalls_.clear();
-    windows_.clear();
-    return !stream_ || stream_->drainTo();
-}
-
-bool
 EventTimeline::closeStream()
 {
     if (!stream_)
         return false;
     warnDropped();
-    bool ok = flushRecords();
-    renderCounterSamples(stream_->writer);
     renderFooter(stream_->writer);
-    ok = stream_->drainTo() && ok;
+    bool ok = stream_->drainTo();
     stream_->out.close();
     ok = static_cast<bool>(stream_->out) && ok;
     stream_.reset();

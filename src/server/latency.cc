@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <string>
 
 #include "common/logging.hh"
-#include "report/stat_registry.hh"
 
 namespace espsim
 {
@@ -106,41 +104,6 @@ ServePacer::eventHandlerType(std::size_t idx,
 {
     (void)idx;
     curHandler_ = handler_type;
-}
-
-void
-ServePacer::registerStats(StatRegistry &reg,
-                          const std::string &prefix) const
-{
-    for (std::size_t h = 0; h < handlers_.size(); ++h) {
-        const HandlerLatency &hl = handlers_[h];
-        if (hl.events == 0)
-            continue;
-        const std::string base =
-            prefix + "handler." + std::to_string(h) + ".";
-        // Values are captured now (the run is over; the registry
-        // snapshot follows immediately), so the registered getters
-        // never dangle into this pacer.
-        reg.registerDerived(base + "events", [v = hl.events] {
-            return static_cast<double>(v);
-        });
-        reg.registerDerived(base + "queue.p50",
-                            [v = hl.queue.percentile(50.0)] {
-                                return v;
-                            });
-        reg.registerDerived(base + "queue.p99",
-                            [v = hl.queue.percentile(99.0)] {
-                                return v;
-                            });
-        reg.registerDerived(base + "service.p50",
-                            [v = hl.service.percentile(50.0)] {
-                                return v;
-                            });
-        reg.registerDerived(base + "service.p99",
-                            [v = hl.service.percentile(99.0)] {
-                                return v;
-                            });
-    }
 }
 
 } // namespace espsim

@@ -75,10 +75,6 @@ class ServePacer final : public EventPacer
     void eventHandlerType(std::size_t idx,
                           std::uint32_t handler_type) override;
 
-    /** Register `<prefix>handler.<id>.{events,queue,service}.*`. */
-    void registerStats(StatRegistry &reg,
-                       const std::string &prefix) const override;
-
     /** Per-handler breakdowns, indexed by handler type. */
     const std::vector<HandlerLatency> &handlers() const
     {

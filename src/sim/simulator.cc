@@ -102,8 +102,7 @@ Simulator::run(const Workload &workload,
             reg, *inst.telemetry, config_.name, workload.name(),
             inst.telemetry->configHash.empty()
                 ? configsHash({config_})
-                : inst.telemetry->configHash,
-            timeline);
+                : inst.telemetry->configHash);
         core.addSpanSink(sampler.get());
     }
 
@@ -183,12 +182,6 @@ Simulator::run(const Workload &workload,
             }
         }
     }
-
-    // Pacer-owned stats (per-handler latency quantiles on serve runs)
-    // join the registry after the run, like the handler accounting
-    // above, so they land in the same snapshot.
-    if (inst.pacer)
-        inst.pacer->registerStats(reg, "server.");
 
     SimResult result;
     result.configName = config_.name;

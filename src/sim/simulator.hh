@@ -82,10 +82,9 @@ struct RunInstrumentation
     /** Per-request span sink (worst-K tail blame; nullptr = off).
      *  See report/spans.hh. */
     SpanSink *spans = nullptr;
-    /** Telemetry: a CounterSampler streams snapshots into it and,
-     *  with a timeline, draws the timeline's interval counter tracks
-     *  (nullptr = off). It may outlive the run
-     *  and serve several. See report/telemetry.hh. */
+    /** Telemetry: a CounterSampler streams snapshots into it
+     *  (nullptr = off). It may outlive the run and serve several.
+     *  See report/telemetry.hh. */
     LiveTelemetry *telemetry = nullptr;
 };
 

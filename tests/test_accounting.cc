@@ -401,19 +401,17 @@ TEST(Diff, IdenticalArtifactsExitZero)
     EXPECT_EQ(d.pointsCompared, 1u);
 }
 
-TEST(Diff, HeadlineDriftFailsAndIsAttributedToBuckets)
+TEST(Diff, CyclesDriftFailsAndIsAttributedToBuckets)
 {
     const std::string base = fakeArtifact("h", 1000, 200, 1.5);
     const std::string cand = fakeArtifact("h", 1100, 300, 1.5);
     const DiffResult d = diffStrings(base, cand);
     EXPECT_EQ(d.exitCode(), 1);
-    EXPECT_GE(d.headlineRegressions, 1u);
     bool found = false;
     for (const StatDrift &drift : d.drifts) {
         if (drift.stat != "core.cycles")
             continue;
         found = true;
-        EXPECT_TRUE(drift.headline);
         EXPECT_NEAR(drift.relDrift, 0.1, 1e-9);
         // The drift is explained through the accounting buckets.
         EXPECT_NE(drift.attribution.find("dcache_miss +100"),
@@ -423,7 +421,7 @@ TEST(Diff, HeadlineDriftFailsAndIsAttributedToBuckets)
     EXPECT_TRUE(found);
 }
 
-TEST(Diff, RelativeToleranceAbsorbsHeadlineDrift)
+TEST(Diff, RelativeToleranceAbsorbsDrift)
 {
     const std::string base = fakeArtifact("h", 1000, 200, 1.5);
     const std::string cand = fakeArtifact("h", 1100, 300, 1.5);
@@ -431,33 +429,32 @@ TEST(Diff, RelativeToleranceAbsorbsHeadlineDrift)
     opts.relTol = 0.6; // covers even the 50% bucket move
     const DiffResult d = diffStrings(base, cand, opts);
     EXPECT_EQ(d.exitCode(), 0);
-    EXPECT_EQ(d.headlineRegressions, 0u);
     EXPECT_TRUE(d.drifts.empty());
 }
 
-TEST(Diff, HeadlineToleranceOverridesGeneralTolerance)
+TEST(Diff, AnyStatDriftFailsTheGate)
 {
-    const std::string base = fakeArtifact("h", 1000, 200, 1.5);
-    const std::string cand = fakeArtifact("h", 1100, 300, 1.5);
-    DiffOptions opts;
-    opts.relTol = 0.6;
-    opts.headlineRelTol = 0.01; // stricter just for headline stats
-    const DiffResult d = diffStrings(base, cand, opts);
-    EXPECT_EQ(d.exitCode(), 1);
-    EXPECT_GE(d.headlineRegressions, 1u);
-}
-
-TEST(Diff, NonHeadlineDriftIsReportedButPasses)
-{
+    // Every stat gates, not only cycles, IPC and energy: a moved,
+    // added or removed counter each fail with exit 1.
     const std::string base = fakeArtifact("h", 1000, 200, 1.5, false,
                                           R"("mem.extra":10)");
-    const std::string cand = fakeArtifact("h", 1000, 200, 1.5, false,
-                                          R"("mem.extra":20)");
-    const DiffResult d = diffStrings(base, cand);
-    EXPECT_EQ(d.exitCode(), 0);
+    const std::string moved = fakeArtifact("h", 1000, 200, 1.5, false,
+                                           R"("mem.extra":20)");
+    const DiffResult d = diffStrings(base, moved);
+    EXPECT_EQ(d.exitCode(), 1);
     ASSERT_EQ(d.drifts.size(), 1u);
     EXPECT_EQ(d.drifts[0].stat, "mem.extra");
-    EXPECT_FALSE(d.drifts[0].headline);
+
+    const std::string removed = fakeArtifact("h", 1000, 200, 1.5);
+    const DiffResult r = diffStrings(base, removed);
+    EXPECT_EQ(r.exitCode(), 1);
+    ASSERT_EQ(r.drifts.size(), 1u);
+    EXPECT_TRUE(r.drifts[0].onlyInBaseline);
+
+    const DiffResult a = diffStrings(removed, base);
+    EXPECT_EQ(a.exitCode(), 1);
+    ASSERT_EQ(a.drifts.size(), 1u);
+    EXPECT_TRUE(a.drifts[0].onlyInCandidate);
 }
 
 TEST(Diff, ConfigHashMismatchFailsUnlessIgnored)
@@ -511,6 +508,6 @@ TEST(Diff, ReportRendersDriftTable)
     const DiffResult d = diffStrings(base, cand);
     const std::string report = renderDiffReport(d);
     EXPECT_NE(report.find("core.cycles"), std::string::npos);
-    EXPECT_NE(report.find("[headline]"), std::string::npos);
-    EXPECT_NE(report.find("headline regressions:"), std::string::npos);
+    EXPECT_NE(report.find("dcache_miss +100"), std::string::npos);
+    EXPECT_NE(report.find("2 drifts beyond tolerance"), std::string::npos);
 }

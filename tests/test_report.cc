@@ -2,18 +2,15 @@
  * @file
  * Tests of the observability subsystem: the JSON writer/reader pair,
  * the StatRegistry, suite/table artifacts (including the byte-identity
- * guarantee across --jobs counts), the Chrome-trace timeline with its
- * interval counter tracks, and the host profiler's span accounting.
+ * guarantee across --jobs counts), the Chrome-trace timeline, and the
+ * host profiler's span accounting.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <sstream>
 
 #include "report/artifact.hh"
 #include "report/json_reader.hh"
@@ -326,8 +323,9 @@ TEST(Artifact, TableArtifactRoundTrips)
 
 TEST(Timeline, RecordsEventsAndExportsValidChromeTrace)
 {
-    // A counter sampler adds the interval counter tracks, so the
-    // trace holds every record kind it can.
+    // A counter sampler runs alongside: the timeline and the
+    // telemetry stream are independent observers, so the trace holds
+    // only the timeline's own records.
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
     EventTimeline timeline;
     LiveTelemetry live;
@@ -362,7 +360,6 @@ TEST(Timeline, RecordsEventsAndExportsValidChromeTrace)
     std::size_t esp_slices = 0;
     std::size_t meta_records = 0;
     std::size_t bucket_counters = 0;
-    std::size_t interval_counters = 0;
     double last_event_ts = -1.0;
     for (const JsonValue &e : events.array) {
         const std::string &ph = e.at("ph").string;
@@ -372,17 +369,10 @@ TEST(Timeline, RecordsEventsAndExportsValidChromeTrace)
         }
         if (ph == "C") {
             // Cycle-accounting counter track: one sample per event,
-            // with at least one named bucket; the interval tracks
-            // carry one value each.
-            if (e.at("cat").string == "interval") {
-                ++interval_counters;
-                EXPECT_EQ(e.at("name").string.rfind("interval.", 0), 0u);
-                EXPECT_EQ(e.at("args").object.size(), 1u);
-            } else {
-                ++bucket_counters;
-                EXPECT_EQ(e.at("name").string, "cycle buckets");
-                EXPECT_GT(e.at("args").object.size(), 0u);
-            }
+            // with at least one named bucket.
+            ++bucket_counters;
+            EXPECT_EQ(e.at("name").string, "cycle buckets");
+            EXPECT_GT(e.at("args").object.size(), 0u);
             continue;
         }
         ASSERT_EQ(ph, "X");
@@ -404,13 +394,12 @@ TEST(Timeline, RecordsEventsAndExportsValidChromeTrace)
             ++esp_slices;
         }
     }
-    EXPECT_GE(meta_records, 6u); // process + five thread names
+    EXPECT_EQ(meta_records, 5u); // process + four thread names
     EXPECT_EQ(event_slices, workload->numEvents());
     EXPECT_EQ(execute_slices, workload->numEvents());
     EXPECT_EQ(stall_slices, timeline.numStalls());
     EXPECT_EQ(esp_slices, timeline.numEspWindows());
     EXPECT_EQ(bucket_counters, workload->numEvents());
-    EXPECT_GT(interval_counters, 0u);
 }
 
 TEST(Timeline, BaselineRunHasNoEspWindows)
@@ -436,72 +425,6 @@ TEST(Timeline, TimelineDoesNotPerturbResults)
         Simulator(SimConfig::espFull(true)).run(*workload);
     EXPECT_EQ(with.cycles, without.cycles);
     EXPECT_DOUBLE_EQ(with.ipc, without.ipc);
-}
-
-TEST(Timeline, IntervalIpcTrackFollowsTheCounterStream)
-{
-    // Each interval.ipc point must sit at a snapshot cycle of the
-    // captured stream and equal that interval's Δcore.instructions /
-    // Δcore.cycles, the first interval measured from zero.
-    const auto workload = SyntheticGenerator(tinyProfile()).generate();
-    EventTimeline timeline;
-    std::string captured;
-    TelemetryStream stream;
-    stream.captureTo(&captured);
-    LiveTelemetry live;
-    live.periodCycles = 5'000;
-    live.stream = &stream;
-    RunInstrumentation inst;
-    inst.telemetry = &live;
-    const TracedRun run = runTraced(Simulator(SimConfig::espFull(true)),
-                                    *workload, timeline, inst);
-
-    std::istringstream lines(captured);
-    std::string line;
-    ASSERT_TRUE(std::getline(lines, line));
-    const auto header = parseJson(line);
-    ASSERT_TRUE(header);
-    std::vector<std::string> names;
-    for (const JsonValue &name : header->at("names").array)
-        names.push_back(name.string);
-    const auto column = [&names](const char *name) {
-        return static_cast<std::size_t>(
-            std::find(names.begin(), names.end(), name) - names.begin());
-    };
-    const std::size_t instrs = column("core.instructions");
-    const std::size_t cycles = column("core.cycles");
-    ASSERT_LT(instrs, names.size());
-    ASSERT_LT(cycles, names.size());
-    std::map<double, double> expected; // snapshot cycle -> IPC
-    double prev_instrs = 0;
-    double prev_cycles = 0;
-    while (std::getline(lines, line)) {
-        const auto snap = parseJson(line);
-        ASSERT_TRUE(snap);
-        const JsonValue &values = snap->at("values");
-        const double d_instrs = values.array[instrs].number - prev_instrs;
-        const double d_cycles = values.array[cycles].number - prev_cycles;
-        if (d_cycles > 0)
-            expected[snap->at("cycle").number] = d_instrs / d_cycles;
-        prev_instrs = values.array[instrs].number;
-        prev_cycles = values.array[cycles].number;
-    }
-    ASSERT_GT(expected.size(), 1u);
-
-    const auto trace = parseJson(run.trace);
-    ASSERT_TRUE(trace);
-    std::size_t points = 0;
-    for (const JsonValue &e : trace->at("traceEvents").array) {
-        const JsonValue *name = e.find("name");
-        if (name == nullptr || name->string != "interval.ipc")
-            continue;
-        ++points;
-        const auto it = expected.find(e.at("ts").number);
-        ASSERT_NE(it, expected.end()) << "no snapshot at cycle "
-                                      << e.at("ts").number;
-        EXPECT_EQ(e.at("args").at("value").number, it->second);
-    }
-    EXPECT_EQ(points, expected.size());
 }
 
 TEST(Timeline, EventLimitKeepsOnlyTheFirstEventsAndTheirSlices)

@@ -226,35 +226,3 @@ TEST(HandlerBreakdown, RowsPartitionTheEventStream)
     }
     EXPECT_EQ(handler_events, cell.events);
 }
-
-TEST(HandlerBreakdown, StatsSurfaceInTheRegistrySnapshot)
-{
-    ServerProfile p = ServerProfile::testProfile();
-    p.app.numEvents = 200;
-    StreamingWorkload workload(
-        std::make_unique<ServerTraceSource>(p));
-    ArrivalConfig acfg;
-    ServePacer pacer(makeArrivalProcess(acfg), 1024, acfg.seed,
-                     p.app.numHandlerTypes);
-    RunInstrumentation inst;
-    inst.pacer = &pacer;
-    const SimResult r =
-        Simulator(SimConfig::baseline()).run(workload, inst);
-
-    ASSERT_TRUE(r.stats.has("server.handler.0.events"));
-    ASSERT_TRUE(r.stats.has("server.handler.0.queue.p50"));
-    ASSERT_TRUE(r.stats.has("server.handler.0.queue.p99"));
-    ASSERT_TRUE(r.stats.has("server.handler.0.service.p50"));
-    ASSERT_TRUE(r.stats.has("server.handler.0.service.p99"));
-    EXPECT_LE(r.stats.get("server.handler.0.queue.p50"),
-              r.stats.get("server.handler.0.queue.p99"));
-    // The rows partition the stream across the profile's handlers.
-    double total = 0.0;
-    for (std::size_t h = 0; h < p.app.numHandlerTypes; ++h) {
-        const std::string key =
-            "server.handler." + std::to_string(h) + ".events";
-        if (r.stats.has(key))
-            total += r.stats.get(key);
-    }
-    EXPECT_EQ(total, static_cast<double>(p.app.numEvents));
-}

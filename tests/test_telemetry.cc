@@ -208,8 +208,7 @@ TEST(Telemetry, ProgressAndSnapshotCountsMatchTheStream)
 
 TEST(Telemetry, CountersAreZeroWhenTheSamplerStartsForEveryConfig)
 {
-    // plot_intervals.py and the timeline's interval tracks measure the
-    // first interval from zero. A run with no events keeps the warmup
+    // plot_intervals.py measures the first interval from zero. A run with no events keeps the warmup
     // and engine construction that precede the sampler and adds no
     // work after it; counters are monotone, so a final line of zeros
     // means every counter was zero when the sampler started.

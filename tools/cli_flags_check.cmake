@@ -9,6 +9,8 @@
 # count) abort or run effectively forever; the timeout catches that.
 # Invoked as:
 #   cmake -DESPSIM_CLI=<path> -P this-file
+# With -DFIGURE=ON, ESPSIM_CLI names a figure binary instead, and only
+# the figure binaries' flag parser (bench/bench_util.hh) is checked.
 
 function(expect_rejected flag)
     execute_process(
@@ -19,12 +21,12 @@ function(expect_rejected flag)
         TIMEOUT 60)
     if(NOT rc EQUAL 2)
         message(FATAL_ERROR
-            "espsim ${ARGN}: expected exit 2, got ${rc}: ${err}")
+            "${ESPSIM_CLI} ${ARGN}: expected exit 2, got ${rc}: ${err}")
     endif()
     string(FIND "${err}" "${flag}" at)
     if(at EQUAL -1)
         message(FATAL_ERROR
-            "espsim ${ARGN}: error does not name ${flag}: ${err}")
+            "${ESPSIM_CLI} ${ARGN}: error does not name ${flag}: ${err}")
     endif()
 endfunction()
 
@@ -38,9 +40,21 @@ function(expect_accepted)
         TIMEOUT 60)
     if(NOT rc EQUAL 0)
         message(FATAL_ERROR
-            "espsim ${ARGN}: expected exit 0, got ${rc}: ${err}")
+            "${ESPSIM_CLI} ${ARGN}: expected exit 0, got ${rc}: ${err}")
     endif()
 endfunction()
+
+# A figure binary takes --jobs N, --json [path] and --version only. A
+# negative --jobs once ran as 1 and 2^32 as auto, and an unknown flag
+# (a misspelled --json, the retired --csv) was ignored with exit 0.
+if(FIGURE)
+    expect_rejected("invalid value" --jobs -3)
+    expect_rejected("invalid value" --jobs 4294967296)
+    expect_rejected("invalid value" --jobs 2x)
+    expect_rejected(--jsonn --jsonn)
+    expect_rejected(--csv --csv x)
+    return()
+endif()
 
 # A misspelled flag.
 expect_rejected(--telemetry-perod
@@ -112,6 +126,12 @@ expect_rejected(--think
 # The retired CSV view of the suite artifact: nothing read it, and the
 # JSON artifact carries the same stats.
 expect_rejected(--csv suite --apps amazon --configs base --csv x.csv)
+# The retired headline-only diff gate: any stat drift fails
+# `espsim diff`, so there is no headline set or headline tolerance.
+expect_rejected(--headline
+    diff never_read.json never_read.json --headline core.cycles)
+expect_rejected(--headline-rel-tol
+    diff never_read.json never_read.json --headline-rel-tol 0.01)
 # A flag that does nothing without --telemetry, --timeline or
 # --trace-spans.
 expect_rejected(--telemetry-period

@@ -14,8 +14,7 @@
  *                [--json [path]] [--trace-spans [path]] [--worst N]
  *   espsim gen   --app gmaps --out gmaps.espw [--events N]
  *   espsim diff  baseline.json candidate.json [--rel-tol F]
- *                [--abs-tol F] [--headline a,b] [--max-rows N]
- *                [--ignore-config-hash]
+ *                [--abs-tol F] [--max-rows N] [--ignore-config-hash]
  *   espsim fuzz  [--runs N] [--seed S] [--verbose]
  *   espsim list  (apps and configs)
  *   espsim --version
@@ -34,8 +33,9 @@
  * without another one (--telemetry-period without --telemetry,
  * --timeline-limit without --timeline, --worst without
  * --trace-spans).
- * `espsim diff` exits 0 when the artifacts agree within tolerance,
- * 1 on a headline regression or config mismatch, 2 on load failure.
+ * `espsim diff` exits 0 when every stat agrees within tolerance, 1 on
+ * any drift (an added or removed stat, a missing point or a candidate
+ * error cell included) or a config mismatch, 2 on load failure.
  * `espsim suite` exits 1 when any sweep cell failed (its artifact
  * then carries an `errors` block; see docs/ROBUSTNESS.md).
  * `espsim fuzz` runs the src/check/ property harness and exits 1 on
@@ -98,8 +98,7 @@ usage()
         "  espsim gen   --app <name> --out <file> [--events N]\n"
         "  espsim diff  <baseline.json> <candidate.json> "
         "[--rel-tol F] [--abs-tol F]\n"
-        "               [--headline a,b,c] [--max-rows N] "
-        "[--ignore-config-hash]\n"
+        "               [--max-rows N] [--ignore-config-hash]\n"
         "  espsim fuzz  [--runs N] [--seed S] [--verbose]\n"
         "  espsim list\n"
         "  espsim --version\n"
@@ -309,8 +308,8 @@ cmdRun(const std::map<std::string, std::string> &flags)
     RunInstrumentation inst;
     inst.timeline = want_timeline ? &timeline : nullptr;
 
-    // Telemetry stream (single-run form of the serve stream); with a
-    // timeline it also draws the interval counter tracks.
+    // Telemetry stream (single-run form of the serve stream), an
+    // observer independent of the timeline.
     TelemetryStream telemetry_stream;
     LiveTelemetry live;
     if (auto it = flags.find("telemetry"); it != flags.end()) {
@@ -673,18 +672,9 @@ cmdDiff(int argc, char **argv)
             opts.relTol = parseDoubleOption(value(), "rel-tol");
         } else if (arg == "--abs-tol") {
             opts.absTol = parseDoubleOption(value(), "abs-tol");
-        } else if (arg == "--headline-rel-tol") {
-            opts.headlineRelTol =
-                parseDoubleOption(value(), "headline-rel-tol");
         } else if (arg == "--max-rows") {
             opts.maxRows = static_cast<std::size_t>(
                 parseUnsignedOption(value(), "max-rows"));
-        } else if (arg == "--headline") {
-            opts.headlineStats.clear();
-            std::stringstream ss(value());
-            std::string token;
-            while (std::getline(ss, token, ','))
-                opts.headlineStats.push_back(token);
         } else if (arg == "--ignore-config-hash") {
             opts.ignoreConfigHash = true;
         } else if (arg == "--log-level") {
