@@ -124,7 +124,7 @@ OoOCore::retireForSpace()
         stallFor(CycleBucket::DcacheMiss, retire_at - fetchCycle_);
 }
 
-void
+inline void
 OoOCore::processOp(const MicroOp &op)
 {
     retireForSpace();

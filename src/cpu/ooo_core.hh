@@ -321,7 +321,11 @@ class OoOCore
      * advance the fetch clock. The one place a stall is recorded.
      */
     void stallFor(CycleBucket bucket, Cycle cycles);
-    void processOp(const MicroOp &op);
+    /** Issue one op. Defined in ooo_core.cc and forced inline into
+     *  both op loops of run(), its only caller: left to itself, GCC
+     *  keeps it an out-of-line call per op (docs/PERFORMANCE.md,
+     *  "Header-inlined hot paths"). */
+    [[gnu::always_inline]] inline void processOp(const MicroOp &op);
     void retireForSpace();
     void drainRob();
     void advanceSlot(CycleBucket bucket = CycleBucket::Retiring);

@@ -13,7 +13,10 @@
  * taken flag. Only `pc`, `memAddr` and the register ids remain
  * directly-addressable fields; type, taken and branchTarget go through
  * accessors. Stored traces pack each op further, into 12 bytes with a
- * 35-bit data address (see OpSequence in op_sequence.hh).
+ * 35-bit data address (see OpSequence in op_sequence.hh). The last
+ * four bytes (typeTaken_, srcA, srcB, dest) keep the packed record's
+ * order so that OpSequence decodes them as one word; it checks the
+ * order at compile time.
  */
 
 #ifndef ESPSIM_TRACE_MICRO_OP_HH

@@ -23,12 +23,16 @@
  * generator's data layout fits (see `layout` in generator.hh).
  * MicroOp remains the exchange currency: operator[] rebuilds one by
  * value, and const-reference bindings at call sites keep working
- * through lifetime extension.
+ * through lifetime extension. Bytes 4-7 sit in the same order as
+ * MicroOp's last four bytes (a static_assert checks it), so the
+ * rebuild moves them as one masked 32-bit word.
  */
 
 #ifndef ESPSIM_TRACE_OP_SEQUENCE_HH
 #define ESPSIM_TRACE_OP_SEQUENCE_HH
 
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -137,14 +141,15 @@ class OpSequence
     const_iterator end() const { return {this, size()}; }
 
   private:
+    /** Bytes 4-7 of a record, in order: the type byte, srcA, srcB and
+     *  dest. */
+    using RegBytes = std::array<std::uint8_t, 4>;
+
     /** One op; the field map is in the file comment. */
     struct Record
     {
         std::uint32_t pc;
-        std::uint8_t typeTaken;
-        std::uint8_t srcA;
-        std::uint8_t srcB;
-        std::uint8_t dest;
+        std::uint32_t regs; //!< a RegBytes
         std::uint32_t payloadLow;
     };
 
@@ -152,8 +157,43 @@ class OpSequence
     static_assert(static_cast<unsigned>(OpType::Return) < 16,
                   "the op type must fit in bits 0-3 of the type byte");
 
-    /** Payload bits 32-34, where they sit in Record::typeTaken. */
+    /** The op type, in bits 0-3 of the type byte. */
+    static constexpr std::uint8_t typeBits = 0x0f;
+    /** Payload bits 32-34, in bits 4-6 of the type byte. */
     static constexpr std::uint8_t payloadHighBits = 0x70;
+    /** Record::regs without the payload bits. */
+    static constexpr std::uint32_t regsMask =
+        ~std::bit_cast<std::uint32_t>(RegBytes{payloadHighBits, 0, 0, 0});
+
+    /** A MicroOp's 24 bytes. */
+    struct OpImage
+    {
+        std::uint64_t pc;
+        std::uint64_t memAddr;
+        std::uint32_t target32;
+        std::uint32_t regs;
+    };
+
+    // MicroOp ends in RegBytes' order, so unpack()'s four byte stores
+    // compile to one 32-bit store of the masked word.
+    static_assert(
+        [] {
+            MicroOp op;
+            op.pc = 1;
+            op.memAddr = 2;
+            op.target32_ = 3;
+            op.typeTaken_ = 4;
+            op.srcA = 5;
+            op.srcB = 6;
+            op.dest = 7;
+            const OpImage image = std::bit_cast<OpImage>(op);
+            return image.pc == 1 && image.memAddr == 2 &&
+                image.target32 == 3 &&
+                image.regs == std::bit_cast<std::uint32_t>(
+                                  RegBytes{4, 5, 6, 7});
+        }(),
+        "MicroOp must end in typeTaken_, srcA, srcB, dest, in a "
+        "record's order, for the one-word decode");
 
     /** @pre holds(op), so at most one of memAddr and the target is
      *  non-zero. */
@@ -161,35 +201,38 @@ class OpSequence
     pack(const MicroOp &op)
     {
         const std::uint64_t payload = op.memAddr | op.target32_;
+        const RegBytes regs{
+            static_cast<std::uint8_t>(op.typeTaken_ | ((payload >> 32) << 4)),
+            op.srcA, op.srcB, op.dest};
         return {static_cast<std::uint32_t>(op.pc),
-                static_cast<std::uint8_t>(op.typeTaken_ |
-                                          ((payload >> 32) << 4)),
-                op.srcA,
-                op.srcB,
-                op.dest,
+                std::bit_cast<std::uint32_t>(regs),
                 static_cast<std::uint32_t>(payload)};
     }
 
+    /** Rebuild the op: the type byte and register ids move as one
+     *  masked word, and the payload goes to exactly one of memAddr
+     *  and the target. */
     static MicroOp
     unpack(const Record &r)
     {
-        MicroOp op;
-        op.pc = r.pc;
-        op.typeTaken_ =
-            static_cast<std::uint8_t>(r.typeTaken & ~payloadHighBits);
-        op.srcA = r.srcA;
-        op.srcB = r.srcB;
-        op.dest = r.dest;
+        const std::uint8_t type_byte = std::bit_cast<RegBytes>(r.regs)[0];
         const std::uint64_t payload =
-            (static_cast<std::uint64_t>(r.typeTaken & payloadHighBits)
+            (static_cast<std::uint64_t>(type_byte & payloadHighBits)
              << 28) |
             r.payloadLow;
-        // All ones for a load or store, zero otherwise: the payload
-        // goes to exactly one of the two fields without a branch.
-        const std::uint64_t mem_mask =
-            0 - std::uint64_t{isMemory(op.type())};
+        // All ones for a load or store, zero otherwise: no branch.
+        const std::uint64_t mem_mask = 0 -
+            std::uint64_t{
+                isMemory(static_cast<OpType>(type_byte & typeBits))};
+        const RegBytes regs = std::bit_cast<RegBytes>(r.regs & regsMask);
+        MicroOp op;
+        op.pc = r.pc;
         op.memAddr = payload & mem_mask;
         op.target32_ = static_cast<std::uint32_t>(payload & ~mem_mask);
+        op.typeTaken_ = regs[0];
+        op.srcA = regs[1];
+        op.srcB = regs[2];
+        op.dest = regs[3];
         return op;
     }
 
